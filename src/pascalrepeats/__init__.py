@@ -2,7 +2,7 @@
 
 The central object is the equation C(x, y) = C(x - a, y + b) for a
 shift pair (a, b) of positive integers. The package finds all its
-solutions up to a bound with a proved-complete window search, certifies
+solutions up to a bound with a proved-complete row solver, certifies
 the smoothness of the associated plane curve, isolates the limiting
 ratio zeta(a, b) as an exact rational enclosure, and counts how often a
 value repeats inside Pascal's triangle. Everything is integer or

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .combinatorics import binomial
 from .errors import PreconditionError
 from .ratios import ShiftPair
-from .search import search
+from .search import _solve_row, equality_check
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,17 @@ def scan_high_multiplicity(t_max: int, m_min: int) -> list[MultiplicityRecord]:
 def intersect_curves(s1: ShiftPair, s2: ShiftPair, x_max: int) -> list[tuple[int, int]]:
     """Points (x,y), 0 <= y <= x <= x_max, solving both shift equations.
 
-    Intersects the two search outputs keyed by (x,y); a nontrivial hit is
-    a value repeated at three or more positions in the triangle.
+    Solves each row of the first shift on the bracket x <= x_max and keeps
+    the solutions that also solve the second; a nontrivial hit is a value
+    repeated at three or more positions in the triangle.
     """
     if s1 == s2:
         raise PreconditionError("intersect_curves needs two distinct shifts")
-    first = {(s.x, s.y) for s in search(s1, x_max) if s.x <= x_max}
-    second = {(s.x, s.y) for s in search(s2, x_max) if s.x <= x_max}
-    return sorted(first & second, key=lambda p: (p[1], p[0]))
+    if x_max < 1:
+        raise PreconditionError(f"intersect_curves needs x_max >= 1, got {x_max}")
+    points = []
+    for y in range(x_max + 1):
+        x = _solve_row(y, s1, 0, x_max)
+        if x is not None and equality_check(x, y, s2):
+            points.append((x, y))
+    return points

@@ -5,7 +5,8 @@ plot. Output goes to standard output in json, csv, or text form;
 diagnostics go to standard error; exit status is 0 on success and
 nonzero on domain or cache errors. Identical configuration produces
 byte-identical output regardless of worker count. Any number that may
-exceed 64 bits is serialized as a decimal string.
+exceed 64 bits is serialized as a decimal string, rendered and parsed
+through Decimal so that Python's int-to-string digit limit never applies.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
@@ -72,6 +74,35 @@ def _parse_fraction(text: str) -> Fraction:
         raise PreconditionError(f"cannot parse {text!r} as a rational") from exc
 
 
+def _digits(n: int) -> str:
+    """Decimal digits of n; unlike str(n), not subject to the int-to-string limit."""
+    return str(Decimal(n))
+
+
+def _rational(q: Fraction) -> str:
+    """str(q) with each part rendered by _digits."""
+    if q.denominator == 1:
+        return _digits(q.numerator)
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
+
+
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _parse_int(value: object) -> int:
+    """int(value), extended to integer strings beyond the int-to-string limit.
+
+    Only a plain optionally signed run of ASCII digits takes the Decimal
+    route, so "1.5" and "1e3" are still rejected rather than truncated.
+    """
+    try:
+        return int(value)
+    except ValueError:
+        if isinstance(value, str) and _INTEGER.fullmatch(value):
+            return int(Decimal(value))
+        raise
+
+
 def _decimal_sig(q: Fraction, digits: int = 15) -> str:
     """Decimal rendering with the given significant digits (display only)."""
     with localcontext() as ctx:
@@ -97,9 +128,9 @@ def solution_to_dict(s: Solution) -> dict:
     return {
         "a": s.shift.a,
         "b": s.shift.b,
-        "x": str(s.x),
-        "y": str(s.y),
-        "value": str(s.value),
+        "x": _digits(s.x),
+        "y": _digits(s.y),
+        "value": _digits(s.value),
         "trivial": s.trivial,
     }
 
@@ -112,7 +143,7 @@ def _solution_from_dict(record: object, line: int) -> Solution:
         raise CacheError(f"record keys {sorted(record)} != {sorted(expected)}", line)
     try:
         shift = ShiftPair(record["a"], record["b"])
-        x, y, value = int(record["x"]), int(record["y"]), int(record["value"])
+        x, y, value = (_parse_int(record[k]) for k in ("x", "y", "value"))
         trivial = record["trivial"]
     except (PreconditionError, ValueError, TypeError) as exc:
         raise CacheError(f"malformed record fields: {exc}", line) from exc
@@ -123,18 +154,19 @@ def _solution_from_dict(record: object, line: int) -> Solution:
     except PreconditionError as exc:
         raise CacheError(f"record outside the solution domain: {exc}", line) from exc
     if not ok:
-        raise CacheError(f"C({x},{y}) != C({x - shift.a},{y + shift.b}): not a solution", line)
+        other = f"C({_digits(x - shift.a)},{_digits(y + shift.b)})"
+        raise CacheError(f"C({_digits(x)},{_digits(y)}) != {other}: not a solution", line)
     if binomial(x, y) != value:
-        raise CacheError(f"stored value does not equal C({x},{y})", line)
+        raise CacheError(f"stored value does not equal C({_digits(x)},{_digits(y)})", line)
     if trivial != (value <= 1):
         raise CacheError("trivial flag contradicts the value", line)
     return Solution(shift, x, y, value, trivial)
 
 
 def append_solutions(path: str, solutions: list[Solution]) -> None:
+    text = "".join(json.dumps(solution_to_dict(s)) + "\n" for s in solutions)
     with open(path, "a", encoding="utf-8") as fh:
-        for s in solutions:
-            fh.write(json.dumps(solution_to_dict(s)) + "\n")
+        fh.write(text)
 
 
 def read_solutions(path: str) -> list[Solution]:
@@ -148,14 +180,11 @@ def read_solutions(path: str) -> list[Solution]:
                 record = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise CacheError(f"invalid JSON: {exc.msg}", line_no) from exc
+            except ValueError as exc:
+                # e.g. a bare JSON integer beyond the int-to-string limit
+                raise CacheError(f"invalid JSON: {exc}", line_no) from exc
             out.append(_solution_from_dict(record, line_no))
     return out
-
-
-def cache_roundtrip(path: str, solutions: list[Solution]) -> list[Solution]:
-    """Append the solutions as JSON lines, then read back and re-verify."""
-    append_solutions(path, solutions)
-    return read_solutions(path)
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +211,14 @@ def _emit_solutions(solutions: list[Solution], fmt: str, out: TextIO) -> None:
         _emit_json([solution_to_dict(s) for s in solutions], out)
     elif fmt == "csv":
         rows = [
-            [str(s.shift.a), str(s.shift.b), str(s.x), str(s.y), str(s.value), str(s.trivial).lower()]
+            [str(s.shift.a), str(s.shift.b), _digits(s.x), _digits(s.y), _digits(s.value), str(s.trivial).lower()]
             for s in solutions
         ]
         _emit_csv(["a", "b", "x", "y", "value", "trivial"], rows, out)
     else:
         for s in solutions:
             suffix = " (trivial)" if s.trivial else ""
-            out.write(f"x={s.x} y={s.y} value={s.value}{suffix}\n")
+            out.write(f"x={_digits(s.x)} y={_digits(s.y)} value={_digits(s.value)}{suffix}\n")
         out.write(f"{len(solutions)} solution(s)\n")
 
 
@@ -214,8 +243,8 @@ def _run_zeta(config: RunConfig, out: TextIO) -> None:
             {
                 "a": shift.a,
                 "b": shift.b,
-                "lo": f"{interval.lo.numerator}/{interval.lo.denominator}",
-                "hi": f"{interval.hi.numerator}/{interval.hi.denominator}",
+                "lo": f"{_digits(interval.lo.numerator)}/{_digits(interval.lo.denominator)}",
+                "hi": f"{_digits(interval.hi.numerator)}/{_digits(interval.hi.denominator)}",
                 "decimal": decimal,
             },
             out,
@@ -223,8 +252,8 @@ def _run_zeta(config: RunConfig, out: TextIO) -> None:
     elif config.fmt == "csv":
         _no_csv("zeta")
     else:
-        out.write(f"lo = {interval.lo}\n")
-        out.write(f"hi = {interval.hi}\n")
+        out.write(f"lo = {_rational(interval.lo)}\n")
+        out.write(f"hi = {_rational(interval.hi)}\n")
         out.write(f"decimal = {decimal}\n")
 
 
@@ -244,15 +273,15 @@ def _run_family(config: RunConfig, out: TextIO) -> None:
     members = [family_member(i) for i in range(1, config.i_max + 1)]
     if config.fmt == "json":
         _emit_json(
-            [{"i": m.i, "n": str(m.n), "k": str(m.k), "value": str(m.value)} for m in members],
+            [{"i": m.i, "n": _digits(m.n), "k": _digits(m.k), "value": _digits(m.value)} for m in members],
             out,
         )
     elif config.fmt == "csv":
-        rows = [[str(m.i), str(m.n), str(m.k), str(m.value)] for m in members]
+        rows = [[str(m.i), _digits(m.n), _digits(m.k), _digits(m.value)] for m in members]
         _emit_csv(["i", "n", "k", "value"], rows, out)
     else:
         for m in members:
-            out.write(f"i={m.i} n={m.n} k={m.k} value={m.value}\n")
+            out.write(f"i={m.i} n={_digits(m.n)} k={_digits(m.k)} value={_digits(m.value)}\n")
 
 
 def _run_curve(config: RunConfig, out: TextIO) -> None:

@@ -127,16 +127,6 @@ def top_form(shift: ShiftPair) -> BiPoly:
     return (x - y) ** shift.degree - x**shift.a * y**shift.b
 
 
-def partial(p: BiPoly, var: str) -> BiPoly:
-    """Formal partial derivative of a bivariate polynomial."""
-    return p.partial(var)
-
-
-def resultant(p: BiPoly, q: BiPoly, eliminate: str) -> UniPoly:
-    """Sylvester resultant (p-rows first) by fraction-free remainder sequences."""
-    return bipoly_resultant(p, q, eliminate)
-
-
 def _eliminant_data(f: BiPoly, fx: BiPoly, fy: BiPoly, var: str) -> EliminantData:
     res_fx = bipoly_resultant(f, fx, var)
     res_fy = bipoly_resultant(f, fy, var)

@@ -1,22 +1,29 @@
 """Finding all solutions of C(x,y) = C(x-a,y+b) up to a bound.
 
-Two engines: a window search driven by the zeta bracket (for y > a the
-only candidates for x sit in an integer window of width O(a+b)), and an
-exhaustive brute sweep kept as the correctness oracle. Solutions with
-y <= a live outside the bracket's hypothesis and are scanned directly;
-the scan terminates on an exact monotonicity certificate, not a cap.
-
 Everything is integer arithmetic on the cleared-denominator product form
 
     (x-y)(x-y-1)...(x-y-a-b+1)  =  x(x-1)...(x-a+1) * (y+1)...(y+b)
 
 which is equivalent to the binomial equation whenever x >= y >= 0 and
 x-a >= y+b >= 0, and decides the remaining cases by sign alone.
+
+One row solver finds every solution. Below x = y+a+b the right-hand
+binomial vanishes, so no solution exists there. From x = y+a+b on, the
+ratio of the left side to the right side is R(x) = C(x-a,y+b)/C(x,y),
+and with X = x+1
+
+    R(x+1)/R(x) - 1 = (bX + ay) / ((X-y-a-b) X) > 0,
+
+so R increases strictly in x and each row has at most one solution,
+found by exact bisection on the product sides. The bracket for the
+bisection: for y > a the zeta window (any solution satisfies
+x ~ zeta * y within O(a+b)); for y <= a a gallop upward from y+a+b.
+An exhaustive brute sweep is kept as the correctness oracle.
 """
 
 from __future__ import annotations
 
-import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
@@ -78,8 +85,11 @@ def candidate_window(y: int, shift: ShiftPair, zeta: Interval) -> tuple[int, int
     """
     if y <= shift.a:
         raise PreconditionError(f"candidate_window needs y > a, got y={y}, a={shift.a}")
-    lo = math.ceil(zeta.lo * (y - shift.a + 1) + y)
-    hi = math.floor(zeta.hi * (y + shift.b) + y + shift.degree - 1)
+    # ceil and floor of the two bounds, in integers over each endpoint's denominator
+    p, q = zeta.lo.numerator, zeta.lo.denominator
+    lo = -(-(p * (y - shift.a + 1) + q * y) // q)
+    p, q = zeta.hi.numerator, zeta.hi.denominator
+    hi = (p * (y + shift.b) + q * (y + shift.degree - 1)) // q
     return lo, hi
 
 
@@ -88,47 +98,43 @@ def _make_solution(x: int, y: int, shift: ShiftPair) -> Solution:
     return Solution(shift, x, y, value, value <= 1)
 
 
-def _scan_cutoff_row(y: int, shift: ShiftPair) -> list[int]:
-    """All solution x for a fixed y <= a, scanned from x = y+a+b upward.
+def _solve_row(y: int, shift: ShiftPair, lo: int, hi: int | None) -> int | None:
+    """The solution x of row y with lo <= x <= hi, or None; hi=None means unbounded.
 
-    Termination certificate: the ratio left/right of the product sides
-    equals C(x-a,y+b)/C(x,y) and satisfies ratio(x+1) > ratio(x) exactly
-    when b(x+1) + ay > 0, which always holds here, so once left exceeds
-    right after 2(a+b) witnessed increases no further solution can exist.
+    Only x >= y+a+b can solve (below it C(x-a,y+b) = 0 < C(x,y)), and there
+    left/right = C(x-a,y+b)/C(x,y) strictly increases in x, so equality is an
+    exact bisection on the product sides. Without an upper end the routine
+    first gallops (steps 1, 2, 4, ...) to an x with left >= right, which
+    exists because the ratio grows without bound.
     """
-    d = shift.degree
-    x = y + d
-    left, right = _product_sides(x, y, shift)
-    found = []
-    if left == right:
-        found.append(x)
-    streak = 0
-    while not (left > right and streak >= 2 * d):
-        prev_left, prev_right = left, right
-        x += 1
-        left = left * (x - y) // (x - y - d)
-        right = right * x // (x - shift.a)
-        # the ratio left/right is C(x-a,y+b)/C(x,y); did it increase?
-        if left * prev_right > prev_left * right:
-            streak += 1
-        else:
-            streak = 0
+    lo = max(lo, y + shift.degree)
+    if hi is None:
+        hi, step = lo, 1
+        while True:
+            left, right = _product_sides(hi, y, shift)
+            if left >= right:
+                break
+            lo, hi, step = hi + 1, hi + step, 2 * step
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        left, right = _product_sides(mid, y, shift)
         if left == right:
-            found.append(x)
-    return found
-
-
-def _scan_window_row(y: int, shift: ShiftPair, zeta: Interval) -> list[int]:
-    lo, hi = candidate_window(y, shift, zeta)
-    return [x for x in range(max(lo, y), hi + 1) if equality_check(x, y, shift)]
+            return mid
+        if left < right:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return None
 
 
 def _search_range(args: tuple[ShiftPair, int, int, Interval]) -> list[Solution]:
     shift, y_lo, y_hi, zeta = args
     out = []
     for y in range(y_lo, y_hi + 1):
-        xs = _scan_cutoff_row(y, shift) if y <= shift.a else _scan_window_row(y, shift, zeta)
-        out.extend(_make_solution(x, y, shift) for x in xs)
+        lo, hi = candidate_window(y, shift, zeta) if y > shift.a else (0, None)
+        x = _solve_row(y, shift, lo, hi)
+        if x is not None:
+            out.append(_make_solution(x, y, shift))
     return out
 
 
@@ -137,15 +143,15 @@ def search(shift: ShiftPair, y_max: int, workers: int = 1) -> list[Solution]:
 
     The zeta interval is refined until width*(y_max+b) <= 1 so the window
     width stays O(a+b). Workers > 1 split the y-range into contiguous
-    chunks; each chunk is pure and the merge is a deterministic sort.
+    chunks, one process each, never more processes than usable CPUs;
+    each chunk is pure and the merge is a deterministic sort.
     """
     if y_max < 1:
         raise PreconditionError(f"search needs y_max >= 1, got {y_max}")
     if workers < 1:
         raise PreconditionError(f"search needs workers >= 1, got {workers}")
     zeta = isolate_zeta(shift, Fraction(1, y_max + shift.b))
-    chunks = _chunk_ranges(0, y_max, workers)
-    args = [(shift, lo, hi, zeta) for lo, hi in chunks]
+    args = [(shift, lo, hi, zeta) for lo, hi in _chunk_ranges(y_max, workers)]
     if len(args) == 1:
         results = [_search_range(args[0])]
     else:
@@ -155,12 +161,23 @@ def search(shift: ShiftPair, y_max: int, workers: int = 1) -> list[Solution]:
     return sorted(merged, key=Solution.key)
 
 
-def _chunk_ranges(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    n = hi - lo + 1
-    parts = max(1, min(parts, n))
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_ranges(y_max: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous ranges covering 0..y_max, one per process.
+
+    There are at most as many ranges as workers asked for, rows, and CPUs
+    this process may run on.
+    """
+    n = y_max + 1
+    parts = max(1, min(workers, n, _usable_cpus()))
     size, extra = divmod(n, parts)
     out = []
-    start = lo
+    start = 0
     for i in range(parts):
         end = start + size - 1 + (1 if i < extra else 0)
         out.append((start, end))

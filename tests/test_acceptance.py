@@ -68,7 +68,7 @@ def test_criterion_2_bracket_pins_the_golden_ratio():
 
 
 def test_criterion_3_search_equals_brute_force():
-    with criterion(3, "window search and brute force agree on all shifts in {1,2,3}^2, x <= 600"):
+    with criterion(3, "bisection row solver and brute force agree on all shifts in {1,2,3}^2, x <= 600"):
         start = time.perf_counter()
         for a in (1, 2, 3):
             for b in (1, 2, 3):

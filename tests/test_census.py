@@ -153,18 +153,24 @@ def test_intersect_curves_known_crossing():
 
 
 def test_intersect_curves_matches_direct_double_filter():
-    s1, s2 = ShiftPair(1, 1), ShiftPair(1, 3)
-    got = intersect_curves(s1, s2, 300)
-    want = sorted(
-        (
-            (x, y)
-            for x in range(301)
-            for y in range(x + 1)
-            if equality_check(x, y, s1) and equality_check(x, y, s2)
-        ),
-        key=lambda p: (p[1], p[0]),
-    )
-    assert got == want
+    # large-a pairs: most of the box lies in rows y <= a, where the row solver gallops
+    for s1, s2, x_max in [
+        (ShiftPair(1, 1), ShiftPair(1, 3), 300),
+        (ShiftPair(63, 3), ShiftPair(64, 4), 200),
+        (ShiftPair(63, 3), ShiftPair(64, 4), 78),  # the crossing (78,2) sits on the bound
+        (ShiftPair(104, 1), ShiftPair(110, 2), 200),
+    ]:
+        got = intersect_curves(s1, s2, x_max)
+        want = sorted(
+            (
+                (x, y)
+                for x in range(x_max + 1)
+                for y in range(x + 1)
+                if equality_check(x, y, s1) and equality_check(x, y, s2)
+            ),
+            key=lambda p: (p[1], p[0]),
+        )
+        assert got == want
 
 
 def test_intersect_curves_rejects_equal_shifts():

@@ -1,5 +1,7 @@
 import io
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,9 +9,9 @@ import pytest
 from pascalrepeats.cli import (
     RunConfig,
     _decimal_fixed,
+    _rational,
     append_solutions,
     build_parser,
-    cache_roundtrip,
     dispatch,
     main,
     parse_config,
@@ -242,11 +244,11 @@ def test_decimal_fixed_rendering():
 def test_cache_roundtrip_reproduces_solutions(tmp_path):
     path = tmp_path / "cache.jsonl"
     sols = search(ShiftPair(1, 1), 50)
-    back = cache_roundtrip(str(path), sols)
-    assert back == sols
+    append_solutions(str(path), sols)
+    assert read_solutions(str(path)) == sols
     # appending again doubles the records, all still verifiable
-    back2 = cache_roundtrip(str(path), sols)
-    assert back2 == sols + sols
+    append_solutions(str(path), sols)
+    assert read_solutions(str(path)) == sols + sols
 
 
 def test_cache_empty_file_is_empty_set(tmp_path):
@@ -337,3 +339,101 @@ def test_verify_missing_file_is_an_error(tmp_path):
     code, _, err = run_cli(["verify", "--cache", str(tmp_path / "nope.jsonl")])
     assert code == 1
     assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# integers beyond Python's int-to-string digit limit
+# ---------------------------------------------------------------------------
+
+# family member i=5: C(33552,12815) = C(33551,12816), 9,688 digits
+FAMILY_5 = (33552, 12815)
+DEFAULT_DIGIT_LIMIT = 4300
+
+
+@pytest.fixture
+def digit_limit():
+    """Run the test under the interpreter's default int-to-string limit."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DEFAULT_DIGIT_LIMIT)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def decimal_digits(n: int) -> str:
+    """Oracle: digits of n >= 0 from base-10^9 limbs, never calling str on n itself."""
+    limbs = []
+    while True:
+        n, r = divmod(n, 10**9)
+        limbs.append(r)
+        if n == 0:
+            break
+    return str(limbs[-1]) + "".join(f"{r:09d}" for r in reversed(limbs[:-1]))
+
+
+def test_search_prints_values_past_the_digit_limit(digit_limit):
+    x, y = FAMILY_5
+    digits = decimal_digits(math.comb(x, y))
+    assert len(digits) > DEFAULT_DIGIT_LIMIT
+    code, out, err = run_cli(["search", "--a", "1", "--b", "1", "--y-max", "13000"])
+    assert (code, err) == (0, "")
+    assert f"x={x} y={y} value={digits}\n" in out
+    code, out, _ = run_cli(["search", "--a", "1", "--b", "1", "--y-max", "13000", "--format", "csv"])
+    assert code == 0 and f"1,1,{x},{y},{digits},false\n" in out
+
+
+def test_family_prints_values_past_the_digit_limit(digit_limit):
+    x, y = FAMILY_5
+    digits = decimal_digits(math.comb(x, y))
+    code, out, err = run_cli(["family", "--i-max", "5"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"i=5 n={x - 1} k={y - 1} value={digits}"
+    code, out, _ = run_cli(["family", "--i-max", "5", "--format", "json"])
+    assert code == 0 and json.loads(out)[-1]["value"] == digits
+    code, out, _ = run_cli(["family", "--i-max", "5", "--format", "csv"])
+    assert code == 0 and out.splitlines()[-1] == f"5,{x - 1},{y - 1},{digits}"
+
+
+def test_rational_rendering_past_the_digit_limit(digit_limit):
+    p, q = 3**10000, 2**15000  # 4,772 and 4,516 digits
+    assert _rational(Fraction(p, q)) == f"{decimal_digits(p)}/{decimal_digits(q)}"
+    assert _rational(Fraction(-p)) == "-" + decimal_digits(p)
+
+
+def test_cache_keeps_and_verifies_records_past_the_digit_limit(digit_limit, tmp_path):
+    path = tmp_path / "cache.jsonl"
+    code, out, _ = run_cli(["search", "--a", "1", "--b", "1", "--y-max", "13000", "--cache", str(path)])
+    assert code == 0
+    count = int(out.splitlines()[-1].split()[0])
+    lines = path.read_text().splitlines()
+    assert len(lines) == count
+    x, y = FAMILY_5
+    assert json.loads(lines[-1]) == {
+        "a": 1, "b": 1, "x": str(x), "y": str(y), "value": decimal_digits(math.comb(x, y)), "trivial": False,
+    }
+    code, out, _ = run_cli(["verify", "--cache", str(path)])
+    assert (code, out) == (0, f"ok: {count} record(s) verified\n")
+
+
+def test_verify_rejects_an_over_limit_bare_integer_line(digit_limit, tmp_path):
+    path = tmp_path / "cache.jsonl"
+    append_solutions(str(path), search(ShiftPair(1, 1), 20))
+    path.write_text(path.read_text() + "1" * 5000 + "\n")
+    bad_line = len(path.read_text().splitlines())
+    code, out, err = run_cli(["verify", "--cache", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: line {bad_line}:") and err.count("\n") == 1
+
+
+def test_verify_integer_fields_stay_exact(digit_limit, tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good = {"a": 1, "b": 1, "x": "15", "y": "5", "value": "3003", "trivial": False}
+    over_limit = "1" * 5000
+    for field, text in [("value", "3003.0"), ("x", "1.5e1"), ("x", "15.5"), ("x", "1e3"), ("x", over_limit + ".5")]:
+        path.write_text(json.dumps({**good, field: text}) + "\n")
+        with pytest.raises(CacheError, match="malformed") as exc:
+            read_solutions(str(path))
+        assert exc.value.line == 1
+    # an over-limit integer string parses exactly and then fails the equation
+    path.write_text(json.dumps({**good, "x": over_limit, "y": "0", "value": "1"}) + "\n")
+    code, _, err = run_cli(["verify", "--cache", str(path)])
+    assert code == 1 and err.startswith("error: line 1:") and "not a solution" in err

@@ -14,7 +14,6 @@ from pascalrepeats.curves import (
     classify_finiteness,
     infinity_singular_check,
     lattice_points_in_box,
-    partial,
     quad_factor_test,
     real_branches,
     top_form,
@@ -88,8 +87,8 @@ def test_top_form_is_the_leading_homogeneous_part():
 def test_partial_derivatives_of_the_quadratic_case():
     f = build_curve(ShiftPair(1, 1))
     x, y = BiPoly.variable("x"), BiPoly.variable("y")
-    assert partial(f, "x") == 2 * x - 3 * y - 2
-    assert partial(f, "y") == -3 * x + 2 * y + 1
+    assert f.partial("x") == 2 * x - 3 * y - 2
+    assert f.partial("y") == -3 * x + 2 * y + 1
 
 
 def test_leading_y_coefficient_is_unit():
@@ -111,9 +110,9 @@ def test_partial_top_coefficients_in_y():
         for b in range(1, 4):
             d = a + b
             f = build_curve(ShiftPair(a, b))
-            fy_c = partial(f, "y").coefficient(0, d - 1)
+            fy_c = f.partial("y").coefficient(0, d - 1)
             assert fy_c == d * (-1) ** d
-            fx_c = partial(f, "x").coefficient(0, d - 1)
+            fx_c = f.partial("x").coefficient(0, d - 1)
             want = d * (-1) ** (d - 1) - (1 if a == 1 else 0)
             assert fx_c == want
             assert fx_c != 0

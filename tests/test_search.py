@@ -1,8 +1,11 @@
+import importlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pascalrepeats.combinatorics import binomial, fibonacci
 from pascalrepeats.errors import PreconditionError
@@ -17,6 +20,10 @@ from pascalrepeats.search import (
     family_verify,
     search,
 )
+
+
+# the module itself: the package namespace rebinds the name search to the function
+search_mod = importlib.import_module("pascalrepeats.search")
 
 
 def comb0(n: int, k: int) -> int:
@@ -116,11 +123,20 @@ def test_candidate_window_is_sound_against_oracle_rows():
 
 
 def test_search_agrees_with_oracle_small_boxes():
-    for a, b in [(1, 1), (2, 1), (1, 2), (2, 3)]:
+    # for the large-a shifts most of the box lies in rows y <= a, where the
+    # bisection bracket comes from galloping rather than the zeta window
+    for a, b in [(1, 1), (2, 1), (1, 2), (2, 3), (63, 3), (64, 4), (104, 1), (110, 2)]:
         shift = ShiftPair(a, b)
         want = oracle_solutions(shift, 200)
         got = {s.key() for s in search(shift, 200) if s.x <= 200}
         assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(1, 8), b=st.integers(1, 8), x_max=st.integers(1, 120))
+def test_search_equals_brute_search_on_random_boxes(a, b, x_max):
+    shift = ShiftPair(a, b)
+    assert [s for s in search(shift, x_max) if s.x <= x_max] == brute_search(shift, x_max)
 
 
 def test_brute_search_agrees_with_oracle():
@@ -160,6 +176,39 @@ def test_search_worker_count_does_not_change_results():
     shift = ShiftPair(1, 1)
     assert search(shift, 250, workers=1) == search(shift, 250, workers=2)
     assert search(shift, 250, workers=1) == search(shift, 250, workers=4)
+
+
+def test_search_chunks_are_capped_by_cpus_and_rows(monkeypatch):
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 3)
+    chunks = search_mod._chunk_ranges(10**6, 100_000)
+    assert len(chunks) == 3
+    assert chunks[0][0] == 0 and chunks[-1][1] == 10**6
+    assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
+    assert search_mod._chunk_ranges(1, 100_000) == [(0, 0), (1, 1)]
+    assert search_mod._chunk_ranges(10**6, 1) == [(0, 10**6)]
+
+
+def test_search_pool_size_is_capped_without_starting_processes(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return [fn(arg) for arg in args]
+
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(search_mod, "Pool", SerialPool)
+    shift = ShiftPair(1, 1)
+    assert search(shift, 300, workers=100_000) == search(shift, 300)
+    assert sizes == [2]
 
 
 def test_search_perturbed_neighbors_are_rejected():
