@@ -1,14 +1,19 @@
 """Pascal-triangle multiplicity counting and curve-pair intersections.
 
 N(t) counts the pairs (n,k) with C(n,k) = t. Every t >= 3 has the two
-edge occurrences (t,1) and (t,t-1); interior occurrences are found by
-binary search along each column k, which is sound because C(n,k) is
-strictly increasing in n for fixed k >= 1, and only columns with
-C(2k,k) <= t can contribute.
+edge occurrences (t,1) and (t,t-1). The interior occurrences (n,k) and
+(n,n-k), 2 <= k <= n/2, are found column by column: C(n,k) strictly
+increases in n for fixed k, so a column holds t at most once, and only
+columns with C(2k,k) <= t can hold it at all. Within a column an exact
+k-th root brackets n to at most k candidates (see `_interior_occurrences`).
+
+`scan_high_multiplicity` tallies the columns k >= 3 row by row, which
+visits O(t_max^(1/3)) rows, and settles column 2 by arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .combinatorics import binomial
@@ -33,23 +38,64 @@ class MultiplicityRecord:
         }
 
 
+def _kth_root(x: int, k: int) -> int:
+    """floor(x^(1/k)) for x >= 0 and k >= 1, exactly.
+
+    Newton's integer iteration r <- ((k-1)r + x // r^(k-1)) // k, from any
+    r > 0, lands at or above the floor of the root (by the AM-GM
+    inequality), and from any r above the floor it strictly decreases r;
+    so after one step the iteration decreases until it reaches the floor,
+    where it stops decreasing. The seed 2^(log2(x)/k), taken in floating
+    point to 53 significant bits and rounded up, lies within a relative
+    2^-40 or so of the root, so a few steps suffice. (A seed far below
+    the root would overshoot to about x/k and descend slowly.)
+    """
+    if x < 2 or k == 1:
+        return x
+    e = math.log2(x) / k
+    m = max(int(e) - 52, 0)
+    r = (int(2.0 ** (e - m)) + 1) << m
+    r = ((k - 1) * r + x // r ** (k - 1)) // k
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def _interior_occurrences(t: int) -> list[tuple[int, int]]:
+    """Every (n,k) with C(n,k) = t and 2 <= k <= n-2.
+
+    Column k is searched on a bracket of at most k rows. For 1 <= k <= n,
+    k!*C(n,k) = n(n-1)...(n-k+1) is a product of k factors in [n-k+1, n],
+    so (n-k+1)^k <= k!*C(n,k) <= n^k. If C(n,k) = t, let r be the integer
+    floor((k!*t)^(1/k)): then n >= (k!*t)^(1/k) >= r, and n-k+1 is an
+    integer at most (k!*t)^(1/k), so n-k+1 <= r. With n >= 2k for the upper
+    half of the row, n lies in [max(2k, r), r+k-1], which bisection on the
+    strictly increasing C(n,k) settles in about log2(k) steps. k! and the
+    central C(2k,k) that ends the column loop are carried from column to
+    column.
+    """
     out = []
     k = 2
-    while binomial(2 * k, k) <= t:
-        # binary search the unique n in [2k, t] with C(n,k) = t, if any
-        lo, hi = 2 * k, t
+    fact = 2  # k!
+    central = 6  # C(2k,k)
+    while central <= t:
+        r = _kth_root(fact * t, k)
+        lo, hi = max(2 * k, r), r + k - 1
         while lo < hi:
             mid = (lo + hi) // 2
             if binomial(mid, k) < t:
                 lo = mid + 1
             else:
                 hi = mid
-        if binomial(lo, k) == t:
+        if lo == hi and binomial(lo, k) == t:
             out.append((lo, k))
             if lo != 2 * k:
                 out.append((lo, lo - k))
+        central = central * 2 * (2 * k + 1) // (k + 1)
         k += 1
+        fact *= k
     return out
 
 
@@ -63,27 +109,55 @@ def multiplicity(t: int) -> MultiplicityRecord:
     return MultiplicityRecord(t, len(ordered), ordered)
 
 
+def _column_two(v: int) -> int:
+    """Interior occurrences of v in column 2: (n,2) and (n,n-2) for C(n,2) = v, n >= 4.
+
+    C(n,2) = v means (2n-1)^2 = 8v+1, so at most one n qualifies; at n = 4
+    the two positions coincide.
+    """
+    s = math.isqrt(8 * v + 1)
+    if s * s != 8 * v + 1:
+        return 0
+    n = (s + 1) // 2
+    return 0 if n < 4 else 1 if n == 4 else 2
+
+
 def scan_high_multiplicity(t_max: int, m_min: int) -> list[MultiplicityRecord]:
     """All t <= t_max with N(t) >= m_min, ascending.
 
-    Enumerates every interior entry C(n,k) <= t_max with 2 <= k <= n/2
-    into a tally; a value with m interior occurrences has multiplicity
-    m + 2 once the edge occurrences are added.
+    A value with i interior occurrences has multiplicity i + 2. The
+    interior entries C(n,k) <= t_max with 3 <= k <= n/2 are tallied row by
+    row with C(n,k+1) = C(n,k)(n-k)/(k+1); since C(n,3) <= t_max these rows
+    number O(t_max^(1/3)). Column 2 is settled by arithmetic instead:
+    C(n,2) strictly increases in n, so column 2 holds a value at most once
+    and adds at most 2 interior occurrences (1 at n = 4, where (4,2) is its
+    own mirror), which `_column_two` finds by an integer square root.
+    For m_min >= 5 a value needs at least 3 interior occurrences, so at
+    least one lies in a column k >= 3 and the value is already in the
+    tally. For m_min <= 4 every C(n,2) with n >= 5 qualifies on its own, and
+    so does C(4,2) = 6 when m_min = 3; only then are the values of column 2
+    added to the candidates.
     """
     if t_max < 2:
         raise PreconditionError(f"scan_high_multiplicity needs t_max >= 2, got {t_max}")
     if m_min < 3:
         raise PreconditionError(f"scan_high_multiplicity needs m_min >= 3, got {m_min}")
     tally: dict[int, int] = {}
-    n = 4
-    while n <= 2 * t_max and binomial(n, 2) <= t_max:
-        for k in range(2, n // 2 + 1):
-            v = binomial(n, k)
+    n = 6
+    v = 20  # C(n,3)
+    while v <= t_max:
+        for k in range(3, n // 2 + 1):
             if v > t_max:
                 break
             tally[v] = tally.get(v, 0) + (1 if n == 2 * k else 2)
+            v = v * (n - k) // (k + 1)
         n += 1
-    hits = sorted(t for t, interior in tally.items() if interior + 2 >= m_min)
+        v = n * (n - 1) * (n - 2) // 6
+    values = set(tally)
+    if m_min <= 4:
+        # every C(n,2) <= t_max with n >= 4, i.e. (2n-1)^2 <= 8*t_max + 1
+        values.update(n * (n - 1) // 2 for n in range(4, (math.isqrt(8 * t_max + 1) + 1) // 2 + 1))
+    hits = sorted(t for t in values if tally.get(t, 0) + _column_two(t) + 2 >= m_min)
     return [multiplicity(t) for t in hits]
 
 

@@ -94,7 +94,11 @@ def _parse_int(value: object) -> int:
 
     Only a plain optionally signed run of ASCII digits takes the Decimal
     route, so "1.5" and "1e3" are still rejected rather than truncated.
+    A float or a bool is refused: int() would truncate 15.9 to 15 and read
+    true as 1.
     """
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
     try:
         return int(value)
     except ValueError:
@@ -142,6 +146,8 @@ def _solution_from_dict(record: object, line: int) -> Solution:
     if set(record) != expected:
         raise CacheError(f"record keys {sorted(record)} != {sorted(expected)}", line)
     try:
+        if isinstance(record["a"], bool) or isinstance(record["b"], bool):
+            raise TypeError("shift components must be integers, not booleans")
         shift = ShiftPair(record["a"], record["b"])
         x, y, value = (_parse_int(record[k]) for k in ("x", "y", "value"))
         trivial = record["trivial"]

@@ -6,25 +6,23 @@ touches floating point.
 
 from __future__ import annotations
 
+import math
+
 from .errors import PreconditionError
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k) by the multiplicative rule with exact division at each step.
+    """C(n, k), computed by `math.comb`.
 
     Out-of-range k (k < 0 or k > n) yields 0: census and lattice scans probe
-    outside the triangle and zero is the consistent extension there.
+    outside the triangle and zero is the consistent extension there. A
+    negative n is rejected.
     """
     if n < 0:
         raise PreconditionError(f"binomial: n must be nonnegative, got {n}")
     if k < 0 or k > n:
         return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(1, k + 1):
-        # exact: the running product is C(n-k+i, i)
-        out = out * (n - k + i) // i
-    return out
+    return math.comb(n, k)
 
 
 def falling_factorial(s: int, length: int) -> int:

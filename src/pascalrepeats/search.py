@@ -207,9 +207,11 @@ def _family_nk(i: int) -> tuple[int, int]:
 def family_member(i: int) -> FamilyMember:
     """Member i with its exact value C(n+1,k+1).
 
-    The value has on the order of F_{2i+2}F_{2i+3} digits worth of factors;
-    beyond i around 8 computing it is expensive. family_verify checks the
-    defining identity without ever forming the value.
+    The value has on the order of F_{2i+2}F_{2i+3} digits worth of factors,
+    and the cost of forming it grows about 30-fold per step: on 2 CPUs
+    member i=6 (220,628 bits) takes about 0.7 s and i=7 about 20 s.
+    family_verify checks the defining identity without ever forming the
+    value.
     """
     n, k = _family_nk(i)
     return FamilyMember(i, n, k, binomial(n + 1, k + 1))

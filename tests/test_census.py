@@ -3,9 +3,12 @@ import math
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pascalrepeats.census import (
     MultiplicityRecord,
+    _kth_root,
     intersect_curves,
     multiplicity,
     scan_high_multiplicity,
@@ -126,6 +129,69 @@ def test_scan_agrees_with_tally_oracle():
     want = sorted(t for t, occ in oracle.items() if len(occ) >= 4)
     got = [r.t for r in scan_high_multiplicity(5000, 4)]
     assert got == want
+
+
+@pytest.fixture(scope="module")
+def repeats_to_2e5():
+    """(t, N(t), occurrences) for every t <= 2*10^5 with N(t) >= 3, ascending."""
+    occ = tally_census(2 * 10**5)
+    return [(t, len(occ[t]), tuple(sorted(occ[t]))) for t in sorted(occ) if len(occ[t]) >= 3]
+
+
+@pytest.mark.parametrize("m_min", range(3, 10))
+def test_scan_equals_tally_oracle_for_every_threshold(repeats_to_2e5, m_min):
+    # m_min <= 4 takes every value of column 2 as a candidate (t = 6 at n = 4 has N = 3);
+    # m_min >= 5 finds every hit in the tally of columns k >= 3
+    for t_max in (6, 3003, 2 * 10**5):
+        want = [rec for rec in repeats_to_2e5 if rec[0] <= t_max and rec[1] >= m_min]
+        got = [(r.t, r.count, r.occurrences) for r in scan_high_multiplicity(t_max, m_min)]
+        assert got == want, (t_max, m_min)
+
+
+def column_search_occurrences(t: int) -> tuple[tuple[int, int], ...]:
+    """Oracle for N(t): every column k with C(2k,k) <= t searched over all n >= 2k.
+
+    Gallops up the column for an upper end, then bisects; no bound on n is
+    assumed beyond monotonicity, so it is independent of the k-th root bracket.
+    """
+    occ = {(t, 1), (t, t - 1)}
+    k = 2
+    while math.comb(2 * k, k) <= t:
+        lo, hi = 2 * k, 2 * k
+        while math.comb(hi, k) < t:
+            lo, hi = hi + 1, 2 * hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if math.comb(mid, k) < t:
+                lo = mid + 1
+            else:
+                hi = mid
+        if math.comb(lo, k) == t:
+            occ |= {(lo, k), (lo, lo - k)}
+        k += 1
+    return tuple(sorted(occ))
+
+
+entries = st.integers(2, 400).flatmap(lambda n: st.integers(1, n - 1).map(lambda k: math.comb(n, k)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=st.one_of(entries, st.integers(2, 10**60)))
+def test_multiplicity_matches_full_column_search(t):
+    rec = multiplicity(t)
+    assert rec.occurrences == column_search_occurrences(t)
+    assert rec.count == len(rec.occurrences)
+
+
+def test_kth_root_on_powers_and_their_neighbours():
+    assert [_kth_root(x, 1) for x in (0, 1, 2, 3**200)] == [0, 1, 2, 3**200]
+    for k in range(2, 25):
+        assert _kth_root(0, k) == 0
+        assert _kth_root(1, k) == 1
+        for r in (2, 3, 10, 255, 10**6 + 3, 3**200, 2**521 - 1):
+            assert _kth_root(r**k, k) == r
+            assert _kth_root(r**k - 1, k) == r - 1
+            assert _kth_root(r**k + 1, k) == r
 
 
 def test_scan_domain():

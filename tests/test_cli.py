@@ -311,6 +311,35 @@ def test_cache_unexpected_keys_are_rejected(tmp_path):
         read_solutions(str(path))
 
 
+def _verify_one_record(tmp_path, record: dict) -> tuple[int, str, str]:
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    return run_cli(["verify", "--cache", str(path)])
+
+
+def test_verify_rejects_fractional_number_fields(tmp_path):
+    # int() would truncate these to x=15, y=5, a genuine solution
+    record = {"a": 1, "b": 1, "x": 15.9, "y": 5.2, "value": 3003, "trivial": False}
+    code, out, err = _verify_one_record(tmp_path, record)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1: malformed record fields") and err.count("\n") == 1
+
+
+def test_verify_rejects_a_float_value_field(tmp_path):
+    record = {"a": 1, "b": 1, "x": 15, "y": 5, "value": 3003.0, "trivial": False}
+    code, out, err = _verify_one_record(tmp_path, record)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1: malformed record fields") and err.count("\n") == 1
+
+
+def test_verify_rejects_boolean_shift_components(tmp_path):
+    # bool is a subclass of int, so ShiftPair alone would read true as 1
+    record = {"a": True, "b": True, "x": 15, "y": 5, "value": 3003, "trivial": False}
+    code, out, err = _verify_one_record(tmp_path, record)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1: malformed record fields") and err.count("\n") == 1
+
+
 def test_search_cache_flag_then_verify_command(tmp_path):
     path = tmp_path / "cache.jsonl"
     code, _, _ = run_cli(["search", "--a", "1", "--b", "1", "--y-max", "60", "--cache", str(path)])

@@ -14,6 +14,15 @@ def test_binomial_matches_math_comb_on_a_dense_sweep():
             assert binomial(n, k) == expected
 
 
+def test_binomial_matches_a_triangle_built_by_addition():
+    # an oracle independent of math.comb: rows of Pascal's triangle by the recurrence alone
+    row = [1]
+    for n in range(0, 201):
+        for k in range(-3, n + 4):
+            assert binomial(n, k) == (row[k] if 0 <= k <= n else 0), (n, k)
+        row = [1] + [row[i] + row[i + 1] for i in range(n)] + [1]
+
+
 def test_binomial_rejects_negative_row():
     with pytest.raises(PreconditionError):
         binomial(-1, 0)
