@@ -1,9 +1,12 @@
 """Command-line surface: the only module with side effects.
 
 Subcommands: zeta, search, family, curve, census, intersect, verify,
-plot. Output goes to standard output in json, csv, or text form;
-diagnostics go to standard error; exit status is 0 on success and
-nonzero on domain or cache errors. Identical configuration produces
+plot. Each subparser binds its own handler with set_defaults(run=...),
+and the handler reads the parsed argparse namespace directly. Output goes
+to standard output in json, csv, or text form; diagnostics go to standard
+error. Exit status is 0 on success; 1 on a domain or cache error, with
+one "error:" line; 2 on a usage error, which argparse reports, an
+unparseable integer or rational included. Identical invocations produce
 byte-identical output regardless of worker count. Any number that may
 exceed 64 bits is serialized as a decimal string, rendered and parsed
 through Decimal so that Python's int-to-string digit limit never applies.
@@ -16,7 +19,6 @@ import csv
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import TextIO
@@ -32,46 +34,14 @@ from .search import Solution, equality_check, family_member, search
 FORMATS = ("json", "csv", "text")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed and validated invocation; every field the dispatcher needs."""
-
-    command: str
-    a: int | None = None
-    b: int | None = None
-    a2: int | None = None
-    b2: int | None = None
-    y_max: int | None = None
-    x_max: int | None = None
-    i_max: int | None = None
-    t: int | None = None
-    t_max: int | None = None
-    m_min: int | None = None
-    precision: Fraction | None = None
-    fmt: str = "text"
-    cache: str | None = None
-    workers: int = 1
-    with_certificate: bool = False
-    y_lo: int | None = None
-    y_hi: int | None = None
-    y_step: Fraction = field(default=Fraction(1))
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise PreconditionError(f"workers must be >= 1, got {self.workers}")
-        if self.precision is not None and self.precision <= 0:
-            raise PreconditionError("precision must be a positive rational")
-        if self.fmt not in FORMATS:
-            raise PreconditionError(f"unknown format {self.fmt!r}")
-
-
 def _parse_fraction(text: str) -> Fraction:
+    """argparse type of a rational flag: "1e-12", "0.25" or "1/128"."""
     try:
         if "/" in text:
             return Fraction(text)
         return Fraction(Decimal(text))
     except (ValueError, ArithmeticError) as exc:
-        raise PreconditionError(f"cannot parse {text!r} as a rational") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a rational") from exc
 
 
 def _digits(n: int) -> str:
@@ -146,8 +116,6 @@ def _solution_from_dict(record: object, line: int) -> Solution:
     if set(record) != expected:
         raise CacheError(f"record keys {sorted(record)} != {sorted(expected)}", line)
     try:
-        if isinstance(record["a"], bool) or isinstance(record["b"], bool):
-            raise TypeError("shift components must be integers, not booleans")
         shift = ShiftPair(record["a"], record["b"])
         x, y, value = (_parse_int(record[k]) for k in ("x", "y", "value"))
         trivial = record["trivial"]
@@ -233,18 +201,11 @@ def _emit_solutions(solutions: list[Solution], fmt: str, out: TextIO) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _shift_of(config: RunConfig) -> ShiftPair:
-    if config.a is None or config.b is None:
-        raise PreconditionError("this command needs --a and --b")
-    return ShiftPair(config.a, config.b)
-
-
-def _run_zeta(config: RunConfig, out: TextIO) -> None:
-    shift = _shift_of(config)
-    eps = config.precision if config.precision is not None else Fraction(1, 10**12)
-    interval = isolate_zeta(shift, eps)
+def _run_zeta(args: argparse.Namespace, out: TextIO) -> None:
+    shift = ShiftPair(args.a, args.b)
+    interval = isolate_zeta(shift, args.precision)
     decimal = _decimal_sig(interval.midpoint)
-    if config.fmt == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "a": shift.a,
@@ -255,7 +216,7 @@ def _run_zeta(config: RunConfig, out: TextIO) -> None:
             },
             out,
         )
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         _no_csv("zeta")
     else:
         out.write(f"lo = {_rational(interval.lo)}\n")
@@ -263,26 +224,23 @@ def _run_zeta(config: RunConfig, out: TextIO) -> None:
         out.write(f"decimal = {decimal}\n")
 
 
-def _run_search(config: RunConfig, out: TextIO) -> None:
-    shift = _shift_of(config)
-    if config.y_max is None:
-        raise PreconditionError("search needs --y-max")
-    solutions = search(shift, config.y_max, workers=config.workers)
-    if config.cache is not None:
-        append_solutions(config.cache, solutions)
-    _emit_solutions(solutions, config.fmt, out)
+def _run_search(args: argparse.Namespace, out: TextIO) -> None:
+    solutions = search(ShiftPair(args.a, args.b), args.y_max, workers=args.workers)
+    if args.cache is not None:
+        append_solutions(args.cache, solutions)
+    _emit_solutions(solutions, args.format, out)
 
 
-def _run_family(config: RunConfig, out: TextIO) -> None:
-    if config.i_max is None or config.i_max < 1:
+def _run_family(args: argparse.Namespace, out: TextIO) -> None:
+    if args.i_max < 1:
         raise PreconditionError("family needs --i-max >= 1")
-    members = [family_member(i) for i in range(1, config.i_max + 1)]
-    if config.fmt == "json":
+    members = [family_member(i) for i in range(1, args.i_max + 1)]
+    if args.format == "json":
         _emit_json(
             [{"i": m.i, "n": _digits(m.n), "k": _digits(m.k), "value": _digits(m.value)} for m in members],
             out,
         )
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         rows = [[str(m.i), _digits(m.n), _digits(m.k), _digits(m.value)] for m in members]
         _emit_csv(["i", "n", "k", "value"], rows, out)
     else:
@@ -290,8 +248,8 @@ def _run_family(config: RunConfig, out: TextIO) -> None:
             out.write(f"i={m.i} n={_digits(m.n)} k={_digits(m.k)} value={_digits(m.value)}\n")
 
 
-def _run_curve(config: RunConfig, out: TextIO) -> None:
-    shift = _shift_of(config)
+def _run_curve(args: argparse.Namespace, out: TextIO) -> None:
+    shift = ShiftPair(args.a, args.b)
     curve = curves_mod.build_curve(shift)
     top = curves_mod.top_form(shift)
     base = {
@@ -302,10 +260,10 @@ def _run_curve(config: RunConfig, out: TextIO) -> None:
         "top_form": format_bipoly(top),
         "finiteness": curves_mod.classify_finiteness(shift).value,
     }
-    if config.fmt == "csv":
+    if args.format == "csv":
         _no_csv("curve")
-    if not config.with_certificate:
-        if config.fmt == "json":
+    if not args.certify:
+        if args.format == "json":
             _emit_json(base, out)
         else:
             out.write(f"F(x,y) = {base['curve']}\n")
@@ -314,7 +272,7 @@ def _run_curve(config: RunConfig, out: TextIO) -> None:
             out.write(f"finiteness = {base['finiteness']}\n")
         return
     cert = curves_mod.certify(shift)
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {"curve": base["curve"], **cert.to_json_dict()}
         _emit_json(payload, out)
     else:
@@ -327,21 +285,21 @@ def _run_curve(config: RunConfig, out: TextIO) -> None:
         out.write(f"finiteness = {cert.finiteness.value}\n")
 
 
-def _run_census(config: RunConfig, out: TextIO) -> None:
-    single = config.t is not None
-    ranged = config.t_max is not None or config.m_min is not None
+def _run_census(args: argparse.Namespace, out: TextIO) -> None:
+    single = args.t is not None
+    ranged = args.t_max is not None or args.m_min is not None
     if single == ranged:
         raise PreconditionError("census needs either --t, or both --t-max and --m-min")
     if single:
-        records = [census_mod.multiplicity(config.t)]
+        records = [census_mod.multiplicity(args.t)]
     else:
-        if config.t_max is None or config.m_min is None:
+        if args.t_max is None or args.m_min is None:
             raise PreconditionError("census scan needs both --t-max and --m-min")
-        records = census_mod.scan_high_multiplicity(config.t_max, config.m_min)
-    if config.fmt == "json":
+        records = census_mod.scan_high_multiplicity(args.t_max, args.m_min)
+    if args.format == "json":
         payload = [r.to_json_dict() for r in records]
         _emit_json(payload[0] if single else payload, out)
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         rows = [[str(r.t), str(r.count)] for r in records]
         _emit_csv(["t", "count"], rows, out)
     else:
@@ -350,17 +308,13 @@ def _run_census(config: RunConfig, out: TextIO) -> None:
             out.write(f"t={r.t} count={r.count} occurrences: {occ}\n")
 
 
-def _run_intersect(config: RunConfig, out: TextIO) -> None:
-    if None in (config.a, config.b, config.a2, config.b2):
-        raise PreconditionError("intersect needs --a1 --b1 --a2 --b2")
-    if config.x_max is None:
-        raise PreconditionError("intersect needs --x-max")
-    s1 = ShiftPair(config.a, config.b)
-    s2 = ShiftPair(config.a2, config.b2)
-    points = census_mod.intersect_curves(s1, s2, config.x_max)
-    if config.fmt == "json":
+def _run_intersect(args: argparse.Namespace, out: TextIO) -> None:
+    s1 = ShiftPair(args.a1, args.b1)
+    s2 = ShiftPair(args.a2, args.b2)
+    points = census_mod.intersect_curves(s1, s2, args.x_max)
+    if args.format == "json":
         _emit_json([{"x": str(x), "y": str(y)} for x, y in points], out)
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         _emit_csv(["x", "y"], [[str(x), str(y)] for x, y in points], out)
     else:
         for x, y in points:
@@ -368,68 +322,47 @@ def _run_intersect(config: RunConfig, out: TextIO) -> None:
         out.write(f"{len(points)} intersection point(s)\n")
 
 
-def _run_verify(config: RunConfig, out: TextIO) -> None:
-    if config.cache is None:
-        raise PreconditionError("verify needs --cache")
-    solutions = read_solutions(config.cache)
-    if config.fmt == "json":
+def _run_verify(args: argparse.Namespace, out: TextIO) -> None:
+    solutions = read_solutions(args.cache)
+    if args.format == "json":
         _emit_json({"verified": len(solutions)}, out)
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         _no_csv("verify")
     else:
         out.write(f"ok: {len(solutions)} record(s) verified\n")
 
 
-def _run_plot(config: RunConfig, out: TextIO) -> None:
-    shift = _shift_of(config)
-    if config.y_lo is None or config.y_hi is None:
-        raise PreconditionError("plot needs --y-min and --y-max")
-    if config.y_step <= 0:
+def _run_plot(args: argparse.Namespace, out: TextIO) -> None:
+    shift = ShiftPair(args.a, args.b)
+    if args.y_step <= 0:
         raise PreconditionError("plot needs a positive --y-step")
-    width = config.precision if config.precision is not None else Fraction(1, 10**13)
     ys = []
-    y = Fraction(config.y_lo)
-    while y <= config.y_hi:
+    y = Fraction(args.y_min)
+    while y <= args.y_max:
         ys.append(y)
-        y += config.y_step
-    branches = curves_mod.real_branches(shift, ys, width=width)
+        y += args.y_step
+    branches = curves_mod.real_branches(shift, ys, width=args.precision)
     rows = []
     for y0, enclosures in branches:
         for enc in enclosures:
             rows.append([_decimal_fixed(y0), _decimal_fixed(enc.midpoint)])
-    if config.fmt == "json":
+    if args.format == "json":
         _emit_json([{"y": r[0], "x": r[1]} for r in rows], out)
     else:
         # text and csv coincide: plot data is CSV by nature
         _emit_csv(["y", "x"], rows, out)
 
 
-_RUNNERS = {
-    "zeta": _run_zeta,
-    "search": _run_search,
-    "family": _run_family,
-    "curve": _run_curve,
-    "census": _run_census,
-    "intersect": _run_intersect,
-    "verify": _run_verify,
-    "plot": _run_plot,
-}
-
-
-def dispatch(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None) -> int:
-    """Route a validated config to its module operation.
+def dispatch(args: argparse.Namespace, out: TextIO | None = None, err: TextIO | None = None) -> int:
+    """Run the handler that the parsed invocation's subparser bound.
 
     Returns the process exit status; domain and cache failures print a
     one-line diagnostic to the error stream and return 1.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    runner = _RUNNERS.get(config.command)
-    if runner is None:
-        err.write(f"error: unknown command {config.command!r}\n")
-        return 2
     try:
-        runner(config, out)
+        args.run(args, out)
     except (PreconditionError, ZeroPolynomialError, CacheError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 1
@@ -454,8 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeta", help="isolate the limiting ratio for a shift")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--precision", type=str, default=None, help="enclosure width, e.g. 1e-12")
+    p.add_argument(
+        "--precision", type=_parse_fraction, default=Fraction(1, 10**12), help="enclosure width, e.g. 1e-12"
+    )
     add_format(p)
+    p.set_defaults(run=_run_zeta)
 
     p = sub.add_parser("search", help="all solutions with y up to a bound")
     p.add_argument("--a", type=int, required=True)
@@ -464,22 +400,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache", type=str, default=None, help="append solutions to this JSON-lines file")
     add_format(p)
+    p.set_defaults(run=_run_search)
 
     p = sub.add_parser("family", help="the Fibonacci family members")
     p.add_argument("--i-max", type=int, required=True)
     add_format(p)
+    p.set_defaults(run=_run_family)
 
     p = sub.add_parser("curve", help="the shift's plane curve, optionally certified")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--certify", action="store_true")
     add_format(p)
+    p.set_defaults(run=_run_curve)
 
     p = sub.add_parser("census", help="multiplicity of one value or a high-multiplicity scan")
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--m-min", type=int, default=None)
     add_format(p)
+    p.set_defaults(run=_run_census)
 
     p = sub.add_parser("intersect", help="common solutions of two shift equations")
     p.add_argument("--a1", type=int, required=True)
@@ -488,52 +428,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b2", type=int, required=True)
     p.add_argument("--x-max", type=int, required=True)
     add_format(p)
+    p.set_defaults(run=_run_intersect)
 
     p = sub.add_parser("verify", help="re-verify a solution cache")
     p.add_argument("--cache", type=str, required=True)
     add_format(p)
+    p.set_defaults(run=_run_verify)
 
     p = sub.add_parser("plot", help="branch data of the curve as y,x rows")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--y-min", type=int, required=True)
     p.add_argument("--y-max", type=int, required=True)
-    p.add_argument("--y-step", type=str, default="1")
-    p.add_argument("--precision", type=str, default=None, help="enclosure width, e.g. 1e-13")
+    p.add_argument("--y-step", type=_parse_fraction, default=Fraction(1))
+    p.add_argument(
+        "--precision", type=_parse_fraction, default=Fraction(1, 10**13), help="enclosure width, e.g. 1e-13"
+    )
     add_format(p, default="csv")
+    p.set_defaults(run=_run_plot)
 
     return parser
 
 
-def parse_config(argv: list[str]) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    precision = _parse_fraction(ns.precision) if getattr(ns, "precision", None) else None
-    return RunConfig(
-        command=ns.command,
-        a=getattr(ns, "a", None) if ns.command != "intersect" else ns.a1,
-        b=getattr(ns, "b", None) if ns.command != "intersect" else ns.b1,
-        a2=getattr(ns, "a2", None),
-        b2=getattr(ns, "b2", None),
-        y_max=getattr(ns, "y_max", None) if ns.command != "plot" else None,
-        x_max=getattr(ns, "x_max", None),
-        i_max=getattr(ns, "i_max", None),
-        t=getattr(ns, "t", None),
-        t_max=getattr(ns, "t_max", None),
-        m_min=getattr(ns, "m_min", None),
-        precision=precision,
-        fmt=ns.format,
-        cache=getattr(ns, "cache", None),
-        workers=getattr(ns, "workers", 1),
-        with_certificate=getattr(ns, "certify", False),
-        y_lo=getattr(ns, "y_min", None) if ns.command == "plot" else None,
-        y_hi=getattr(ns, "y_max", None) if ns.command == "plot" else None,
-        y_step=_parse_fraction(getattr(ns, "y_step", "1")) if ns.command == "plot" else Fraction(1),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    config = parse_config(argv if argv is not None else sys.argv[1:])
-    return dispatch(config)
+    return dispatch(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -389,7 +389,12 @@ def _split_point(sf: UniPoly, lo: Fraction, hi: Fraction) -> Fraction:
         den *= 2
 
 
-def _refine(sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+def bisect_root(sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Halve [lo, hi], which holds exactly one root of sf, until hi - lo <= width.
+
+    Keeps the half whose ends differ in sign; a midpoint that is itself a
+    root comes back as [m, m]. The caller checks that width is positive.
+    """
     slo = sf.sign_at(lo)
     while hi - lo > width:
         m = (lo + hi) / 2
@@ -427,7 +432,7 @@ def isolate_real_roots(p: UniPoly, width: Fraction = Fraction(1, 10**9)) -> list
         if nroots == 0:
             return
         if nroots == 1:
-            out.append(_refine(sf, lo, hi, width))
+            out.append(bisect_root(sf, lo, hi, width))
             return
         m = _split_point(sf, lo, hi)
         left = _variations(chain, lo) - _variations(chain, m)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .combinatorics import binomial
 from .errors import PreconditionError
-from .polynomials import UniPoly
+from .polynomials import UniPoly, bisect_root
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,8 @@ class ShiftPair:
     b: int
 
     def __post_init__(self):
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
+        # bool is a subclass of int; ShiftPair(True, True) must not read as (1,1)
+        if not all(isinstance(c, int) and type(c) is not bool for c in (self.a, self.b)):
             raise PreconditionError("shift components must be integers")
         if self.a < 1 or self.b < 1:
             raise PreconditionError(f"shift components must be >= 1, got ({self.a},{self.b})")
@@ -87,11 +88,11 @@ def zeta_poly(shift: ShiftPair) -> UniPoly:
 def isolate_zeta(shift: ShiftPair, eps: Fraction) -> Interval:
     """Enclose the unique positive root of zeta_poly within width eps.
 
-    Plain sign-change bisection from [1, 2^(a+b)]: the value at 1 is
-    1 - 2^a < 0 and the leading term dominates at the right end, so the
-    initial bracket always straddles the root. Midpoints are rational and
-    the root is not (see irrationality_check), so no midpoint evaluation
-    can vanish.
+    Sign-change bisection (polynomials.bisect_root) from [1, 2^(a+b)]:
+    the value at 1 is 1 - 2^a < 0 and the leading term dominates at the
+    right end, so the initial bracket always straddles the root. Midpoints
+    are rational and the root is not (see irrationality_check), so no
+    midpoint evaluation can vanish and the enclosure never degenerates.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
@@ -99,16 +100,7 @@ def isolate_zeta(shift: ShiftPair, eps: Fraction) -> Interval:
     lo, hi = Fraction(1), Fraction(2 ** shift.degree)
     if not (p.sign_at(lo) < 0 < p.sign_at(hi)):
         raise RuntimeError("internal error: initial bisection bracket has no sign change")
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        s = p.sign_at(mid)
-        if s == 0:
-            raise RuntimeError("internal error: rational midpoint is a root")
-        if s < 0:
-            lo = mid
-        else:
-            hi = mid
-    return Interval(lo, hi)
+    return Interval(*bisect_root(p, lo, hi, eps))
 
 
 def irrationality_check(shift: ShiftPair) -> IrrationalityWitness:

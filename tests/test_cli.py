@@ -7,24 +7,22 @@ from fractions import Fraction
 import pytest
 
 from pascalrepeats.cli import (
-    RunConfig,
     _decimal_fixed,
     _rational,
     append_solutions,
     build_parser,
     dispatch,
     main,
-    parse_config,
     read_solutions,
 )
-from pascalrepeats.errors import CacheError, PreconditionError
+from pascalrepeats.errors import CacheError
 from pascalrepeats.ratios import ShiftPair
 from pascalrepeats.search import search
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    code = dispatch(parse_config(argv), out, err)
+    code = dispatch(build_parser().parse_args(argv), out, err)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -34,32 +32,31 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
 
 
 def test_parse_config_search():
-    cfg = parse_config(["search", "--a", "2", "--b", "3", "--y-max", "40", "--workers", "2"])
-    assert cfg.command == "search"
-    assert (cfg.a, cfg.b, cfg.y_max, cfg.workers) == (2, 3, 40, 2)
-    assert cfg.fmt == "text"
+    ns = build_parser().parse_args(["search", "--a", "2", "--b", "3", "--y-max", "40", "--workers", "2"])
+    assert ns.command == "search"
+    assert (ns.a, ns.b, ns.y_max, ns.workers) == (2, 3, 40, 2)
+    assert ns.format == "text"
 
 
 def test_parse_config_intersect_maps_two_shifts():
-    cfg = parse_config(
+    ns = build_parser().parse_args(
         ["intersect", "--a1", "104", "--b1", "1", "--a2", "110", "--b2", "2", "--x-max", "200"]
     )
-    assert (cfg.a, cfg.b, cfg.a2, cfg.b2, cfg.x_max) == (104, 1, 110, 2, 200)
+    assert (ns.a1, ns.b1, ns.a2, ns.b2, ns.x_max) == (104, 1, 110, 2, 200)
 
 
 def test_parse_config_plot_uses_y_range():
-    cfg = parse_config(["plot", "--a", "1", "--b", "1", "--y-min", "0", "--y-max", "5"])
-    assert (cfg.y_lo, cfg.y_hi) == (0, 5)
-    assert cfg.y_max is None
-    assert cfg.fmt == "csv"
-    assert cfg.y_step == Fraction(1)
+    ns = build_parser().parse_args(["plot", "--a", "1", "--b", "1", "--y-min", "0", "--y-max", "5"])
+    assert (ns.y_min, ns.y_max) == (0, 5)
+    assert ns.format == "csv"
+    assert ns.y_step == Fraction(1)
 
 
 def test_parse_config_precision_accepts_scientific_and_rational():
-    cfg = parse_config(["zeta", "--a", "1", "--b", "1", "--precision", "1e-9"])
-    assert cfg.precision == Fraction(1, 10**9)
-    cfg = parse_config(["zeta", "--a", "1", "--b", "1", "--precision", "1/128"])
-    assert cfg.precision == Fraction(1, 128)
+    ns = build_parser().parse_args(["zeta", "--a", "1", "--b", "1", "--precision", "1e-9"])
+    assert ns.precision == Fraction(1, 10**9)
+    ns = build_parser().parse_args(["zeta", "--a", "1", "--b", "1", "--precision", "1/128"])
+    assert ns.precision == Fraction(1, 128)
 
 
 def test_unknown_command_or_flag_is_a_usage_error():
@@ -72,12 +69,48 @@ def test_unknown_command_or_flag_is_a_usage_error():
 
 
 def test_run_config_validation():
-    with pytest.raises(PreconditionError):
-        RunConfig(command="search", a=1, b=1, y_max=5, workers=0)
-    with pytest.raises(PreconditionError):
-        RunConfig(command="zeta", a=1, b=1, precision=Fraction(0))
-    with pytest.raises(PreconditionError):
-        RunConfig(command="zeta", a=1, b=1, fmt="yaml")
+    assert main(["search", "--a", "1", "--b", "1", "--y-max", "5", "--workers", "0"]) == 1
+    assert main(["zeta", "--a", "1", "--b", "1", "--precision", "0"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--a", "1", "--b", "1", "--format", "yaml"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--a", "1", "--b", "1", "--precision", "abc"],
+        ["zeta", "--a", "1", "--b", "1", "--precision", ""],
+        ["plot", "--a", "1", "--b", "1", "--y-min", "0", "--y-max", "1", "--precision", "1/0"],
+        ["plot", "--a", "1", "--b", "1", "--y-min", "0", "--y-max", "1", "--y-step", "x"],
+    ],
+)
+def test_unparseable_rational_is_a_usage_error(argv, capsys):
+    flag = argv[-2]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: cannot parse {argv[-1]!r} as a rational" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--a", "1", "--b", "1", "--precision", "0"],
+        ["zeta", "--a", "1", "--b", "1", "--precision", "-0.5"],
+        ["plot", "--a", "1", "--b", "1", "--y-min", "0", "--y-max", "1", "--precision", "0"],
+        ["search", "--a", "1", "--b", "1", "--y-max", "5", "--workers", "0"],
+        ["search", "--a", "1", "--b", "1", "--y-max", "5", "--workers", "-3"],
+    ],
+)
+def test_nonpositive_precision_or_workers_is_a_domain_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

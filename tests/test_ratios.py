@@ -26,7 +26,7 @@ EPS12 = Fraction(1, 10**12)
 def test_shift_pair_validation():
     s = ShiftPair(2, 3)
     assert s.degree == 5
-    for bad in [(0, 1), (1, 0), (-1, 2)]:
+    for bad in [(0, 1), (1, 0), (-1, 2), (True, 1), (1, True)]:
         with pytest.raises(PreconditionError):
             ShiftPair(*bad)
     with pytest.raises(PreconditionError):
