@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable
 
 from .combinatorics import binomial
@@ -153,17 +152,6 @@ def affine_singular_check(shift: ShiftPair) -> AffineReport:
     return AffineReport(Verdict.INCONCLUSIVE, primary, secondary)
 
 
-def _dehomogenize_y(form: BiPoly) -> UniPoly:
-    coeffs: dict[int, int] = {}
-    for (i, j), c in form.terms.items():
-        coeffs[i] = coeffs.get(i, 0) + c
-    size = max(coeffs) + 1 if coeffs else 0
-    out = [0] * size
-    for i, c in coeffs.items():
-        out[i] = c
-    return UniPoly(out)
-
-
 def infinity_singular_check(shift: ShiftPair) -> Verdict:
     """Certify the projective closure has no singular point on z = 0.
 
@@ -185,7 +173,7 @@ def infinity_singular_check(shift: ShiftPair) -> Verdict:
     for g in forms:
         if not g:
             continue  # the zero form vanishes everywhere; it constrains nothing
-        u = _dehomogenize_y(g)
+        u = _x_section(g, 1)
         gcd = u if gcd is None else unipoly_gcd(gcd, u)
     if gcd is None or gcd.degree != 0:
         return Verdict.INCONCLUSIVE
@@ -260,17 +248,12 @@ def quad_factor_test(n: int, r: int) -> UniPoly | None:
     return None
 
 
-def _x_section(curve: BiPoly, y0: Fraction) -> UniPoly:
-    """Integer polynomial with the same x-roots as curve(x, y0)."""
-    values: dict[int, Fraction] = {}
+def _x_section(curve: BiPoly, u: int, w: int = 1) -> UniPoly:
+    """w^deg_y * curve(x, u/w) for w > 0: the section at y = u/w in integers."""
+    dy = curve.degree_in("y")
+    out = [0] * (curve.degree_in("x") + 1)
     for (i, j), c in curve.terms.items():
-        values[i] = values.get(i, Fraction(0)) + c * y0**j
-    if not values:
-        return UniPoly()
-    den = lcm(*(v.denominator for v in values.values()))
-    out = [0] * (max(values) + 1)
-    for i, v in values.items():
-        out[i] = int(v * den)
+        out[i] += c * u**j * w**(dy - j)
     return UniPoly(out)
 
 
@@ -289,7 +272,7 @@ def real_branches(
     out: list[tuple[Fraction, list[Interval]]] = []
     for y0 in y_values:
         y0 = Fraction(y0)
-        section = _x_section(f, y0)
+        section = _x_section(f, y0.numerator, y0.denominator)
         roots = [Interval(lo, hi) for lo, hi in isolate_real_roots(section, width)]
         out.append((y0, roots))
     return out
@@ -310,7 +293,7 @@ def lattice_points_in_box(
     y_lo, y_hi = y_range
     out = []
     for y in range(y_lo, y_hi + 1):
-        section = _x_section(f, Fraction(y))
+        section = _x_section(f, y)
         for x in range(x_lo, x_hi + 1):
             if section(x) == 0:
                 out.append((x, y))

@@ -5,15 +5,18 @@ bivariate polynomials are sparse maps from exponent pairs to coefficients.
 The resultant is computed by fraction-free (subresultant) polynomial
 remainder sequences, written generically so the same routine serves both
 integer coefficients and polynomial coefficients (for bivariate
-elimination). Real roots are isolated by Sturm sign variations and exact
-rational bisection. No floating point anywhere.
+elimination). Real roots are isolated by Sturm sign variations and
+bisection on integer numerators over a common power-of-two denominator;
+the Sturm chain is the gcd's primitive remainder sequence with signs
+fixed, and UniPoly.sign_at is the one evaluator. No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import PreconditionError, ZeroPolynomialError
 
@@ -113,9 +116,15 @@ class UniPoly:
             acc = acc * v + c
         return acc
 
-    def sign_at(self, q: Fraction) -> int:
-        """Sign of self(q), evaluated in integers (no rational blowup)."""
-        u, w = q.numerator, q.denominator
+    def sign_at(self, u: int | Fraction, w: int = 1) -> int:
+        """Sign of self(u/w) for w > 0, evaluated in integers (no rational blowup).
+
+        u/w need not be in lowest terms: the sum of c_i u^i w^(n-i) has the
+        sign of self(u/w) for any positive w. A Fraction u is split into
+        its numerator and denominator first.
+        """
+        if isinstance(u, Fraction):
+            u, w = u.numerator, u.denominator * w
         acc = 0
         vp = 1
         for c in reversed(self.coeffs):
@@ -293,6 +302,24 @@ def unipoly_resultant(p: UniPoly, q: UniPoly) -> int:
     return _resultant_lists(list(p.coeffs), list(q.coeffs))
 
 
+def _signed_prs(a: UniPoly, b: UniPoly) -> Iterator[UniPoly]:
+    """a, b, then the primitive pseudo-remainders up to the last nonzero one.
+
+    Each term is primitive_part(prem(prev, last)) signed to be a positive
+    multiple of -rem(prev, last). prem is lc(last)^e * rem with
+    e = deg(prev) - deg(last) + 1, so the sign flips unless lc(last) < 0
+    and e is odd. Positive multiples leave every sign, hence every Sturm
+    sign variation, as in the textbook chain; the last term is a gcd.
+    """
+    yield a
+    while b:
+        yield b
+        r = UniPoly(_prem(list(a.coeffs), list(b.coeffs))).primitive_part()
+        if b.leading > 0 or (a.degree - b.degree) % 2:
+            r = -r
+        a, b = b, r
+
+
 def unipoly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Greatest common divisor in Z[x], positive leading coefficient."""
     if not p and not q:
@@ -305,12 +332,11 @@ def unipoly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     a, b = p.primitive_part(), q.primitive_part()
     if a.degree < b.degree:
         a, b = b, a
-    while b:
-        r = UniPoly(_prem(list(a.coeffs), list(b.coeffs)))
-        a, b = b, r.primitive_part()
-    if a.leading < 0:
-        a = -a
-    return a * c
+    for g in _signed_prs(a, b):
+        pass
+    if g.leading < 0:
+        g = -g
+    return g * c
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -329,44 +355,8 @@ def squarefree_part(p: UniPoly) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 
-def _frac_rem(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    r = list(u)
-    dv = len(v) - 1
-    lv = v[-1]
-    while len(r) - 1 >= dv and r:
-        q = r[-1] / lv
-        shift = len(r) - 1 - dv
-        r = r[:-1]
-        for j in range(dv):
-            r[shift + j] -= q * v[j]
-        _trim(r)
-    return r
-
-
-def _sturm_chain(p: UniPoly) -> list[list[Fraction]]:
-    p0 = [Fraction(c) for c in p.coeffs]
-    p1 = [Fraction(i * c) for i, c in enumerate(p.coeffs) if i > 0]
-    chain = [p0, p1]
-    while chain[-1] and len(chain[-1]) > 1:
-        rem = _frac_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return [q for q in chain if q]
-
-def _eval_frac(q: list[Fraction], v: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(q):
-        acc = acc * v + c
-    return acc
-
-
-def _variations(chain: list[list[Fraction]], v: Fraction) -> int:
-    signs = []
-    for q in chain:
-        s = _sgn(_eval_frac(q, v))
-        if s:
-            signs.append(s)
+def _variations(chain: list[UniPoly], v: Fraction) -> int:
+    signs = [s for s in (q.sign_at(v) for q in chain) if s]
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
@@ -393,27 +383,36 @@ def bisect_root(sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tup
     """Halve [lo, hi], which holds exactly one root of sf, until hi - lo <= width.
 
     Keeps the half whose ends differ in sign; a midpoint that is itself a
-    root comes back as [m, m]. The caller checks that width is positive.
+    root comes back as [m, m]. The ends are integer numerators u, v over
+    one denominator w that doubles at each halving, so v - u stays fixed
+    and no Fraction is built until the return. The caller checks that
+    width is positive.
     """
-    slo = sf.sign_at(lo)
-    while hi - lo > width:
-        m = (lo + hi) / 2
-        sm = sf.sign_at(m)
+    w = math.lcm(lo.denominator, hi.denominator)
+    u, v = lo.numerator * (w // lo.denominator), hi.numerator * (w // hi.denominator)
+    span = (v - u) * width.denominator  # (hi - lo) > width  <=>  span > width.numerator * w
+    slo = sf.sign_at(u, w)
+    while span > width.numerator * w:
+        m = u + v
+        w *= 2
+        sm = sf.sign_at(m, w)
         if sm == 0:
-            return m, m  # landed exactly on a rational root
+            return Fraction(m, w), Fraction(m, w)  # landed exactly on a rational root
         if sm == slo:
-            lo = m
+            u, v = m, 2 * v
         else:
-            hi = m
-    return lo, hi
+            u, v = 2 * u, m
+    return Fraction(u, w), Fraction(v, w)
 
 
 def isolate_real_roots(p: UniPoly, width: Fraction = Fraction(1, 10**9)) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational enclosures of every real root of p, ascending.
+    """Rational enclosures of every real root of p, one per root, ascending.
 
     Each enclosure has width <= the requested width; an exact rational root
-    may come back as a degenerate [r, r] interval. Multiplicities are not
-    reported (isolation runs on the squarefree part).
+    may come back as a degenerate [r, r] interval. No two enclosures share
+    an interior point, but neighbours may share an end, a split point that
+    is not a root. Multiplicities are not reported (isolation runs on the
+    squarefree part).
     """
     if not p:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
@@ -424,7 +423,7 @@ def isolate_real_roots(p: UniPoly, width: Fraction = Fraction(1, 10**9)) -> list
     sf = squarefree_part(p)
     if sf.degree < 1:
         return []
-    chain = _sturm_chain(sf)
+    chain = list(_signed_prs(sf, sf.derivative()))
     bound = root_bound(sf)
     out: list[tuple[Fraction, Fraction]] = []
 

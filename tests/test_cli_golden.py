@@ -1,9 +1,10 @@
 """Golden stdout for every subcommand in every format it accepts.
 
 Each row is an invocation, its exit status and the sha256 of its stdout,
-recorded from the implementation before the subcommand handlers were
-rebound; a change that alters any byte of output or any exit status
-fails here. "{cache}" stands for a solution cache that the search row
+recorded from an earlier implementation: the rows up to the empty plot
+range before the subcommand handlers were rebound, the rest before the
+real-root layer moved from Fraction to integer arithmetic. A change that
+alters any byte of output or any exit status fails here. "{cache}" stands for a solution cache that the search row
 with --cache writes, and that the verify rows read.
 """
 
@@ -63,6 +64,10 @@ GOLDEN = [
     ("plot --a 1 --b 1 --y-min 0 --y-max 1 --y-step 0.5 --precision 1e-5 --format json", 0, "40abd957f2442047a399c8893469282df3470f271096a030359708f3b222b70e"),
     ("plot --a 1 --b 1 --y-min 0 --y-max 1 --y-step 0", 1, EMPTY),
     ("plot --a 1 --b 1 --y-min 3 --y-max 1", 0, "d2bfa8c3b4ac482d2b479535516e63fd466c7fffa494e5b47cac180b50d56100"),
+    ("plot --a 3 --b 2 --y-min -4 --y-max 40 --y-step 1/3 --precision 1e-40", 0, "d3f5564008c561af03b626e859b78c7ae1f088a0b95470b2c98bdae1123f07f1"),
+    ("zeta --a 6 --b 6 --precision 1e-300", 0, "9ed4c0111da9c6d44e9b0bc6bfbed4516272802268810b8181b40a933bf22cc8"),
+    ("curve --a 3 --b 3 --certify --format json", 0, "ac3ca8ebdc161178244e7277982499ecfaf5cc14c6b8e01a1d1fdfe7956c8181"),
+    ("curve --a 1 --b 3 --certify", 0, "75dbcb6f7a50eab17c6940c772c7f70a52d25af8feb04ffe813b573f5a8aaf79"),
 ]
 
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pascalrepeats.errors import PreconditionError, ZeroPolynomialError
 from pascalrepeats.polynomials import (
@@ -123,6 +125,10 @@ def test_unipoly_sign_at_matches_fraction_evaluation():
         exact = sum(c * q**i for i, c in enumerate(p.coeffs))
         want = 0 if exact == 0 else (1 if exact > 0 else -1)
         assert p.sign_at(q) == want
+        # the same point as an unreduced u/w, and as a Fraction over a further w
+        k = rng.randrange(1, 2**40)
+        assert p.sign_at(q.numerator * k, q.denominator * k) == want
+        assert p.sign_at(q * k, k) == want
 
 
 def test_unipoly_derivative_product_rule():
@@ -346,6 +352,29 @@ def test_isolation_random_products_of_linear_factors():
         assert len(intervals) == len(roots)
         for r, (lo, hi) in zip(roots, intervals):
             assert lo <= r <= hi
+
+
+real_linear_factors = st.lists(
+    st.tuples(st.integers(-30, 30), st.integers(1, 8), st.integers(1, 3)), min_size=1, max_size=5
+)  # (q*x - p)^m as (p, q, m)
+rootless_factors = st.sampled_from([(1,), (1, 0, 1), (3, 1, 1), (1, -1, 1), (4, 0, 4, 0, 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(real_linear_factors, rootless_factors, st.integers(1, 200))
+def test_isolation_of_products_of_linear_factors(factors, rootless, bits):
+    p = UniPoly(rootless)
+    for num, den, m in factors:
+        p = p * UniPoly([-num, den]) ** m
+    width = Fraction(1, 2**bits)
+    roots = sorted({Fraction(num, den) for num, den, _ in factors})
+    intervals = isolate_real_roots(p, width)
+    assert len(intervals) == len(roots)
+    for r, (lo, hi) in zip(roots, intervals):
+        assert lo <= r <= hi and hi - lo <= width
+    for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
+        # sorted, with no shared interior point; a shared end is not a root
+        assert hi1 <= lo2 and (hi1 < lo2 or p.sign_at(hi1) != 0)
 
 
 # ---------------------------------------------------------------------------
