@@ -5,7 +5,7 @@ edge occurrences (t,1) and (t,t-1). The interior occurrences (n,k) and
 (n,n-k), 2 <= k <= n/2, are found column by column: C(n,k) strictly
 increases in n for fixed k, so a column holds t at most once, and only
 columns with C(2k,k) <= t can hold it at all. Within a column an exact
-k-th root brackets n to at most k candidates (see `_interior_occurrences`).
+k-th root brackets n to about k/2 candidates (see `_interior_occurrences`).
 
 `scan_high_multiplicity` tallies the columns k >= 3 row by row, which
 visits O(t_max^(1/3)) rows, and settles column 2 by arithmetic.
@@ -66,15 +66,17 @@ def _kth_root(x: int, k: int) -> int:
 def _interior_occurrences(t: int) -> list[tuple[int, int]]:
     """Every (n,k) with C(n,k) = t and 2 <= k <= n-2.
 
-    Column k is searched on a bracket of at most k rows. For 1 <= k <= n,
-    k!*C(n,k) = n(n-1)...(n-k+1) is a product of k factors in [n-k+1, n],
-    so (n-k+1)^k <= k!*C(n,k) <= n^k. If C(n,k) = t, let r be the integer
-    floor((k!*t)^(1/k)): then n >= (k!*t)^(1/k) >= r, and n-k+1 is an
+    Column k is searched on a bracket of about k/2 rows. For 1 <= k <= n,
+    k!*C(n,k) = n(n-1)...(n-k+1) is a product of k factors in [n-k+1, n]
+    whose mean is n-(k-1)/2, so by the AM-GM inequality
+    (n-k+1)^k <= k!*C(n,k) <= (n-(k-1)/2)^k. If C(n,k) = t, let r be the
+    integer floor((k!*t)^(1/k)): then n >= (k!*t)^(1/k) + (k-1)/2, so the
+    integer n is at least r + ceil((k-1)/2) = r + k//2; and n-k+1 is an
     integer at most (k!*t)^(1/k), so n-k+1 <= r. With n >= 2k for the upper
-    half of the row, n lies in [max(2k, r), r+k-1], which bisection on the
-    strictly increasing C(n,k) settles in about log2(k) steps. k! and the
-    central C(2k,k) that ends the column loop are carried from column to
-    column.
+    half of the row, n lies in [max(2k, r + k//2), r+k-1], which bisection
+    on the strictly increasing C(n,k) settles in about log2(k) - 1 steps.
+    k! and the central C(2k,k) that ends the column loop are carried from
+    column to column.
     """
     out = []
     k = 2
@@ -82,7 +84,7 @@ def _interior_occurrences(t: int) -> list[tuple[int, int]]:
     central = 6  # C(2k,k)
     while central <= t:
         r = _kth_root(fact * t, k)
-        lo, hi = max(2 * k, r), r + k - 1
+        lo, hi = max(2 * k, r + k // 2), r + k - 1
         while lo < hi:
             mid = (lo + hi) // 2
             if binomial(mid, k) < t:

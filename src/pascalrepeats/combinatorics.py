@@ -1,7 +1,8 @@
 """Exact integer combinatorics used by every other module.
 
 All arithmetic is arbitrary-precision integer arithmetic; nothing here
-touches floating point.
+touches floating point. Binomials and falling factorials are closed
+forms on `math.comb` and `math.perm`, so no product is looped in Python.
 """
 
 from __future__ import annotations
@@ -26,13 +27,19 @@ def binomial(n: int, k: int) -> int:
 
 
 def falling_factorial(s: int, length: int) -> int:
-    """s(s-1)...(s-length+1); the empty product (length 0) is 1."""
+    """s(s-1)...(s-length+1); the empty product (length 0) is 1.
+
+    For s >= 0 this is `math.perm(s, length)`, which is 0 when length > s
+    because the product passes through the factor 0. For s < 0 every factor
+    is negative, and negating them gives the rising product
+    (-s)(-s+1)...(-s+length-1), so
+    s(s-1)...(s-length+1) = (-1)^length * perm(length-s-1, length).
+    """
     if length < 0:
         raise PreconditionError(f"falling_factorial: length must be nonnegative, got {length}")
-    out = 1
-    for i in range(length):
-        out *= s - i
-    return out
+    if s >= 0:
+        return math.perm(s, length)
+    return (-1) ** length * math.perm(length - s - 1, length)
 
 
 def fibonacci(i: int) -> int:

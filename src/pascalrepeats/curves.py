@@ -156,28 +156,20 @@ def infinity_singular_check(shift: ShiftPair) -> Verdict:
     """Certify the projective closure has no singular point on z = 0.
 
     Homogenizing F and restricting the three partials to z = 0 leaves the
-    binary forms T_x, T_y (partials of the top form) and the degree-(d-1)
-    homogeneous part of F. They must share no projective root: the points
-    [1:0] and [0:1] are checked directly, everything else lives in the
-    y = 1 chart where a constant gcd of the dehomogenizations decides.
+    binary forms T_x, T_y (partials of the top form T = (x-y)^d - x^a y^b)
+    and the degree-(d-1) homogeneous part F_(d-1) of F. A singular point at
+    infinity is a common projective root of the three. The point [1:0] is
+    not on the curve at all, because T(1,0) = 1, so every candidate,
+    [0:1] included, lies in the y = 1 chart, where a constant gcd of the
+    three sections rules them all out. None of the three forms is zero:
+    T_x(1,0) = d, T_y(0,1) = (-1)^d * d, and the y^(d-1) coefficient of
+    F_(d-1) is (-1)^d * C(d,2), for every shift.
     """
-    f = build_curve(shift)
-    d = shift.degree
     t = top_form(shift)
-    forms = [t.partial("x"), t.partial("y"), f.homogeneous_part(d - 1)]
-    if all(g.evaluate(1, 0) == 0 for g in forms):
-        return Verdict.INCONCLUSIVE
-    if all(g.evaluate(0, 1) == 0 for g in forms):
-        return Verdict.INCONCLUSIVE
-    gcd: UniPoly | None = None
-    for g in forms:
-        if not g:
-            continue  # the zero form vanishes everywhere; it constrains nothing
-        u = _x_section(g, 1)
-        gcd = u if gcd is None else unipoly_gcd(gcd, u)
-    if gcd is None or gcd.degree != 0:
-        return Verdict.INCONCLUSIVE
-    return Verdict.YES
+    forms = (t.partial("x"), t.partial("y"), build_curve(shift).homogeneous_part(shift.degree - 1))
+    tx, ty, fd = (_x_section(g, 1) for g in forms)
+    gcd = unipoly_gcd(unipoly_gcd(tx, ty), fd)
+    return Verdict.YES if gcd.degree == 0 else Verdict.INCONCLUSIVE
 
 
 def classify_finiteness(shift: ShiftPair) -> Finiteness:

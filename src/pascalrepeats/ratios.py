@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import binomial
+from .combinatorics import binomial, falling_factorial
 from .errors import PreconditionError
 from .polynomials import UniPoly, bisect_root
 
@@ -138,34 +138,26 @@ def successive_ratios(x: int, y: int, shift: ShiftPair) -> list[Fraction]:
 
 
 def ratio_identity_check(x: int, y: int, shift: ShiftPair) -> bool:
-    """Exact rational test of the solution identity.
+    """Exact integer test of the solution identity.
 
-    Evaluates sum_{s=0}^{a} C(a,s) * r_1...r_s against r_1...r_{a+b}.
-    Dividing the equation by C(x-a, y-a) shows the two sides are
-    C(x,y)/C(x-a,y-a) and C(x-a,y+b)/C(x-a,y-a), so equality holds iff
-    C(x,y) = C(x-a,y+b). No binomial coefficient is ever computed here.
+    With r_i = (x-y-i+1)/(y-a+i), the identity is
+    sum_{s=0}^{a} C(a,s) * r_1...r_s = r_1...r_{a+b}. Dividing the
+    equation by C(x-a, y-a) shows the two sides are C(x,y)/C(x-a,y-a) and
+    C(x-a,y+b)/C(x-a,y-a), so equality holds iff C(x,y) = C(x-a,y+b).
+    Multiplying both sides by the denominators d_1...d_{a+b} clears them:
+    the numerators n_1...n_s are ff(x-y, s), the remaining denominators
+    d_{s+1}...d_{a+b} = (y-a+s+1)...(y+b) are ff(y+b, a+b-s), and the
+    right side is ff(x-y, a+b), with ff the falling factorial. No binomial
+    coefficient of the equation is ever computed here.
     """
     if y <= shift.a or x < y:
         raise PreconditionError(f"ratio_identity_check needs x >= y > a, got x={x}, y={y}, a={shift.a}")
-    # Clear denominators: with r_i = n_i/d_i the identity becomes
-    #   (sum_s C(a,s) n_1..n_s d_{s+1}..d_a) * d_{a+1}..d_{a+b} = n_1..n_{a+b},
-    # an integer comparison. Same exact test, no rational normalization.
     a, d = shift.a, shift.degree
-    nums = [x - y - i + 1 for i in range(1, d + 1)]
-    dens = [y - shift.a + i for i in range(1, d + 1)]
-    suffix_d = [1] * (a + 1)
-    for s in range(a - 1, -1, -1):
-        suffix_d[s] = suffix_d[s + 1] * dens[s]
-    lhs = 0
-    prefix_n = 1
-    for s in range(a + 1):
-        if s > 0:
-            prefix_n *= nums[s - 1]
-        lhs += binomial(a, s) * prefix_n * suffix_d[s]
-    for i in range(a, d):
-        lhs *= dens[i]
-        prefix_n *= nums[i]
-    return lhs == prefix_n
+    lhs = sum(
+        binomial(a, s) * falling_factorial(x - y, s) * falling_factorial(y + shift.b, d - s)
+        for s in range(a + 1)
+    )
+    return lhs == falling_factorial(x - y, d)
 
 
 def row_expansion_check(n: int, k: int, r: int) -> bool:

@@ -2,9 +2,11 @@
 
 Everything is integer arithmetic on the cleared-denominator product form
 
-    (x-y)(x-y-1)...(x-y-a-b+1)  =  x(x-1)...(x-a+1) * (y+1)...(y+b)
+    ff(x-y, a+b)  =  ff(x, a) * ff(y+b, b),   ff(s, L) = s(s-1)...(s-L+1),
 
-which is equivalent to the binomial equation whenever x >= y >= 0 and
+that is (x-y)...(x-y-a-b+1) = x...(x-a+1) * (y+1)...(y+b), with each
+ff one `math.perm` call (`combinatorics.falling_factorial`). It is
+equivalent to the binomial equation whenever x >= y >= 0 and
 x-a >= y+b >= 0, and decides the remaining cases by sign alone.
 
 One row solver finds every solution. Below x = y+a+b the right-hand
@@ -26,7 +28,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 
 from .combinatorics import binomial, falling_factorial, fibonacci
 from .errors import PreconditionError
@@ -59,9 +60,7 @@ class FamilyMember:
 
 def _product_sides(x: int, y: int, shift: ShiftPair) -> tuple[int, int]:
     left = falling_factorial(x - y, shift.degree)
-    right = falling_factorial(x, shift.a)
-    for q in range(1, shift.b + 1):
-        right *= y + q
+    right = falling_factorial(x, shift.a) * falling_factorial(y + shift.b, shift.b)
     return left, right
 
 
@@ -155,6 +154,8 @@ def search(shift: ShiftPair, y_max: int, workers: int = 1) -> list[Solution]:
     if len(args) == 1:
         results = [_search_range(args[0])]
     else:
+        from multiprocessing import Pool  # here, so that a serial search never loads it
+
         with Pool(processes=len(args)) as pool:
             results = pool.map(_search_range, args)
     merged = [s for part in results for s in part]

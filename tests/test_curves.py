@@ -144,6 +144,20 @@ def test_infinity_singular_check_smooth_cases():
         assert infinity_singular_check(ShiftPair(a, b)) is Verdict.YES
 
 
+def test_forms_at_infinity_never_vanish_at_the_axes():
+    # the facts behind infinity_singular_check's single gcd over the y = 1 chart
+    for d in range(2, 13):
+        for a in range(1, d):
+            shift = ShiftPair(a, d - a)
+            t = top_form(shift)
+            assert t.evaluate(1, 0) == 1  # [1:0] is not on the curve
+            assert t.partial("x").evaluate(1, 0) == d
+            assert t.partial("y").evaluate(0, 1) == (-1) ** d * d
+            f_low = build_curve(shift).homogeneous_part(d - 1)
+            assert f_low.coefficient(0, d - 1) == (-1) ** d * math.comb(d, 2)
+            assert infinity_singular_check(shift) is Verdict.YES
+
+
 def test_classify_finiteness_labels():
     assert classify_finiteness(ShiftPair(1, 2)) is Finiteness.PROVEN_FINITE
     assert classify_finiteness(ShiftPair(3, 1)) is Finiteness.PROVEN_FINITE

@@ -155,7 +155,10 @@ def test_ratio_identity_matches_equality_on_small_box():
             shift = ShiftPair(a, b)
             for x in range(0, 150):
                 for y in range(a + 1, x + 1):
-                    assert ratio_identity_check(x, y, shift) == equality_check(x, y, shift)
+                    # math.comb oracle: shares no product code with either check
+                    expected = x - a >= y + b and math.comb(x, y) == math.comb(x - a, y + b)
+                    assert ratio_identity_check(x, y, shift) == expected, (a, b, x, y)
+                    assert equality_check(x, y, shift) == expected, (a, b, x, y)
 
 
 def test_ratio_identity_true_at_known_solutions():

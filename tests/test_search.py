@@ -1,7 +1,12 @@
 import importlib
 import math
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -205,10 +210,20 @@ def test_search_pool_size_is_capped_without_starting_processes(monkeypatch):
             return [fn(arg) for arg in args]
 
     monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(search_mod, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     shift = ShiftPair(1, 1)
     assert search(shift, 300, workers=100_000) == search(shift, 300)
     assert sizes == [2]
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    # the pool is imported only by a search that starts one
+    code = "import sys, pascalrepeats.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_search_perturbed_neighbors_are_rejected():
