@@ -35,7 +35,6 @@ from .polynomials import (
     format_bipoly,
     format_unipoly,
     isolate_real_roots,
-    squarefree_part,
     trial_div,
     unipoly_gcd,
     unipoly_resultant,
@@ -115,7 +114,6 @@ __all__ = [
     "row_expansion_check",
     "scan_high_multiplicity",
     "search",
-    "squarefree_part",
     "successive_ratios",
     "top_form",
     "trial_div",

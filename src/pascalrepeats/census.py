@@ -5,7 +5,8 @@ edge occurrences (t,1) and (t,t-1). The interior occurrences (n,k) and
 (n,n-k), 2 <= k <= n/2, are found column by column: C(n,k) strictly
 increases in n for fixed k, so a column holds t at most once, and only
 columns with C(2k,k) <= t can hold it at all. Within a column an exact
-k-th root brackets n to about k/2 candidates (see `_interior_occurrences`).
+k-th root brackets n to at most k/2 candidates, and C(n,k) is stepped up
+the bracket from one `math.comb` (see `_interior_occurrences`).
 
 `scan_high_multiplicity` tallies the columns k >= 3 row by row, which
 visits O(t_max^(1/3)) rows, and settles column 2 by arithmetic.
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .combinatorics import binomial
 from .errors import PreconditionError
 from .ratios import ShiftPair
 from .search import _solve_row, equality_check
@@ -66,15 +66,21 @@ def _kth_root(x: int, k: int) -> int:
 def _interior_occurrences(t: int) -> list[tuple[int, int]]:
     """Every (n,k) with C(n,k) = t and 2 <= k <= n-2.
 
-    Column k is searched on a bracket of about k/2 rows. For 1 <= k <= n,
-    k!*C(n,k) = n(n-1)...(n-k+1) is a product of k factors in [n-k+1, n]
-    whose mean is n-(k-1)/2, so by the AM-GM inequality
-    (n-k+1)^k <= k!*C(n,k) <= (n-(k-1)/2)^k. If C(n,k) = t, let r be the
-    integer floor((k!*t)^(1/k)): then n >= (k!*t)^(1/k) + (k-1)/2, so the
-    integer n is at least r + ceil((k-1)/2) = r + k//2; and n-k+1 is an
-    integer at most (k!*t)^(1/k), so n-k+1 <= r. With n >= 2k for the upper
-    half of the row, n lies in [max(2k, r + k//2), r+k-1], which bisection
-    on the strictly increasing C(n,k) settles in about log2(k) - 1 steps.
+    Column k is searched on a bracket of at most k/2 rows. For 2 <= k <= n,
+    k!*C(n,k) = n(n-1)...(n-k+1) is a product of k distinct factors in
+    [n-k+1, n] whose mean is n-(k-1)/2, so by the AM-GM inequality, strict
+    because the factors differ, (n-k+1)^k <= k!*C(n,k) < (n-(k-1)/2)^k. If
+    C(n,k) = t, let r be the integer floor((k!*t)^(1/k)): then
+    n > (k!*t)^(1/k) + (k-1)/2 >= r + (k-1)/2, so the integer n is at least
+    r + (k+1)//2; and n-k+1 is an integer at most (k!*t)^(1/k), so
+    n-k+1 <= r. With n >= 2k for the upper half of the row, n lies in
+    [max(2k, r + (k+1)//2), r+k-1]. One `math.comb` at the bottom of that
+    bracket, then C(n+1,k) = C(n,k)*(n+1)/(n+1-k) up the strictly
+    increasing column until C(n,k) >= t, settles it. The stepping ends by
+    row r+k, because k!*C(r+k,k) >= (r+1)^k > k!*t; the same bound with
+    C(2k,k) <= t gives 2k < r+k, so the bracket is never empty. The steps
+    are few: (k!*t)^(1/k) falls short of n-(k-1)/2 by only about
+    k^2/(24n), so for n well above k the first row is already the one.
     k! and the central C(2k,k) that ends the column loop are carried from
     column to column.
     """
@@ -84,17 +90,15 @@ def _interior_occurrences(t: int) -> list[tuple[int, int]]:
     central = 6  # C(2k,k)
     while central <= t:
         r = _kth_root(fact * t, k)
-        lo, hi = max(2 * k, r + k // 2), r + k - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if binomial(mid, k) < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == hi and binomial(lo, k) == t:
-            out.append((lo, k))
-            if lo != 2 * k:
-                out.append((lo, lo - k))
+        n = max(2 * k, r + (k + 1) // 2)
+        c = math.comb(n, k)
+        while c < t:
+            n += 1
+            c = c * n // (n - k)
+        if c == t:
+            out.append((n, k))
+            if n != 2 * k:
+                out.append((n, n - k))
         central = central * 2 * (2 * k + 1) // (k + 1)
         k += 1
         fact *= k

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from decimal import Decimal, localcontext
@@ -138,9 +139,14 @@ def _solution_from_dict(record: object, line: int) -> Solution:
 
 
 def append_solutions(path: str, solutions: list[Solution]) -> None:
+    """Append one JSON line per solution, on a fresh line if the file lacks a final newline."""
     text = "".join(json.dumps(solution_to_dict(s)) + "\n" for s in solutions)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(path, "ab+") as fh:
+        if text and fh.tell():  # append mode opens at the end
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                text = "\n" + text
+        fh.write(text.encode("utf-8"))
 
 
 def read_solutions(path: str) -> list[Solution]:
@@ -176,8 +182,10 @@ def _emit_csv(header: list[str], rows: list[list[str]], out: TextIO) -> None:
     writer.writerows(rows)
 
 
-def _no_csv(command: str) -> None:
-    raise PreconditionError(f"csv output is not supported for {command!r}")
+def _no_csv(fmt: str, command: str) -> None:
+    """Refuse csv before any work is done."""
+    if fmt == "csv":
+        raise PreconditionError(f"csv output is not supported for {command!r}")
 
 
 def _emit_solutions(solutions: list[Solution], fmt: str, out: TextIO) -> None:
@@ -202,6 +210,7 @@ def _emit_solutions(solutions: list[Solution], fmt: str, out: TextIO) -> None:
 
 
 def _run_zeta(args: argparse.Namespace, out: TextIO) -> None:
+    _no_csv(args.format, "zeta")
     shift = ShiftPair(args.a, args.b)
     interval = isolate_zeta(shift, args.precision)
     decimal = _decimal_sig(interval.midpoint)
@@ -216,8 +225,6 @@ def _run_zeta(args: argparse.Namespace, out: TextIO) -> None:
             },
             out,
         )
-    elif args.format == "csv":
-        _no_csv("zeta")
     else:
         out.write(f"lo = {_rational(interval.lo)}\n")
         out.write(f"hi = {_rational(interval.hi)}\n")
@@ -249,6 +256,7 @@ def _run_family(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def _run_curve(args: argparse.Namespace, out: TextIO) -> None:
+    _no_csv(args.format, "curve")
     shift = ShiftPair(args.a, args.b)
     curve = curves_mod.build_curve(shift)
     top = curves_mod.top_form(shift)
@@ -260,8 +268,6 @@ def _run_curve(args: argparse.Namespace, out: TextIO) -> None:
         "top_form": format_bipoly(top),
         "finiteness": curves_mod.classify_finiteness(shift).value,
     }
-    if args.format == "csv":
-        _no_csv("curve")
     if not args.certify:
         if args.format == "json":
             _emit_json(base, out)
@@ -323,11 +329,10 @@ def _run_intersect(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def _run_verify(args: argparse.Namespace, out: TextIO) -> None:
+    _no_csv(args.format, "verify")
     solutions = read_solutions(args.cache)
     if args.format == "json":
         _emit_json({"verified": len(solutions)}, out)
-    elif args.format == "csv":
-        _no_csv("verify")
     else:
         out.write(f"ok: {len(solutions)} record(s) verified\n")
 

@@ -6,10 +6,13 @@ The resultant is computed by fraction-free (subresultant) polynomial
 remainder sequences, written generically so the same routine serves both
 integer coefficients and polynomial coefficients (for bivariate
 elimination). Real roots are isolated by Sturm sign variations and
-bisection on integer numerators over a common power-of-two denominator;
-the Sturm chain is the gcd's primitive remainder sequence with signs
-fixed, and UniPoly.sign_at is the one evaluator. No floating point
-anywhere.
+bisection on integer numerators over a common power-of-two denominator.
+One signed primitive remainder sequence of (p, p') is both the Sturm
+chain and, through its last term gcd(p, p'), the squarefree part that
+bisection runs on. UniPoly.sign_at(u, w), the sign at an integer u over
+an integer w > 0, is the one evaluator. One square-and-multiply serves
+both polynomial types' powers, and one renderer their text. No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -25,6 +28,40 @@ Scalar = Union[int, Fraction]
 
 def _sgn(v) -> int:
     return (v > 0) - (v < 0)
+
+
+def _power(base, e: int, one):
+    """base**e by square-and-multiply, for UniPoly and BiPoly alike."""
+    if e < 0:
+        raise PreconditionError("negative polynomial power")
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
+def _monomial(var: str, e: int) -> str:
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+
+def _render_terms(terms: Iterable[tuple[int, str]]) -> str:
+    """Join nonzero (coefficient, monomial) terms as "3*x^2 - x + 1"; "" is the unit monomial."""
+    parts = []
+    for c, mono in terms:
+        mag = abs(c)
+        if not mono:
+            body = str(mag)
+        else:
+            body = mono if mag == 1 else f"{mag}*{mono}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 class UniPoly:
@@ -99,16 +136,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "UniPoly":
-        if e < 0:
-            raise PreconditionError("negative polynomial power")
-        out = UniPoly((1,))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, UniPoly((1,)))
 
     def __call__(self, v: Scalar) -> Scalar:
         acc: Scalar = 0
@@ -116,15 +144,13 @@ class UniPoly:
             acc = acc * v + c
         return acc
 
-    def sign_at(self, u: int | Fraction, w: int = 1) -> int:
-        """Sign of self(u/w) for w > 0, evaluated in integers (no rational blowup).
+    def sign_at(self, u: int, w: int = 1) -> int:
+        """Sign of self(u/w) for integers u and w > 0, evaluated in integers.
 
         u/w need not be in lowest terms: the sum of c_i u^i w^(n-i) has the
-        sign of self(u/w) for any positive w. A Fraction u is split into
-        its numerator and denominator first.
+        sign of self(u/w) for any positive w. A caller holding a Fraction q
+        passes q.numerator and q.denominator.
         """
-        if isinstance(u, Fraction):
-            u, w = u.numerator, u.denominator * w
         acc = 0
         vp = 1
         for c in reversed(self.coeffs):
@@ -176,25 +202,7 @@ class UniPoly:
 
 def format_unipoly(p: UniPoly, var: str = "x") -> str:
     """Human-readable rendering, highest degree first."""
-    if not p:
-        return "0"
-    parts = []
-    for e in range(p.degree, -1, -1):
-        c = p.coeffs[e]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        elif e == 1:
-            body = f"{var}" if mag == 1 else f"{mag}*{var}"
-        else:
-            body = f"{var}^{e}" if mag == 1 else f"{mag}*{var}^{e}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return _render_terms((p.coeffs[e], _monomial(var, e)) for e in range(p.degree, -1, -1) if p.coeffs[e])
 
 
 def trial_div(p: UniPoly, d: UniPoly) -> UniPoly | None:
@@ -339,24 +347,14 @@ def unipoly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     return g * c
 
 
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """The product of the distinct irreducible factors of p (primitive)."""
-    if not p:
-        raise ZeroPolynomialError("squarefree part of the zero polynomial")
-    pp = p.primitive_part()
-    if pp.degree <= 0:
-        return UniPoly((1,))
-    g = unipoly_gcd(pp, pp.derivative())
-    return pp.exact_div(g.primitive_part())
-
-
 # ---------------------------------------------------------------------------
 # Sturm-sequence real root isolation.
 # ---------------------------------------------------------------------------
 
 
 def _variations(chain: list[UniPoly], v: Fraction) -> int:
-    signs = [s for s in (q.sign_at(v) for q in chain) if s]
+    u, w = v.numerator, v.denominator
+    signs = [s for s in (q.sign_at(u, w) for q in chain) if s]
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
@@ -374,7 +372,7 @@ def _split_point(sf: UniPoly, lo: Fraction, hi: Fraction) -> Fraction:
     while True:
         for j in sorted(range(1, den, 2), key=lambda j: abs(2 * j - den)):
             m = lo + (hi - lo) * Fraction(j, den)
-            if sf.sign_at(m) != 0:
+            if sf.sign_at(m.numerator, m.denominator) != 0:
                 return m
         den *= 2
 
@@ -411,8 +409,19 @@ def isolate_real_roots(p: UniPoly, width: Fraction = Fraction(1, 10**9)) -> list
     Each enclosure has width <= the requested width; an exact rational root
     may come back as a degenerate [r, r] interval. No two enclosures share
     an interior point, but neighbours may share an end, a split point that
-    is not a root. Multiplicities are not reported (isolation runs on the
-    squarefree part).
+    is not a root. Multiplicities are not reported.
+
+    One remainder sequence serves both the count and the squarefree part.
+    For the primitive part pp, the signed chain of (pp, pp') ends in
+    g = gcd(pp, pp'), and sf = pp/g has the distinct roots of p, each
+    simple. At a point v with pp(v) != 0, g(v) != 0 too, and dividing
+    every term by g(v) keeps the sign variations; the quotients form a
+    Sturm sequence of sf. So V(lo) - V(hi) of the chain counts the
+    distinct roots in (lo, hi) even when p has repeated roots (Basu,
+    Pollack and Roy, Algorithms in Real Algebraic Geometry, 2006,
+    Thm 2.50). Every point the chain is read at is +-bound or a split
+    point where sf, hence pp, is nonzero. Bisection, split points and the
+    root bound use sf.
     """
     if not p:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
@@ -420,10 +429,9 @@ def isolate_real_roots(p: UniPoly, width: Fraction = Fraction(1, 10**9)) -> list
         raise PreconditionError("enclosure width must be positive")
     if p.degree < 1:
         return []
-    sf = squarefree_part(p)
-    if sf.degree < 1:
-        return []
-    chain = list(_signed_prs(sf, sf.derivative()))
+    pp = p.primitive_part()
+    chain = list(_signed_prs(pp, pp.derivative()))
+    sf = pp.exact_div(chain[-1].primitive_part())
     bound = root_bound(sf)
     out: list[tuple[Fraction, Fraction]] = []
 
@@ -517,16 +525,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "BiPoly":
-        if e < 0:
-            raise PreconditionError("negative polynomial power")
-        out = BiPoly.constant(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, BiPoly.constant(1))
 
     @property
     def total_degree(self) -> int:
@@ -585,30 +584,10 @@ class BiPoly:
 
 def format_bipoly(p: BiPoly) -> str:
     """Canonical rendering: graded order, higher x-power first within a degree."""
-    if not p:
-        return "0"
     keys = sorted(p.terms, key=lambda e: (-(e[0] + e[1]), -e[0]))
-    parts = []
-    for i, j in keys:
-        c = p.terms[(i, j)]
-        mag = abs(c)
-        factors = []
-        if i == 1:
-            factors.append("x")
-        elif i > 1:
-            factors.append(f"x^{i}")
-        if j == 1:
-            factors.append("y")
-        elif j > 1:
-            factors.append(f"y^{j}")
-        body = "*".join(factors) if factors else str(mag)
-        if factors and mag != 1:
-            body = f"{mag}*{body}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return _render_terms(
+        (p.terms[(i, j)], "*".join(m for m in (_monomial("x", i), _monomial("y", j)) if m)) for i, j in keys
+    )
 
 
 def bipoly_resultant(p: BiPoly, q: BiPoly, eliminate: str) -> UniPoly:

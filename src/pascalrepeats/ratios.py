@@ -97,10 +97,10 @@ def isolate_zeta(shift: ShiftPair, eps: Fraction) -> Interval:
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     p = zeta_poly(shift)
-    lo, hi = Fraction(1), Fraction(2 ** shift.degree)
-    if not (p.sign_at(lo) < 0 < p.sign_at(hi)):
+    hi = 2 ** shift.degree
+    if not (p.sign_at(1) < 0 < p.sign_at(hi)):
         raise RuntimeError("internal error: initial bisection bracket has no sign change")
-    return Interval(*bisect_root(p, lo, hi, eps))
+    return Interval(*bisect_root(p, Fraction(1), Fraction(hi), eps))
 
 
 def irrationality_check(shift: ShiftPair) -> IrrationalityWitness:

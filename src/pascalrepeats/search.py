@@ -244,7 +244,6 @@ def convergent_bracket_check(i: int) -> bool:
     n, k = _family_nk(i)
     shift = ShiftPair(1, 1)
     lo, hi = bracket(n + 1, k + 1, shift)
-    expected_lo = Fraction(fibonacci(2 * i + 2), fibonacci(2 * i + 1))
-    expected_hi = Fraction(fibonacci(2 * i + 1), fibonacci(2 * i))
+    f0, f1, f2 = fibonacci(2 * i), fibonacci(2 * i + 1), fibonacci(2 * i + 2)
     p = zeta_poly(shift)
-    return lo == expected_lo and hi == expected_hi and p.sign_at(lo) < 0 < p.sign_at(hi)
+    return lo == Fraction(f2, f1) and hi == Fraction(f1, f0) and p.sign_at(f2, f1) < 0 < p.sign_at(f1, f0)

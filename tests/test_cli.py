@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from pascalrepeats import cli as cli_mod
+from pascalrepeats import curves as curves_mod
 from pascalrepeats.cli import (
     _decimal_fixed,
     _rational,
@@ -240,6 +242,23 @@ def test_csv_rejected_for_scalar_commands():
     assert "csv output is not supported" in err
 
 
+def test_csv_is_refused_before_any_work(monkeypatch, tmp_path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the format was checked")
+
+    monkeypatch.setattr(cli_mod, "isolate_zeta", no_work)
+    monkeypatch.setattr(cli_mod, "read_solutions", no_work)
+    monkeypatch.setattr(curves_mod, "build_curve", no_work)
+    for argv in (
+        ["zeta", "--a", "1", "--b", "1", "--precision", "1e-5000"],
+        ["curve", "--a", "2", "--b", "3", "--certify"],
+        ["verify", "--cache", str(tmp_path / "cache.jsonl")],
+    ):
+        code, out, err = run_cli(argv + ["--format", "csv"])
+        assert (code, out) == (1, "")
+        assert err == f"error: csv output is not supported for {argv[0]!r}\n"
+
+
 def test_domain_errors_exit_one_with_single_line():
     code, _, err = run_cli(["search", "--a", "0", "--b", "1", "--y-max", "10"])
     assert code == 1
@@ -282,6 +301,20 @@ def test_cache_roundtrip_reproduces_solutions(tmp_path):
     # appending again doubles the records, all still verifiable
     append_solutions(str(path), sols)
     assert read_solutions(str(path)) == sols + sols
+
+
+def test_cache_append_starts_on_a_fresh_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    sols = search(ShiftPair(1, 1), 20)
+    append_solutions(str(path), sols)
+    path.write_text(path.read_text().rstrip("\n"))  # a last record without its newline
+    append_solutions(str(path), sols)
+    assert read_solutions(str(path)) == sols + sols
+    # nothing to append leaves the file as it is, final newline or not
+    path.write_text(path.read_text().rstrip("\n"))
+    before = path.read_bytes()
+    append_solutions(str(path), [])
+    assert path.read_bytes() == before
 
 
 def test_cache_empty_file_is_empty_set(tmp_path):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pascalrepeats.errors import PreconditionError, ZeroPolynomialError
@@ -16,7 +16,6 @@ from pascalrepeats.polynomials import (
     format_unipoly,
     isolate_real_roots,
     root_bound,
-    squarefree_part,
     trial_div,
     unipoly_gcd,
     unipoly_resultant,
@@ -124,11 +123,10 @@ def test_unipoly_sign_at_matches_fraction_evaluation():
         q = Fraction(rng.randrange(-50, 51), rng.randrange(1, 17))
         exact = sum(c * q**i for i, c in enumerate(p.coeffs))
         want = 0 if exact == 0 else (1 if exact > 0 else -1)
-        assert p.sign_at(q) == want
-        # the same point as an unreduced u/w, and as a Fraction over a further w
+        assert p.sign_at(q.numerator, q.denominator) == want
+        # the same point as an unreduced u/w
         k = rng.randrange(1, 2**40)
         assert p.sign_at(q.numerator * k, q.denominator * k) == want
-        assert p.sign_at(q * k, k) == want
 
 
 def test_unipoly_derivative_product_rule():
@@ -214,6 +212,15 @@ def test_resultant_swap_sign_rule():
         assert unipoly_resultant(p, q) == sign * unipoly_resultant(q, p)
 
 
+nonzero_unipolys = st.lists(st.integers(-50, 50), min_size=1, max_size=8).map(UniPoly).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero_unipolys, nonzero_unipolys)
+def test_resultant_matches_sylvester_property(p, q):
+    assert unipoly_resultant(p, q) == sylvester_resultant(p, q)
+
+
 def test_resultant_with_constant():
     p = UniPoly([1, 5, -2, 7])
     assert unipoly_resultant(p, UniPoly.constant(3)) == 3**p.degree
@@ -263,13 +270,6 @@ def test_gcd_with_zero_is_sign_normalized_other():
 
 def test_gcd_includes_integer_content():
     assert unipoly_gcd(UniPoly([6, 6]), UniPoly.constant(4)) == UniPoly.constant(2)
-
-
-def test_squarefree_part_drops_multiplicity():
-    p = UniPoly([-1, 1]) ** 2 * UniPoly([2, 1])
-    assert squarefree_part(p) == UniPoly([-1, 1]) * UniPoly([2, 1])
-    q = UniPoly([0, 1]) ** 5
-    assert squarefree_part(q) == UniPoly([0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +374,7 @@ def test_isolation_of_products_of_linear_factors(factors, rootless, bits):
         assert lo <= r <= hi and hi - lo <= width
     for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
         # sorted, with no shared interior point; a shared end is not a root
-        assert hi1 <= lo2 and (hi1 < lo2 or p.sign_at(hi1) != 0)
+        assert hi1 <= lo2 and (hi1 < lo2 or p.sign_at(hi1.numerator, hi1.denominator) != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +471,30 @@ def test_bipoly_resultant_specializes_correctly():
             fs = UniPoly([c(x0) for c in f.coeffs_in("y")])
             gs = UniPoly([c(x0) for c in g.coeffs_in("y")])
             assert r(x0) == unipoly_resultant(fs, gs)
+
+
+bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-9, 9), min_size=1, max_size=7
+).map(BiPoly).filter(bool)
+_X, _Y = BiPoly.variable("x"), BiPoly.variable("y")
+
+
+@settings(max_examples=100, deadline=None)
+@given(bipolys, bipolys)
+# leading coefficients x and x^2 + 1 in y, y^2 and y^3 in x; degrees 2 < 3 in y, 1 < 2 in x
+@example(_X * _Y**2 + _Y - 3, (_X**2 + 1) * _Y**3 + _X)
+@example((_X**2 + 1) * _Y**3 + _X, _X * _Y**2 + _Y - 3)
+def test_bipoly_resultant_specialises_to_sylvester(f, g):
+    # Res_var(f, g) at t is the Sylvester determinant of f and g with the
+    # other variable set to t, wherever neither leading coefficient in var
+    # vanishes at t
+    for var in ("x", "y"):
+        r = bipoly_resultant(f, g, var)
+        fc, gc = f.coeffs_in(var), g.coeffs_in(var)
+        for t in range(-3, 4):
+            if fc[-1](t) and gc[-1](t):
+                fs, gs = UniPoly([c(t) for c in fc]), UniPoly([c(t) for c in gc])
+                assert r(t) == sylvester_resultant(fs, gs)
 
 
 def test_bipoly_resultant_rejects_zero_input():

@@ -79,7 +79,7 @@ def test_isolate_zeta_endpoints_straddle_the_root():
         shift = ShiftPair(a, b)
         p = zeta_poly(shift)
         iv = isolate_zeta(shift, Fraction(1, 1000))
-        assert p.sign_at(iv.lo) < 0 < p.sign_at(iv.hi)
+        assert p.sign_at(iv.lo.numerator, iv.lo.denominator) < 0 < p.sign_at(iv.hi.numerator, iv.hi.denominator)
 
 
 def test_isolate_zeta_refinement_is_nested():
