@@ -6,10 +6,11 @@ and the handler reads the parsed argparse namespace directly. Output goes
 to standard output in json, csv, or text form; diagnostics go to standard
 error. Exit status is 0 on success; 1 on a domain or cache error, with
 one "error:" line; 2 on a usage error, which argparse reports, an
-unparseable integer or rational included. Identical invocations produce
-byte-identical output regardless of worker count. Any number that may
-exceed 64 bits is serialized as a decimal string, rendered and parsed
-through Decimal so that Python's int-to-string digit limit never applies.
+unparseable integer or rational included, and a decimal exponent beyond
++-100000. Identical invocations produce byte-identical output regardless
+of worker count. Any number that may exceed 64 bits is serialized as a
+decimal string, rendered and parsed through Decimal so that Python's
+int-to-string digit limit never applies.
 """
 
 from __future__ import annotations
@@ -33,14 +34,25 @@ from .ratios import ShiftPair, isolate_zeta
 from .search import Solution, equality_check, family_member, search
 
 FORMATS = ("json", "csv", "text")
+_MAX_DECIMAL_EXPONENT = 100_000  # 1e-100000 is a 332,000-bit denominator
+_MAX_PLOT_SECTIONS = 1_000_000
 
 
 def _parse_fraction(text: str) -> Fraction:
-    """argparse type of a rational flag: "1e-12", "0.25" or "1/128"."""
+    """argparse type of a rational flag: "1e-12", "0.25" or "1/128".
+
+    A decimal's exponent is checked before the Fraction is built: its
+    10^|exponent| takes 3.3 bits per unit, and building "1e-10000000"
+    alone takes seconds. The parts of "p/q" are bounded by the
+    int-to-string digit limit.
+    """
     try:
         if "/" in text:
             return Fraction(text)
-        return Fraction(Decimal(text))
+        d = Decimal(text)
+        if d.is_finite() and abs(d.adjusted()) > _MAX_DECIMAL_EXPONENT:
+            raise argparse.ArgumentTypeError(f"{text!r} has a decimal exponent beyond +-{_MAX_DECIMAL_EXPONENT}")
+        return Fraction(d)
     except (ValueError, ArithmeticError) as exc:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a rational") from exc
 
@@ -341,11 +353,10 @@ def _run_plot(args: argparse.Namespace, out: TextIO) -> None:
     shift = ShiftPair(args.a, args.b)
     if args.y_step <= 0:
         raise PreconditionError("plot needs a positive --y-step")
-    ys = []
-    y = Fraction(args.y_min)
-    while y <= args.y_max:
-        ys.append(y)
-        y += args.y_step
+    sections = (args.y_max - args.y_min) // args.y_step + 1
+    if sections > _MAX_PLOT_SECTIONS:
+        raise PreconditionError(f"plot would isolate {sections} sections, more than {_MAX_PLOT_SECTIONS}")
+    ys = (args.y_min + i * args.y_step for i in range(sections))
     branches = curves_mod.real_branches(shift, ys, width=args.precision)
     rows = []
     for y0, enclosures in branches:

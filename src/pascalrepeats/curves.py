@@ -8,8 +8,13 @@ whose lattice points in the triangle region are exactly the equation's
 solutions. This module certifies nonsingularity by resultant elimination:
 a singular point forces the two eliminants Res(F,F_x) and Res(F,F_y) to
 share a root, and the leading y-coefficient of F is the constant
-(-1)^(a+b), so leading-coefficient degeneracy cannot fake a root. A
-nonconstant eliminant gcd is reported as inconclusive, never as a proven
+(-1)^(a+b), so leading-coefficient degeneracy cannot fake a root. The
+eliminants stay exact; their gcd is proved constant by unipoly_gcd
+modulo the prime P = 2^61 - 1: when P divides neither leading
+coefficient, the gcd over Z keeps its degree mod P and divides the gcd
+mod P, so a constant gcd mod P is a constant gcd over Z. Otherwise the
+exact remainder sequence decides, with the same result. A nonconstant
+eliminant gcd is reported as inconclusive, never as a proven
 singularity. Nonsingular degree-d curves get genus (d-1)(d-2)/2 and are
 irreducible outright.
 """

@@ -5,13 +5,17 @@ bivariate polynomials are sparse maps from exponent pairs to coefficients.
 The resultant is computed by fraction-free (subresultant) polynomial
 remainder sequences, written generically so the same routine serves both
 integer coefficients and polynomial coefficients (for bivariate
-elimination). Real roots are isolated by Sturm sign variations and
-bisection on integer numerators over a common power-of-two denominator.
-One signed primitive remainder sequence of (p, p') is both the Sturm
-chain and, through its last term gcd(p, p'), the squarefree part that
-bisection runs on. UniPoly.sign_at(u, w), the sign at an integer u over
-an integer w > 0, is the one evaluator. One square-and-multiply serves
-both polynomial types' powers, and one renderer their text. No floating
+elimination). unipoly_gcd first proves a constant gcd modulo the prime
+2^61 - 1 when it can, and runs its exact remainder sequence only when
+that fails. Real roots are isolated by Sturm sign variations and
+bisection on integer numerators over a common power-of-two denominator;
+past 64 halvings, an integer Newton iteration names the cell the
+halving would end in, and two exact sign tests prove it. One signed
+primitive remainder sequence of (p, p') is both the Sturm chain and,
+through its last term gcd(p, p'), the squarefree part that bisection
+runs on. UniPoly.sign_at(u, w), the sign at an integer u over an integer
+w > 0, is the one evaluator. One square-and-multiply serves both
+polynomial types' powers, and one renderer their text. No floating
 point anywhere.
 """
 
@@ -328,8 +332,41 @@ def _signed_prs(a: UniPoly, b: UniPoly) -> Iterator[UniPoly]:
         a, b = b, r
 
 
+_GCD_PRIME = (1 << 61) - 1  # a Mersenne prime
+
+
+def _gcd_degree_mod(p: UniPoly, q: UniPoly) -> int:
+    """Degree of gcd(p mod m, q mod m) over GF(m), m = _GCD_PRIME, by Euclid; -1 if both vanish."""
+    m = _GCD_PRIME
+    a = _trim([c % m for c in p.coeffs])
+    b = _trim([c % m for c in q.coeffs])
+    while b:
+        inv = pow(b[-1], -1, m)
+        db = len(b) - 1
+        while len(a) > db:
+            f = a[-1] * inv % m
+            s = len(a) - 1 - db
+            for j in range(db):
+                a[s + j] = (a[s + j] - f * b[j]) % m
+            a.pop()
+            _trim(a)
+        a, b = b, a
+    return len(a) - 1
+
+
 def unipoly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Greatest common divisor in Z[x], positive leading coefficient."""
+    """Greatest common divisor in Z[x], positive leading coefficient.
+
+    A constant gcd is proved modulo the prime P = 2^61 - 1 when P divides
+    neither leading coefficient. The gcd g over Z divides p, so lc(g)
+    divides lc(p) and P does not divide lc(g): g mod P keeps the degree of
+    g. And g mod P divides both p mod P and q mod P, hence their gcd over
+    GF(P). So deg g <= deg gcd(p mod P, q mod P), and a constant gcd mod P
+    proves deg g = 0. Then g is the gcd of the contents, which is what the
+    remainder sequence returns, and no _signed_prs runs. Otherwise (a
+    nonconstant gcd mod P, or P dividing a leading coefficient) the exact
+    primitive remainder sequence decides.
+    """
     if not p and not q:
         return UniPoly()
     if not p:
@@ -337,6 +374,8 @@ def unipoly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     if not q:
         return p if p.leading > 0 else -p
     c = math.gcd(p.content(), q.content())
+    if p.leading % _GCD_PRIME and q.leading % _GCD_PRIME and _gcd_degree_mod(p, q) == 0:
+        return UniPoly((c,))
     a, b = p.primitive_part(), q.primitive_part()
     if a.degree < b.degree:
         a, b = b, a
@@ -377,20 +416,124 @@ def _split_point(sf: UniPoly, lo: Fraction, hi: Fraction) -> Fraction:
         den *= 2
 
 
-def bisect_root(sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Halve [lo, hi], which holds exactly one root of sf, until hi - lo <= width.
+_SEED_HALVINGS = 64  # plain halvings before, and between, tries of the Newton cell
+_GUARD_BITS = 16  # bits Newton carries beyond the cell level
+_CELL_TRIES = 4  # cells a Newton index may move through before halving resumes
 
-    Keeps the half whose ends differ in sign; a midpoint that is itself a
-    root comes back as [m, m]. The ends are integer numerators u, v over
-    one denominator w that doubles at each halving, so v - u stays fixed
-    and no Fraction is built until the return. The caller checks that
-    width is positive.
+
+def _shifted(sf: UniPoly, u: int, d: int, w: int) -> list[int]:
+    """Coefficients of q(t) = w^n * sf((u + t*d)/w), n = deg sf, ascending, by Horner."""
+    q = [sf.coeffs[-1]]
+    wp = 1
+    for c in reversed(sf.coeffs[:-1]):
+        wp *= w
+        q = [u * q[0] + c * wp] + [u * q[i] + d * q[i - 1] for i in range(1, len(q))] + [d * q[-1]]
+    return q
+
+
+def _newton_index(sf: UniPoly, u: int, d: int, w: int, k: int) -> int | None:
+    """An estimate of floor(2^k t) for the root t in (0, 1) of q(t) = w^n sf((u + t*d)/w).
+
+    Newton's iteration on q in fixed point: t is an integer T over 2^prec,
+    and one Horner pass gives q and q' at T/2^prec, each times 2^prec and
+    floored at every step. prec starts at 32. Once a step is at most
+    2^(prec/2), the iterate had about prec/2 right bits and now has about
+    prec, since Newton's error squares near a simple root, so prec doubles,
+    up to k plus guard bits. None when an iterate leaves [0, 1], q'
+    vanishes, or the steps do not settle. The index is only an estimate;
+    _newton_cell proves it or moves it.
+    """
+    q = _shifted(sf, u, d, w)
+    prec = 32
+    goal = max(prec, k + _GUARD_BITS)
+    t = 1 << (prec - 1)
+    for _ in range(8 + goal.bit_length()):
+        a, b = q[-1] << prec, 0
+        for c in reversed(q[:-1]):
+            b = ((b * t) >> prec) + a
+            a = ((a * t) >> prec) + (c << prec)
+        if not b:
+            return None
+        step = (a << prec) // b
+        t -= step
+        if not 0 <= t <= 1 << prec:
+            return None
+        if abs(step) <= 1 << (prec // 2):
+            if prec == goal:
+                return t >> (prec - k)
+            t <<= min(prec, goal - prec)
+            prec = min(2 * prec, goal)
+    return None
+
+
+def _newton_cell(sf: UniPoly, u: int, d: int, w: int, k: int, slo: int) -> tuple[Fraction, Fraction] | None:
+    """The level-k cell of the bracket [u, u+d]/w that bisection would return, or None.
+
+    The cells are [u*2^k + j*d, u*2^k + (j+1)*d]/(w*2^k), 0 <= j < 2^k.
+    sf has the sign slo left of its root in the bracket and -slo right of
+    it, so the cell holds the root exactly when its left end has sign slo
+    and its right end -slo; a wrong sign moves j by one toward the root.
+    A zero sign is the root itself, a grid point, returned as [r, r].
+    """
+    j = _newton_index(sf, u, d, w, k)
+    if j is None:
+        return None
+    base, den = u << k, w << k
+    for _ in range(_CELL_TRIES):
+        j = min(max(j, 0), (1 << k) - 1)
+        left = base + j * d
+        s = sf.sign_at(left, den)
+        if s == 0:
+            return Fraction(left, den), Fraction(left, den)
+        if s != slo:
+            j -= 1
+            continue
+        s = sf.sign_at(left + d, den)
+        if s == 0:
+            return Fraction(left + d, den), Fraction(left + d, den)
+        if s == slo:
+            j += 1
+            continue
+        return Fraction(left, den), Fraction(left + d, den)
+    return None
+
+
+def bisect_root(sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Halve [lo, hi], which holds exactly one root r of sf, until hi - lo <= width.
+
+    Neither end is a root, and sf changes sign at r (r is simple in both
+    callers). Keeps the half whose ends differ in sign; a midpoint that is
+    itself a root comes back as [m, m]. The ends are integer numerators
+    u, v over one denominator w that doubles at each halving, so v - u
+    stays fixed and no Fraction is built until the return. The caller
+    checks that width is positive.
+
+    What the halving returns is fixed in advance, which lets a Newton
+    cell skip it. Let k be the number of halvings it makes, the least with
+    (hi - lo)/2^k <= width, and call lo + i*(hi - lo)/2^k the level-k
+    grid. If r is on that grid, it is first a grid point at some level
+    l <= k; at level l-1 it lies inside the cell being halved, whose
+    midpoint it is, so halving returns [r, r]. Otherwise halving returns
+    the one level-k cell with r inside. So once the bracket is 2^-64 of
+    its start, _newton_index estimates the index of r's cell by integer
+    Newton with doubling precision, and _newton_cell proves the cell with
+    two exact sign_at tests or finds r on the grid; both give what the
+    halving would. If the tests fail after a few moves of the index,
+    halving goes on from the last proved bracket, and the cell is tried
+    again 64 halvings later.
     """
     w = math.lcm(lo.denominator, hi.denominator)
     u, v = lo.numerator * (w // lo.denominator), hi.numerator * (w // hi.denominator)
     span = (v - u) * width.denominator  # (hi - lo) > width  <=>  span > width.numerator * w
     slo = sf.sign_at(u, w)
+    newton_at = w << _SEED_HALVINGS
     while span > width.numerator * w:
+        if w == newton_at:
+            k = (-(-span // (width.numerator * w)) - 1).bit_length()  # halvings still to make
+            cell = _newton_cell(sf, u, v - u, w, k, slo)
+            if cell is not None:
+                return cell
+            newton_at <<= _SEED_HALVINGS
         m = u + v
         w *= 2
         sm = sf.sign_at(m, w)

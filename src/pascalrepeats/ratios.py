@@ -92,7 +92,11 @@ def isolate_zeta(shift: ShiftPair, eps: Fraction) -> Interval:
     the value at 1 is 1 - 2^a < 0 and the leading term dominates at the
     right end, so the initial bracket always straddles the root. Midpoints
     are rational and the root is not (see irrationality_check), so no
-    midpoint evaluation can vanish and the enclosure never degenerates.
+    midpoint evaluation can vanish and the enclosure never degenerates:
+    it is the one cell [1 + j*w, 1 + (j+1)*w], w = (2^(a+b) - 1)/2^k,
+    that holds zeta, k the number of halvings. Past 64 halvings
+    bisect_root finds j by integer Newton and proves it with two sign
+    tests, so a fine eps costs a few evaluations instead of one per bit.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")

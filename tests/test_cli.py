@@ -99,6 +99,37 @@ def test_unparseable_rational_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "text", ["1e-100001", "1e100001", "1e-10000000", "1e-999999999999", "0.5e-100000", "123e99999"]
+)
+def test_decimal_exponent_beyond_the_bound_is_a_usage_error(text, capsys):
+    argv = ["zeta", "--a", "1", "--b", "1", "--precision", text]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument --precision: {text!r} has a decimal exponent beyond +-100000" in captured.err
+
+
+def test_decimal_exponent_at_the_bound_is_accepted():
+    parse = build_parser().parse_args
+    assert parse(["zeta", "--a", "1", "--b", "1", "--precision", "1e-100000"]).precision == Fraction(1, 10**100000)
+    assert parse(["plot", "--a", "1", "--b", "1", "--y-min", "0", "--y-max", "1", "--y-step", "1e100000"]).y_step == (
+        10**100000
+    )
+
+
+@pytest.mark.parametrize(
+    "step,sections", [("1e-6", 1_000_001), ("1/1000000", 1_000_001), ("1e-9", 1_000_000_001)]
+)
+def test_plot_refuses_more_than_a_million_sections_before_any_work(step, sections, monkeypatch):
+    monkeypatch.setattr(curves_mod, "real_branches", lambda *a, **k: pytest.fail("isolated a section"))
+    code, out, err = run_cli(["plot", "--a", "1", "--b", "1", "--y-min", "0", "--y-max", "1", "--y-step", step])
+    assert (code, out) == (1, "")
+    assert err == f"error: plot would isolate {sections} sections, more than 1000000\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["zeta", "--a", "1", "--b", "1", "--precision", "0"],

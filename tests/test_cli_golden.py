@@ -2,10 +2,15 @@
 
 Each row is an invocation, its exit status and the sha256 of its stdout,
 recorded from an earlier implementation: the rows up to the empty plot
-range before the subcommand handlers were rebound, the rest before the
-real-root layer moved from Fraction to integer arithmetic. A change that
-alters any byte of output or any exit status fails here. "{cache}" stands for a solution cache that the search row
-with --cache writes, and that the verify rows read.
+range before the subcommand handlers were rebound, the next four before
+the real-root layer moved from Fraction to integer arithmetic, and the
+fine zeta, plot and degree-9 certificate rows before bisect_root took
+its Newton cell and unipoly_gcd its modular test. The two refusals after
+them print nothing: a decimal exponent beyond the parser's bound is a
+usage error (exit 2), and more than a million plot sections a domain
+error (exit 1). A change that alters any byte of output or any exit
+status fails here. "{cache}" stands for a solution cache that the search
+row with --cache writes, and that the verify rows read.
 """
 
 import hashlib
@@ -68,6 +73,12 @@ GOLDEN = [
     ("zeta --a 6 --b 6 --precision 1e-300", 0, "9ed4c0111da9c6d44e9b0bc6bfbed4516272802268810b8181b40a933bf22cc8"),
     ("curve --a 3 --b 3 --certify --format json", 0, "ac3ca8ebdc161178244e7277982499ecfaf5cc14c6b8e01a1d1fdfe7956c8181"),
     ("curve --a 1 --b 3 --certify", 0, "75dbcb6f7a50eab17c6940c772c7f70a52d25af8feb04ffe813b573f5a8aaf79"),
+    ("zeta --a 2 --b 10 --precision 1e-600", 0, "00b31cbcee5bf3437f68946bc6987b4d38e2fc718ac0ac624d45e25cfa370269"),
+    ("zeta --a 1 --b 1 --precision 1e-1000 --format json", 0, "eda797802a1155fe9b0bbb53d346c2f18c6f36ae43cd45b00e0eb2c6deafbcb2"),
+    ("plot --a 3 --b 2 --y-min 0 --y-max 20 --precision 1e-60", 0, "1902abce4653cc944bb44c5d107ada2184cb2a20d454072b21b9e041d0db1858"),
+    ("curve --a 4 --b 5 --certify --format json", 0, "c2c4d01b0145e9687f960a57bba08d999a4b133185b801bf016a81ac6df5fc46"),
+    ("zeta --a 1 --b 1 --precision 1e-100001", 2, EMPTY),
+    ("plot --a 1 --b 1 --y-min 0 --y-max 1 --y-step 1e-6", 1, EMPTY),
 ]
 
 
@@ -81,7 +92,11 @@ def test_golden_stdout_and_exit_status(case, status, sha, tmp_path, capsys):
     if case.startswith("verify"):
         assert main(_argv(CACHE_SEARCH, cache)) == 0
         capsys.readouterr()
-    assert main(_argv(case, cache)) == status
+    try:
+        code = main(_argv(case, cache))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    assert code == status
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
     if case == CACHE_SEARCH:
         with open(cache, "rb") as fh:
