@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .ratios import ShiftPair
-from .search import _solve_row, equality_check
+from .search import _row_crossing, equality_check
 
 
 @dataclass(frozen=True)
@@ -170,9 +170,10 @@ def scan_high_multiplicity(t_max: int, m_min: int) -> list[MultiplicityRecord]:
 def intersect_curves(s1: ShiftPair, s2: ShiftPair, x_max: int) -> list[tuple[int, int]]:
     """Points (x,y), 0 <= y <= x <= x_max, solving both shift equations.
 
-    Solves each row of the first shift on the bracket x <= x_max and keeps
-    the solutions that also solve the second; a nontrivial hit is a value
-    repeated at three or more positions in the triangle.
+    Finds each row's crossing for the first shift on x <= x_max, by the
+    row solver of `search`, and keeps the solutions that also solve the
+    second; a nontrivial hit is a value repeated at three or more
+    positions in the triangle.
     """
     if s1 == s2:
         raise PreconditionError("intersect_curves needs two distinct shifts")
@@ -180,7 +181,7 @@ def intersect_curves(s1: ShiftPair, s2: ShiftPair, x_max: int) -> list[tuple[int
         raise PreconditionError(f"intersect_curves needs x_max >= 1, got {x_max}")
     points = []
     for y in range(x_max + 1):
-        x = _solve_row(y, s1, 0, x_max)
-        if x is not None and equality_check(x, y, s2):
-            points.append((x, y))
+        crossing = _row_crossing(y, s1, x_max, 0)
+        if crossing is not None and crossing[1] and equality_check(crossing[0], y, s2):
+            points.append((crossing[0], y))
     return points

@@ -36,6 +36,8 @@ from .search import Solution, equality_check, family_member, search
 FORMATS = ("json", "csv", "text")
 _MAX_DECIMAL_EXPONENT = 100_000  # 1e-100000 is a 332,000-bit denominator
 _MAX_PLOT_SECTIONS = 1_000_000
+# member 6 has 220,628 bits and takes about 0.7 s; each further one costs about 30 times more
+_MAX_FAMILY_INDEX = 6
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -253,6 +255,8 @@ def _run_search(args: argparse.Namespace, out: TextIO) -> None:
 def _run_family(args: argparse.Namespace, out: TextIO) -> None:
     if args.i_max < 1:
         raise PreconditionError("family needs --i-max >= 1")
+    if args.i_max > _MAX_FAMILY_INDEX:
+        raise PreconditionError(f"family --i-max is at most {_MAX_FAMILY_INDEX}, got {args.i_max}")
     members = [family_member(i) for i in range(1, args.i_max + 1)]
     if args.format == "json":
         _emit_json(
@@ -419,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_search)
 
     p = sub.add_parser("family", help="the Fibonacci family members")
-    p.add_argument("--i-max", type=int, required=True)
+    p.add_argument("--i-max", type=int, required=True, help=f"last member, at most {_MAX_FAMILY_INDEX}")
     add_format(p)
     p.set_defaults(run=_run_family)
 

@@ -16,11 +16,15 @@ and with X = x+1
 
     R(x+1)/R(x) - 1 = (bX + ay) / ((X-y-a-b) X) > 0,
 
-so R increases strictly in x and each row has at most one solution,
-found by exact bisection on the product sides. The bracket for the
-bisection: for y > a the zeta window (any solution satisfies
-x ~ zeta * y within O(a+b)); for y <= a a gallop upward from y+a+b.
-An exhaustive brute sweep is kept as the correctness oracle.
+so R increases strictly in x and each row has at most one solution: it
+can only be the row's crossing m_y, the least x >= y+a+b with
+left >= right, and it is one exactly when left = right there. The
+crossing is found by exponential search from a guess (`_row_crossing`);
+any guess gives the same m_y, and a good one makes the search short.
+Solutions satisfy x - y ~ zeta * y within O(a+b) (`candidate_window`),
+and consecutive crossings move by almost the same step, so each row's
+guess is 2*m_(y-1) - m_(y-2). An exhaustive brute sweep is kept as the
+correctness oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 
 from .combinatorics import binomial, falling_factorial, fibonacci
 from .errors import PreconditionError
@@ -58,12 +63,6 @@ class FamilyMember:
     value: int
 
 
-def _product_sides(x: int, y: int, shift: ShiftPair) -> tuple[int, int]:
-    left = falling_factorial(x - y, shift.degree)
-    right = falling_factorial(x, shift.a) * falling_factorial(y + shift.b, shift.b)
-    return left, right
-
-
 def equality_check(x: int, y: int, shift: ShiftPair) -> bool:
     """Exact test of C(x,y) = C(x-a,y+b) without computing either side."""
     if x < y or y < 0:
@@ -71,8 +70,8 @@ def equality_check(x: int, y: int, shift: ShiftPair) -> bool:
     if x - shift.a < y + shift.b:
         # right side is 0 while C(x,y) >= 1
         return False
-    left, right = _product_sides(x, y, shift)
-    return left == right
+    right = falling_factorial(x, shift.a) * falling_factorial(y + shift.b, shift.b)
+    return falling_factorial(x - y, shift.degree) == right
 
 
 def candidate_window(y: int, shift: ShiftPair, zeta: Interval) -> tuple[int, int]:
@@ -97,42 +96,87 @@ def _make_solution(x: int, y: int, shift: ShiftPair) -> Solution:
     return Solution(shift, x, y, value, value <= 1)
 
 
-def _solve_row(y: int, shift: ShiftPair, lo: int, hi: int | None) -> int | None:
-    """The solution x of row y with lo <= x <= hi, or None; hi=None means unbounded.
+def _row_crossing(y: int, shift: ShiftPair, hi: int | None, guess: int) -> tuple[int, bool] | None:
+    """Row y's crossing up to hi and whether it solves; hi=None means unbounded.
 
-    Only x >= y+a+b can solve (below it C(x-a,y+b) = 0 < C(x,y)), and there
-    left/right = C(x-a,y+b)/C(x,y) strictly increases in x, so equality is an
-    exact bisection on the product sides. Without an upper end the routine
-    first gallops (steps 1, 2, 4, ...) to an x with left >= right, which
-    exists because the ratio grows without bound.
+    The crossing is the least x >= y+a+b, x <= hi, with
+    ff(x-y, a+b) >= ff(x, a) * ff(y+b, b); it is a solution exactly when
+    the two sides are equal there. None means no x up to hi qualifies.
+    On x >= y+a+b the sides' ratio R(x) = C(x-a,y+b)/C(x,y) increases
+    strictly (module docstring), so the predicate is false below the
+    crossing and true from it on, and the answer does not depend on the
+    guess. From the guess, clamped into the range, the search gallops by
+    1, 2, 4, ... away from the side the predicate names until it brackets
+    the crossing, then bisects the last step. Unbounded, the gallop ends
+    because R grows without bound. Every argument of `perm` is
+    nonnegative here, and ff(y+b, b) is taken once per row. The sides'
+    difference is written out at each probe: a helper call per probe
+    costs more than the two `perm` calls.
     """
-    lo = max(lo, y + shift.degree)
-    if hi is None:
-        hi, step = lo, 1
-        while True:
-            left, right = _product_sides(hi, y, shift)
-            if left >= right:
+    a, b = shift.a, shift.b
+    d = a + b
+    lo = y + d
+    if hi is not None and lo > hi:
+        return None
+    row = perm(y + b, b)
+    x = guess if guess > lo else lo
+    if hi is not None and x > hi:
+        x = hi
+    gap = perm(x - y, d) - perm(x, a) * row  # left - right
+    # below: greatest x known false (lo - 1 when none is); top: least known true
+    step = 1
+    if gap >= 0:
+        below, top, top_gap = lo - 1, x, gap
+        while top > lo:
+            x = max(top - step, lo)
+            gap = perm(x - y, d) - perm(x, a) * row
+            if gap < 0:
+                below = x
                 break
-            lo, hi, step = hi + 1, hi + step, 2 * step
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        left, right = _product_sides(mid, y, shift)
-        if left == right:
-            return mid
-        if left < right:
-            lo = mid + 1
+            top, top_gap, step = x, gap, 2 * step
+    else:
+        below = x
+        while True:
+            if below == hi:
+                return None
+            x = below + step if hi is None else min(below + step, hi)
+            gap = perm(x - y, d) - perm(x, a) * row
+            if gap >= 0:
+                top, top_gap = x, gap
+                break
+            below, step = x, 2 * step
+    while top - below > 1:
+        x = (below + top) // 2
+        gap = perm(x - y, d) - perm(x, a) * row
+        if gap >= 0:
+            top, top_gap = x, gap
         else:
-            hi = mid - 1
-    return None
+            below = x
+    return top, top_gap == 0
 
 
 def _search_range(args: tuple[ShiftPair, int, int, Interval]) -> list[Solution]:
+    """Solutions of rows y_lo..y_hi, each row's crossing walked from the last two.
+
+    Rows y <= a start at y+a+b. The first two rows y > a of a chunk start
+    at the zeta window's lower end; after them the guess extrapolates the
+    crossings of the two rows before.
+    """
     shift, y_lo, y_hi, zeta = args
+    a, d = shift.a, shift.degree
     out = []
+    last = prev = None  # crossings of the previous two rows y > a
     for y in range(y_lo, y_hi + 1):
-        lo, hi = candidate_window(y, shift, zeta) if y > shift.a else (0, None)
-        x = _solve_row(y, shift, lo, hi)
-        if x is not None:
+        if y <= a:
+            guess = y + d
+        elif prev is None:
+            guess = candidate_window(y, shift, zeta)[0]
+        else:
+            guess = 2 * last - prev
+        x, equal = _row_crossing(y, shift, None, guess)
+        if y > a:
+            last, prev = x, last
+        if equal:
             out.append(_make_solution(x, y, shift))
     return out
 
@@ -140,10 +184,11 @@ def _search_range(args: tuple[ShiftPair, int, int, Interval]) -> list[Solution]:
 def search(shift: ShiftPair, y_max: int, workers: int = 1) -> list[Solution]:
     """Every solution with 0 <= y <= y_max, sorted by (y, x).
 
-    The zeta interval is refined until width*(y_max+b) <= 1 so the window
-    width stays O(a+b). Workers > 1 split the y-range into contiguous
-    chunks, one process each, never more processes than usable CPUs;
-    each chunk is pure and the merge is a deterministic sort.
+    The zeta interval is refined until width*(y_max+b) <= 1, so the window
+    whose lower end seeds each chunk's first crossings has width O(a+b).
+    Workers > 1 split the y-range into contiguous chunks, one process
+    each, never more processes than usable CPUs; each chunk is pure and
+    the merge is a deterministic sort.
     """
     if y_max < 1:
         raise PreconditionError(f"search needs y_max >= 1, got {y_max}")

@@ -19,7 +19,7 @@ from pascalrepeats.cli import (
 )
 from pascalrepeats.errors import CacheError
 from pascalrepeats.ratios import ShiftPair
-from pascalrepeats.search import search
+from pascalrepeats.search import FamilyMember, search
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -210,6 +210,17 @@ def test_family_formats():
     code, out, _ = run_cli(["family", "--i-max", "1", "--format", "json"])
     docs = json.loads(out)
     assert docs[0] == {"i": 1, "n": "14", "k": "4", "value": "3003"}
+
+
+def test_family_index_is_bounded_before_any_member_is_formed(monkeypatch):
+    formed = []
+    monkeypatch.setattr(cli_mod, "family_member", lambda i: formed.append(i) or FamilyMember(i, 0, 0, 0))
+    code, out, err = run_cli(["family", "--i-max", "7"])
+    assert (code, out, formed) == (1, "", [])
+    assert err == "error: family --i-max is at most 6, got 7\n"
+    assert run_cli(["family", "--i-max", str(10**9)])[0] == 1 and formed == []
+    code, out, err = run_cli(["family", "--i-max", "6"])
+    assert (code, err, formed) == (0, "", [1, 2, 3, 4, 5, 6])
 
 
 def test_curve_text_and_certificate():

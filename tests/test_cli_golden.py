@@ -8,7 +8,12 @@ fine zeta, plot and degree-9 certificate rows before bisect_root took
 its Newton cell and unipoly_gcd its modular test. The two refusals after
 them print nothing: a decimal exponent beyond the parser's bound is a
 usage error (exit 2), and more than a million plot sections a domain
-error (exit 1). A change that alters any byte of output or any exit
+error (exit 1). The pool searches and the intersection of (63,3) and
+(64,4) were recorded before each row's crossing was walked from the
+rows before it: with two CPUs the second chunk of each search starts
+cold, at y = 251, at the solution row y = 272, and inside the rows
+y <= a. The family index beyond 6 is refused before any member is
+formed. A change that alters any byte of output or any exit
 status fails here. "{cache}" stands for a solution cache that the search
 row with --cache writes, and that the verify rows read.
 """
@@ -79,6 +84,11 @@ GOLDEN = [
     ("curve --a 4 --b 5 --certify --format json", 0, "c2c4d01b0145e9687f960a57bba08d999a4b133185b801bf016a81ac6df5fc46"),
     ("zeta --a 1 --b 1 --precision 1e-100001", 2, EMPTY),
     ("plot --a 1 --b 1 --y-min 0 --y-max 1 --y-step 1e-6", 1, EMPTY),
+    ("search --a 1 --b 1 --y-max 500 --workers 2", 0, "9bd00a8d1fee8c72b35bd892822114c799e7357c00aa1cdd926fbfbbf07ddb51"),
+    ("search --a 1 --b 1 --y-max 543 --workers 2 --format json", 0, "d4f8a2c993f8e0fbf50e849dfbe7ddec3f1a8a419672ff359bdb885f3e3bf501"),
+    ("search --a 63 --b 3 --y-max 100 --workers 2 --format csv", 0, "e9e04c3f8f5fc303045a80dd5f7c3789646e7b06fbcc2c0d8f475b41fc3be4a1"),
+    ("intersect --a1 63 --b1 3 --a2 64 --b2 4 --x-max 80", 0, "06c76ae96a295a219072f66fac713c09346257ac0bdc79b4c0bf2c20c72ac04c"),
+    ("family --i-max 7", 1, EMPTY),
 ]
 
 

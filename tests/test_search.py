@@ -226,6 +226,23 @@ def test_importing_the_cli_does_not_load_multiprocessing():
     assert proc.stdout == "False\n"
 
 
+@pytest.mark.parametrize("a,b,y_max", [(1, 1, 20000), (1, 4, 15050), (2, 3, 15050)])
+def test_row_walk_costs_at_most_three_evaluations_per_row(a, b, y_max, monkeypatch):
+    # An evaluation is one left side ff(x-y, a+b); a, b >= 1 makes every
+    # other perm call shorter. The guess from the last two crossings is
+    # mostly off by at most one, which costs two evaluations.
+    evaluations = 0
+
+    def counting_perm(n, k):
+        nonlocal evaluations
+        evaluations += k == a + b
+        return math.perm(n, k)
+
+    monkeypatch.setattr(search_mod, "perm", counting_perm)
+    search(ShiftPair(a, b), y_max)
+    assert evaluations <= 3 * (y_max + 1)
+
+
 def test_search_perturbed_neighbors_are_rejected():
     # a solution's immediate neighbors never solve the equation
     shift = ShiftPair(1, 1)
