@@ -10,6 +10,8 @@ the bracket from one `math.comb` (see `_interior_occurrences`).
 
 `scan_high_multiplicity` tallies the columns k >= 3 row by row, which
 visits O(t_max^(1/3)) rows, and settles column 2 by arithmetic.
+`intersect_curves` filters the solutions of one shift, found by the row
+walk of `search`, by the equation of the other.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .ratios import ShiftPair
-from .search import _row_crossing, equality_check
+from .search import _row_solutions, equality_check
 
 
 @dataclass(frozen=True)
@@ -170,18 +172,13 @@ def scan_high_multiplicity(t_max: int, m_min: int) -> list[MultiplicityRecord]:
 def intersect_curves(s1: ShiftPair, s2: ShiftPair, x_max: int) -> list[tuple[int, int]]:
     """Points (x,y), 0 <= y <= x <= x_max, solving both shift equations.
 
-    Finds each row's crossing for the first shift on x <= x_max, by the
-    row solver of `search`, and keeps the solutions that also solve the
-    second; a nontrivial hit is a value repeated at three or more
-    positions in the triangle.
+    Walks the first shift's rows up to x_max with the row walk of
+    `search` and keeps the solutions that also solve the second; a
+    nontrivial hit is a value repeated at three or more positions in the
+    triangle.
     """
     if s1 == s2:
         raise PreconditionError("intersect_curves needs two distinct shifts")
     if x_max < 1:
         raise PreconditionError(f"intersect_curves needs x_max >= 1, got {x_max}")
-    points = []
-    for y in range(x_max + 1):
-        crossing = _row_crossing(y, s1, x_max, 0)
-        if crossing is not None and crossing[1] and equality_check(crossing[0], y, s2):
-            points.append((crossing[0], y))
-    return points
+    return [(x, y) for x, y in _row_solutions(s1, 0, x_max, x_max) if equality_check(x, y, s2)]

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import TextIO
+from typing import Iterable, TextIO
 
 from . import census as census_mod
 from . import curves as curves_mod
@@ -31,7 +32,7 @@ from .combinatorics import binomial
 from .errors import CacheError, PreconditionError, ZeroPolynomialError
 from .polynomials import format_bipoly
 from .ratios import ShiftPair, isolate_zeta
-from .search import Solution, equality_check, family_member, search
+from .search import Solution, _check_value_bits, equality_check, family_member, search
 
 FORMATS = ("json", "csv", "text")
 _MAX_DECIMAL_EXPONENT = 100_000  # 1e-100000 is a 332,000-bit denominator
@@ -145,6 +146,10 @@ def _solution_from_dict(record: object, line: int) -> Solution:
     if not ok:
         other = f"C({_digits(x - shift.a)},{_digits(y + shift.b)})"
         raise CacheError(f"C({_digits(x)},{_digits(y)}) != {other}: not a solution", line)
+    try:
+        _check_value_bits(x, y)
+    except PreconditionError as exc:
+        raise CacheError(f"C({_digits(x)},{_digits(y)}): {exc}", line) from exc
     if binomial(x, y) != value:
         raise CacheError(f"stored value does not equal C({_digits(x)},{_digits(y)})", line)
     if trivial != (value <= 1):
@@ -190,7 +195,16 @@ def _emit_json(obj, out: TextIO) -> None:
     out.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _emit_csv(header: list[str], rows: list[list[str]], out: TextIO) -> None:
+def _emit_json_array(items: Iterable, out: TextIO) -> None:
+    """Write what _emit_json writes for list(items), each item as it comes."""
+    opening = "[\n"
+    for item in items:
+        out.write(opening + "  " + json.dumps(item, indent=2).replace("\n", "\n  "))
+        opening = ",\n"
+    out.write("[]\n" if opening == "[\n" else "\n]\n")
+
+
+def _emit_csv(header: list[str], rows: Iterable[list[str]], out: TextIO) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -362,12 +376,15 @@ def _run_plot(args: argparse.Namespace, out: TextIO) -> None:
         raise PreconditionError(f"plot would isolate {sections} sections, more than {_MAX_PLOT_SECTIONS}")
     ys = (args.y_min + i * args.y_step for i in range(sections))
     branches = curves_mod.real_branches(shift, ys, width=args.precision)
-    rows = []
-    for y0, enclosures in branches:
-        for enc in enclosures:
-            rows.append([_decimal_fixed(y0), _decimal_fixed(enc.midpoint)])
+    # Rows are written as their section is isolated. The first section is
+    # isolated before anything is written, so that a nonpositive width
+    # leaves the output empty; every section is monic in x, so no later
+    # one can fail.
+    first = next(branches, None)
+    sections = branches if first is None else itertools.chain([first], branches)
+    rows = ([_decimal_fixed(y0), _decimal_fixed(enc.midpoint)] for y0, enclosures in sections for enc in enclosures)
     if args.format == "json":
-        _emit_json([{"y": r[0], "x": r[1]} for r in rows], out)
+        _emit_json_array(({"y": y, "x": x} for y, x in rows), out)
     else:
         # text and csv coincide: plot data is CSV by nature
         _emit_csv(["y", "x"], rows, out)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .combinatorics import binomial
 from .errors import PreconditionError
@@ -258,21 +258,20 @@ def real_branches(
     shift: ShiftPair,
     y_values: Iterable[Fraction | int],
     width: Fraction = Fraction(1, 10**9),
-) -> list[tuple[Fraction, list[Interval]]]:
+) -> Iterator[tuple[Fraction, list[Interval]]]:
     """Isolate the real x-branches of the curve above each requested y.
 
-    Every real root of F(x, y0) gets a rational enclosure of width at most
-    the requested one (default 1e-9); exact rational roots may come back
-    as zero-width intervals. At most a+b branches per y.
+    Yields (y0, enclosures) for each y0 in turn, isolated only when the
+    caller asks for it. Every real root of F(x, y0) gets a rational
+    enclosure of width at most the requested one (default 1e-9); exact
+    rational roots may come back as zero-width intervals. At most a+b
+    branches per y.
     """
     f = build_curve(shift)
-    out: list[tuple[Fraction, list[Interval]]] = []
     for y0 in y_values:
         y0 = Fraction(y0)
         section = _x_section(f, y0.numerator, y0.denominator)
-        roots = [Interval(lo, hi) for lo, hi in isolate_real_roots(section, width)]
-        out.append((y0, roots))
-    return out
+        yield y0, [Interval(lo, hi) for lo, hi in isolate_real_roots(section, width)]
 
 
 def lattice_points_in_box(

@@ -21,10 +21,10 @@ can only be the row's crossing m_y, the least x >= y+a+b with
 left >= right, and it is one exactly when left = right there. The
 crossing is found by exponential search from a guess (`_row_crossing`);
 any guess gives the same m_y, and a good one makes the search short.
-Solutions satisfy x - y ~ zeta * y within O(a+b) (`candidate_window`),
-and consecutive crossings move by almost the same step, so each row's
-guess is 2*m_(y-1) - m_(y-2). An exhaustive brute sweep is kept as the
-correctness oracle.
+One walk (`_row_solutions`) guesses each row's crossing from the rows
+before it, for `search` and for `census.intersect_curves`. An exhaustive
+brute sweep is kept as the correctness oracle. A solution's value C(x,y)
+is formed only within a bit budget (`_check_value_bits`).
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import perm
+from typing import Iterator
 
 from .combinatorics import binomial, falling_factorial, fibonacci
 from .errors import PreconditionError
-from .ratios import Interval, ShiftPair, bracket, zeta_poly, isolate_zeta
+from .ratios import Interval, ShiftPair, bracket, zeta_poly
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,25 @@ def candidate_window(y: int, shift: ShiftPair, zeta: Interval) -> tuple[int, int
     return lo, hi
 
 
+# The bound of _check_value_bits is 87,840 bits for family member 6 (220,628 bits), which
+# passes, and 602,069 for member 7 (about 1.5 million bits and 20 s to form), which does not.
+_MAX_VALUE_BITS = 1 << 18
+
+
+def _check_value_bits(x: int, y: int) -> None:
+    """Refuse to form C(x,y), x >= y >= 0, when it surely has over _MAX_VALUE_BITS bits.
+
+    With k = min(y, x-y) >= 1, C(x,y) = C(x,k) is the product of
+    (x-i)/(k-i) for i < k, each at least x/k, so it has at least
+    k*log2(x/k) >= k*((x//k).bit_length() - 1) bits.
+    """
+    k = min(y, x - y)
+    if k and k * ((x // k).bit_length() - 1) > _MAX_VALUE_BITS:
+        raise PreconditionError(f"a solution value over {_MAX_VALUE_BITS} bits is not formed")
+
+
 def _make_solution(x: int, y: int, shift: ShiftPair) -> Solution:
+    _check_value_bits(x, y)
     value = binomial(x, y)
     return Solution(shift, x, y, value, value <= 1)
 
@@ -155,37 +174,40 @@ def _row_crossing(y: int, shift: ShiftPair, hi: int | None, guess: int) -> tuple
     return top, top_gap == 0
 
 
-def _search_range(args: tuple[ShiftPair, int, int, Interval]) -> list[Solution]:
-    """Solutions of rows y_lo..y_hi, each row's crossing walked from the last two.
+def _row_solutions(shift: ShiftPair, y_lo: int, y_hi: int, x_max: int | None = None) -> Iterator[tuple[int, int]]:
+    """Yield (x, y) for each row y_lo..y_hi whose crossing, up to x_max, solves.
 
-    Rows y <= a start at y+a+b. The first two rows y > a of a chunk start
-    at the zeta window's lower end; after them the guess extrapolates the
-    crossings of the two rows before.
+    The first row's guess is y+a+b, the second's one above the first
+    crossing, and every later row's 2*m_(y-1) - m_(y-2). Crossings never
+    decrease in y: with R_y the ratio R of row y, for x >= y+1+a+b
+    R_(y+1)(x)/R_y(x) = (x-y-a-b)(y+1) / ((x-y)(y+b+1)) < 1, so
+    R_y(m_(y+1)) > R_(y+1)(m_(y+1)) >= 1 and m_y <= m_(y+1). The walk
+    therefore stops at the first row with no crossing up to x_max.
     """
-    shift, y_lo, y_hi, zeta = args
-    a, d = shift.a, shift.degree
-    out = []
-    last = prev = None  # crossings of the previous two rows y > a
+    last = prev = None  # crossings of the two rows before
     for y in range(y_lo, y_hi + 1):
-        if y <= a:
-            guess = y + d
-        elif prev is None:
-            guess = candidate_window(y, shift, zeta)[0]
-        else:
+        if prev is not None:
             guess = 2 * last - prev
-        x, equal = _row_crossing(y, shift, None, guess)
-        if y > a:
-            last, prev = x, last
+        else:
+            guess = y + shift.degree if last is None else last + 1
+        crossing = _row_crossing(y, shift, x_max, guess)
+        if crossing is None:
+            return
+        x, equal = crossing
+        last, prev = x, last
         if equal:
-            out.append(_make_solution(x, y, shift))
-    return out
+            yield x, y
+
+
+def _search_range(args: tuple[ShiftPair, int, int]) -> list[Solution]:
+    """Solutions of rows y_lo..y_hi; args is (shift, y_lo, y_hi)."""
+    shift, y_lo, y_hi = args
+    return [_make_solution(x, y, shift) for x, y in _row_solutions(shift, y_lo, y_hi)]
 
 
 def search(shift: ShiftPair, y_max: int, workers: int = 1) -> list[Solution]:
     """Every solution with 0 <= y <= y_max, sorted by (y, x).
 
-    The zeta interval is refined until width*(y_max+b) <= 1, so the window
-    whose lower end seeds each chunk's first crossings has width O(a+b).
     Workers > 1 split the y-range into contiguous chunks, one process
     each, never more processes than usable CPUs; each chunk is pure and
     the merge is a deterministic sort.
@@ -194,8 +216,7 @@ def search(shift: ShiftPair, y_max: int, workers: int = 1) -> list[Solution]:
         raise PreconditionError(f"search needs y_max >= 1, got {y_max}")
     if workers < 1:
         raise PreconditionError(f"search needs workers >= 1, got {workers}")
-    zeta = isolate_zeta(shift, Fraction(1, y_max + shift.b))
-    args = [(shift, lo, hi, zeta) for lo, hi in _chunk_ranges(y_max, workers)]
+    args = [(shift, lo, hi) for lo, hi in _chunk_ranges(y_max, workers)]
     if len(args) == 1:
         results = [_search_range(args[0])]
     else:

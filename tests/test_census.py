@@ -1,9 +1,10 @@
+import importlib
 import json
 import math
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pascalrepeats.census import (
@@ -16,6 +17,8 @@ from pascalrepeats.census import (
 from pascalrepeats.errors import PreconditionError
 from pascalrepeats.ratios import ShiftPair
 from pascalrepeats.search import equality_check
+
+search_mod = importlib.import_module("pascalrepeats.search")
 
 
 def tally_census(t_max: int) -> dict[int, set[tuple[int, int]]]:
@@ -218,25 +221,69 @@ def test_intersect_curves_known_crossing():
         assert equality_check(x, y, ShiftPair(110, 2))
 
 
+def double_filter(s1: ShiftPair, s2: ShiftPair, x_max: int) -> list[tuple[int, int]]:
+    """Oracle: every (x,y) of the box that solves both equations, sorted by (y, x)."""
+    return sorted(
+        (
+            (x, y)
+            for x in range(x_max + 1)
+            for y in range(x + 1)
+            if equality_check(x, y, s1) and equality_check(x, y, s2)
+        ),
+        key=lambda p: (p[1], p[0]),
+    )
+
+
 def test_intersect_curves_matches_direct_double_filter():
-    # large-a pairs: most of the box lies in rows y <= a, where the row solver gallops
+    # large-a pairs: the walk ends after a few rows, the first ones y <= a
     for s1, s2, x_max in [
         (ShiftPair(1, 1), ShiftPair(1, 3), 300),
         (ShiftPair(63, 3), ShiftPair(64, 4), 200),
         (ShiftPair(63, 3), ShiftPair(64, 4), 78),  # the crossing (78,2) sits on the bound
         (ShiftPair(104, 1), ShiftPair(110, 2), 200),
     ]:
-        got = intersect_curves(s1, s2, x_max)
-        want = sorted(
-            (
-                (x, y)
-                for x in range(x_max + 1)
-                for y in range(x + 1)
-                if equality_check(x, y, s1) and equality_check(x, y, s2)
-            ),
-            key=lambda p: (p[1], p[0]),
-        )
-        assert got == want
+        assert intersect_curves(s1, s2, x_max) == double_filter(s1, s2, x_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a1=st.integers(1, 8),
+    b1=st.integers(1, 8),
+    a2=st.integers(1, 8),
+    b2=st.integers(1, 8),
+    x_max=st.integers(1, 150),
+)
+def test_intersect_curves_is_the_double_filter(a1, b1, a2, b2, x_max):
+    s1, s2 = ShiftPair(a1, b1), ShiftPair(a2, b2)
+    assume(s1 != s2)
+    assert intersect_curves(s1, s2, x_max) == double_filter(s1, s2, x_max)
+
+
+def test_intersect_walk_stops_at_the_first_row_without_a_crossing(monkeypatch):
+    # An evaluation is one left side ff(x-y, 2) of the first shift (1,1).
+    # Crossings never decrease in y, so the walk ends at the first row
+    # whose crossing lies beyond x_max.
+    evaluations = 0
+    rows = []
+    crossing = search_mod._row_crossing
+
+    def counting_perm(n, k):
+        nonlocal evaluations
+        evaluations += k == 2
+        return math.perm(n, k)
+
+    def recording_crossing(y, shift, hi, guess):
+        result = crossing(y, shift, hi, guess)
+        rows.append((y, result is None))
+        return result
+
+    monkeypatch.setattr(search_mod, "perm", counting_perm)
+    monkeypatch.setattr(search_mod, "_row_crossing", recording_crossing)
+    intersect_curves(ShiftPair(1, 1), ShiftPair(1, 3), 3000)
+    assert [y for y, _ in rows] == list(range(len(rows)))
+    assert [none for _, none in rows] == [False] * (len(rows) - 1) + [True]
+    assert len(rows) < 1200  # m_y is about (1 + golden ratio) * y
+    assert evaluations <= 3 * len(rows)
 
 
 def test_intersect_curves_rejects_equal_shifts():

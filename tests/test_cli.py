@@ -448,6 +448,14 @@ def test_verify_rejects_boolean_shift_components(tmp_path):
     assert err.startswith("error: line 1: malformed record fields") and err.count("\n") == 1
 
 
+def test_verify_refuses_a_member_seven_record_before_forming_its_value(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_mod, "binomial", lambda n, k: pytest.fail("formed a value"))
+    record = {"a": 1, "b": 1, "x": "1576239", "y": "602069", "value": "1", "trivial": True}
+    code, out, err = _verify_one_record(tmp_path, record)
+    assert (code, out) == (1, "")
+    assert err == "error: line 1: C(1576239,602069): a solution value over 262144 bits is not formed\n"
+
+
 def test_search_cache_flag_then_verify_command(tmp_path):
     path = tmp_path / "cache.jsonl"
     code, _, _ = run_cli(["search", "--a", "1", "--b", "1", "--y-max", "60", "--cache", str(path)])
@@ -574,3 +582,32 @@ def test_verify_integer_fields_stay_exact(digit_limit, tmp_path):
     path.write_text(json.dumps({**good, "x": over_limit, "y": "0", "value": "1"}) + "\n")
     code, _, err = run_cli(["verify", "--cache", str(path)])
     assert code == 1 and err.startswith("error: line 1:") and "not a solution" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+def test_plot_writes_each_section_before_isolating_the_next(fmt, monkeypatch):
+    out = io.StringIO()
+    written = []  # the output at each section's isolation
+    isolate = curves_mod.isolate_real_roots
+
+    def recording_isolate(section, width):
+        written.append(out.getvalue())
+        return isolate(section, width)
+
+    def rows(text):
+        return text.count('"y": ') if fmt == "json" else max(text.count("\n") - 1, 0)
+
+    monkeypatch.setattr(curves_mod, "isolate_real_roots", recording_isolate)
+    args = build_parser().parse_args(["plot", "--a", "1", "--b", "1", "--y-min", "0", "--y-max", "3", "--format", fmt])
+    assert dispatch(args, out) == 0
+    # two branches above each of y = 0..3; nothing is written before the first section
+    assert written[0] == ""
+    assert [rows(text) for text in written] == [0, 2, 4, 6]
+    assert rows(out.getvalue()) == 8
+
+
+def test_plot_json_streams_what_json_dumps_writes():
+    for argv in (["--y-min", "0", "--y-max", "3"], ["--y-min", "2", "--y-max", "2"], ["--y-min", "3", "--y-max", "1"]):
+        code, out, _ = run_cli(["plot", "--a", "1", "--b", "1", *argv, "--format", "json"])
+        assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert run_cli(["plot", "--a", "1", "--b", "1", "--y-min", "3", "--y-max", "1", "--format", "json"])[1] == "[]\n"

@@ -148,11 +148,10 @@ def test_search_is_the_reference_sweep(workers):
 
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (6, 1), (63, 3)])
 def test_every_chunk_start_gives_the_reference_rows(a, b):
-    # a pool chunk starts cold: rows y <= a from y+a+b, then the window
+    # a pool chunk starts cold: its first row from y+a+b, its second just above the first crossing
     shift = ShiftPair(a, b)
     y_max = 400
-    zeta = isolate_zeta(shift, Fraction(1, y_max + b))
     want = reference_search(shift, y_max)
     for start in sorted({0, 1, a - 1, a, a + 1, a + 2, 104 - a, 272, 273, y_max}):
-        got = [(s.x, s.y) for s in search_mod._search_range((shift, start, y_max, zeta))]
+        got = [(s.x, s.y) for s in search_mod._search_range((shift, start, y_max))]
         assert got == [(x, y) for x, y in want if y >= start], start

@@ -243,6 +243,27 @@ def test_row_walk_costs_at_most_three_evaluations_per_row(a, b, y_max, monkeypat
     assert evaluations <= 3 * (y_max + 1)
 
 
+def test_value_bit_budget_admits_member_six_and_refuses_member_seven(monkeypatch):
+    # neither value is formed: member 6 alone takes about 0.7 s, member 7 about 20 s
+    monkeypatch.setattr(search_mod, "binomial", lambda n, k: pytest.fail("formed a value"))
+    x, y = (v + 1 for v in search_mod._family_nk(6))
+    assert (x, y) == (229970, 87840)
+    search_mod._check_value_bits(x, y)
+    x, y = (v + 1 for v in search_mod._family_nk(7))
+    assert (x, y) == (1576239, 602069)
+    with pytest.raises(PreconditionError, match="over 262144 bits"):
+        search_mod._check_value_bits(x, y)
+    with pytest.raises(PreconditionError, match="over 262144 bits"):
+        search_mod._make_solution(x, y, ShiftPair(1, 1))
+
+
+def test_value_bit_budget_is_silent_on_edges_and_small_values():
+    for x, y in [(0, 0), (5, 0), (5, 5), (10**30, 1), (10**30, 10**30 - 1), (400_000, 200_000)]:
+        search_mod._check_value_bits(x, y)
+    with pytest.raises(PreconditionError):
+        search_mod._check_value_bits(10**30, 20_000)
+
+
 def test_search_perturbed_neighbors_are_rejected():
     # a solution's immediate neighbors never solve the equation
     shift = ShiftPair(1, 1)
