@@ -181,4 +181,4 @@ def intersect_curves(s1: ShiftPair, s2: ShiftPair, x_max: int) -> list[tuple[int
         raise PreconditionError("intersect_curves needs two distinct shifts")
     if x_max < 1:
         raise PreconditionError(f"intersect_curves needs x_max >= 1, got {x_max}")
-    return [(x, y) for x, y in _row_solutions(s1, 0, x_max, x_max) if equality_check(x, y, s2)]
+    return [(x, y) for x, y in _row_solutions(s1, x_max, x_max) if equality_check(x, y, s2)]

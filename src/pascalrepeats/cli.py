@@ -7,8 +7,9 @@ to standard output in json, csv, or text form; diagnostics go to standard
 error. Exit status is 0 on success; 1 on a domain or cache error, with
 one "error:" line; 2 on a usage error, which argparse reports, an
 unparseable integer or rational included, and a decimal exponent beyond
-+-100000. Identical invocations produce byte-identical output regardless
-of worker count. Any number that may exceed 64 bits is serialized as a
++-100000. Identical invocations produce byte-identical output; every
+search runs in one process, and its --workers value is checked but
+selects nothing. Any number that may exceed 64 bits is serialized as a
 decimal string, rendered and parsed through Decimal so that Python's
 int-to-string digit limit never applies.
 """
@@ -260,7 +261,10 @@ def _run_zeta(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def _run_search(args: argparse.Namespace, out: TextIO) -> None:
-    solutions = search(ShiftPair(args.a, args.b), args.y_max, workers=args.workers)
+    shift = ShiftPair(args.a, args.b)
+    if args.workers < 1:
+        raise PreconditionError(f"search needs workers >= 1, got {args.workers}")
+    solutions = search(shift, args.y_max)
     if args.cache is not None:
         append_solutions(args.cache, solutions)
     _emit_solutions(solutions, args.format, out)
@@ -434,7 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--y-max", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1, help="accepted and checked (>= 1) but unused: every search runs in one process"
+    )
     p.add_argument("--cache", type=str, default=None, help="append solutions to this JSON-lines file")
     add_format(p)
     p.set_defaults(run=_run_search)

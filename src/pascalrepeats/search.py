@@ -29,8 +29,8 @@ is formed only within a bit budget (`_check_value_bits`).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import perm
 from typing import Iterator
@@ -67,7 +67,8 @@ class FamilyMember:
 def equality_check(x: int, y: int, shift: ShiftPair) -> bool:
     """Exact test of C(x,y) = C(x-a,y+b) without computing either side."""
     if x < y or y < 0:
-        raise PreconditionError(f"equality_check needs x >= y >= 0, got x={x}, y={y}")
+        # through Decimal, which Python's int-to-string digit limit does not apply to
+        raise PreconditionError(f"equality_check needs x >= y >= 0, got x={Decimal(x)}, y={Decimal(y)}")
     if x - shift.a < y + shift.b:
         # right side is 0 while C(x,y) >= 1
         return False
@@ -174,8 +175,8 @@ def _row_crossing(y: int, shift: ShiftPair, hi: int | None, guess: int) -> tuple
     return top, top_gap == 0
 
 
-def _row_solutions(shift: ShiftPair, y_lo: int, y_hi: int, x_max: int | None = None) -> Iterator[tuple[int, int]]:
-    """Yield (x, y) for each row y_lo..y_hi whose crossing, up to x_max, solves.
+def _row_solutions(shift: ShiftPair, y_max: int, x_max: int | None = None) -> Iterator[tuple[int, int]]:
+    """Yield (x, y) for each row 0..y_max whose crossing, up to x_max, solves.
 
     The first row's guess is y+a+b, the second's one above the first
     crossing, and every later row's 2*m_(y-1) - m_(y-2). Crossings never
@@ -185,7 +186,7 @@ def _row_solutions(shift: ShiftPair, y_lo: int, y_hi: int, x_max: int | None = N
     therefore stops at the first row with no crossing up to x_max.
     """
     last = prev = None  # crossings of the two rows before
-    for y in range(y_lo, y_hi + 1):
+    for y in range(y_max + 1):
         if prev is not None:
             guess = 2 * last - prev
         else:
@@ -199,57 +200,11 @@ def _row_solutions(shift: ShiftPair, y_lo: int, y_hi: int, x_max: int | None = N
             yield x, y
 
 
-def _search_range(args: tuple[ShiftPair, int, int]) -> list[Solution]:
-    """Solutions of rows y_lo..y_hi; args is (shift, y_lo, y_hi)."""
-    shift, y_lo, y_hi = args
-    return [_make_solution(x, y, shift) for x, y in _row_solutions(shift, y_lo, y_hi)]
-
-
-def search(shift: ShiftPair, y_max: int, workers: int = 1) -> list[Solution]:
-    """Every solution with 0 <= y <= y_max, sorted by (y, x).
-
-    Workers > 1 split the y-range into contiguous chunks, one process
-    each, never more processes than usable CPUs; each chunk is pure and
-    the merge is a deterministic sort.
-    """
+def search(shift: ShiftPair, y_max: int) -> list[Solution]:
+    """Every solution with 0 <= y <= y_max, in increasing y; a row holds at most one."""
     if y_max < 1:
         raise PreconditionError(f"search needs y_max >= 1, got {y_max}")
-    if workers < 1:
-        raise PreconditionError(f"search needs workers >= 1, got {workers}")
-    args = [(shift, lo, hi) for lo, hi in _chunk_ranges(y_max, workers)]
-    if len(args) == 1:
-        results = [_search_range(args[0])]
-    else:
-        from multiprocessing import Pool  # here, so that a serial search never loads it
-
-        with Pool(processes=len(args)) as pool:
-            results = pool.map(_search_range, args)
-    merged = [s for part in results for s in part]
-    return sorted(merged, key=Solution.key)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _chunk_ranges(y_max: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous ranges covering 0..y_max, one per process.
-
-    There are at most as many ranges as workers asked for, rows, and CPUs
-    this process may run on.
-    """
-    n = y_max + 1
-    parts = max(1, min(workers, n, _usable_cpus()))
-    size, extra = divmod(n, parts)
-    out = []
-    start = 0
-    for i in range(parts):
-        end = start + size - 1 + (1 if i < extra else 0)
-        out.append((start, end))
-        start = end + 1
-    return out
+    return [_make_solution(x, y, shift) for x, y in _row_solutions(shift, y_max)]
 
 
 def brute_search(shift: ShiftPair, x_max: int) -> list[Solution]:

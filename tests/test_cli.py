@@ -611,3 +611,13 @@ def test_plot_json_streams_what_json_dumps_writes():
         code, out, _ = run_cli(["plot", "--a", "1", "--b", "1", *argv, "--format", "json"])
         assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
     assert run_cli(["plot", "--a", "1", "--b", "1", "--y-min", "3", "--y-max", "1", "--format", "json"])[1] == "[]\n"
+
+
+def test_verify_reports_a_record_outside_the_domain_past_the_digit_limit(digit_limit, tmp_path):
+    x = "1" + "0" * 5000
+    record = {"a": 1, "b": 1, "x": x, "y": "-1", "value": "1", "trivial": True}
+    code, out, err = _verify_one_record(tmp_path, record)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: line 1: record outside the solution domain: equality_check needs x >= y >= 0, got x={x}, y=-1\n"
+    )

@@ -8,14 +8,16 @@ fine zeta, plot and degree-9 certificate rows before bisect_root took
 its Newton cell and unipoly_gcd its modular test. The two refusals after
 them print nothing: a decimal exponent beyond the parser's bound is a
 usage error (exit 2), and more than a million plot sections a domain
-error (exit 1). The pool searches and the intersection of (63,3) and
-(64,4) were recorded before each row's crossing was walked from the
-rows before it: with two CPUs the second chunk of each search starts
-cold, at y = 251, at the solution row y = 272, and inside the rows
-y <= a. The family index beyond 6 is refused before any member is
-formed. A change that alters any byte of output or any exit
-status fails here. "{cache}" stands for a solution cache that the search
-row with --cache writes, and that the verify rows read.
+error (exit 1). The searches with --workers and the intersection of
+(63,3) and (64,4) were recorded before each row's crossing was walked
+from the rows before it, while --workers still split the rows among
+processes: with two CPUs the second chunk of each search started cold,
+at y = 251, at the solution row y = 272, and inside the rows y <= a.
+Every search now runs in one process. The family index beyond 6 is
+refused before any member is formed. A change that alters any byte of
+output or any exit status fails here. "{cache}" stands for a solution
+cache that the search row with --cache writes, and that the verify rows
+read.
 """
 
 import hashlib
