@@ -38,6 +38,9 @@ from .search import Solution, _check_value_bits, equality_check, family_member, 
 FORMATS = ("json", "csv", "text")
 _MAX_DECIMAL_EXPONENT = 100_000  # 1e-100000 is a 332,000-bit denominator
 _MAX_PLOT_SECTIONS = 1_000_000
+# the cost of search's proved blocks grows with y_max's bit length: to y_max = 2^256 - 1
+# every shift with a+b <= 8 other than (1,1) took at most 0.8 s on 2 CPUs, to 2^384 2.4 s
+_MAX_SEARCH_Y_BITS = 256
 # member 6 has 220,628 bits and takes about 0.7 s; each further one costs about 30 times more
 _MAX_FAMILY_INDEX = 6
 
@@ -264,6 +267,8 @@ def _run_search(args: argparse.Namespace, out: TextIO) -> None:
     shift = ShiftPair(args.a, args.b)
     if args.workers < 1:
         raise PreconditionError(f"search needs workers >= 1, got {args.workers}")
+    if args.y_max >= 1 << _MAX_SEARCH_Y_BITS:
+        raise PreconditionError(f"search --y-max must be below 2^{_MAX_SEARCH_Y_BITS}")
     solutions = search(shift, args.y_max)
     if args.cache is not None:
         append_solutions(args.cache, solutions)
@@ -437,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="all solutions with y up to a bound")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--y-max", type=int, required=True)
+    p.add_argument("--y-max", type=int, required=True, help=f"largest y, below 2^{_MAX_SEARCH_Y_BITS}")
     p.add_argument(
         "--workers", type=int, default=1, help="accepted and checked (>= 1) but unused: every search runs in one process"
     )

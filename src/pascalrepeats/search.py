@@ -9,22 +9,75 @@ ff one `math.perm` call (`combinatorics.falling_factorial`). It is
 equivalent to the binomial equation whenever x >= y >= 0 and
 x-a >= y+b >= 0, and decides the remaining cases by sign alone.
 
-One row solver finds every solution. Below x = y+a+b the right-hand
+Each row holds at most one solution. Below x = y+a+b the right-hand
 binomial vanishes, so no solution exists there. From x = y+a+b on, the
 ratio of the left side to the right side is R(x) = C(x-a,y+b)/C(x,y),
 and with X = x+1
 
     R(x+1)/R(x) - 1 = (bX + ay) / ((X-y-a-b) X) > 0,
 
-so R increases strictly in x and each row has at most one solution: it
-can only be the row's crossing m_y, the least x >= y+a+b with
-left >= right, and it is one exactly when left = right there. The
-crossing is found by exponential search from a guess (`_row_crossing`);
-any guess gives the same m_y, and a good one makes the search short.
-One walk (`_row_solutions`) guesses each row's crossing from the rows
-before it, for `search` and for `census.intersect_curves`. An exhaustive
-brute sweep is kept as the correctness oracle. A solution's value C(x,y)
-is formed only within a bit budget (`_check_value_bits`).
+so R increases strictly in x, and a solution can only be the row's
+crossing m_y, the least x >= y+a+b with left >= right; it is one exactly
+when left = right there. The crossing is found by exponential search
+from a guess (`_row_crossing`); any guess gives the same m_y, and a good
+one makes the search short. One walk (`_row_solutions`) guesses each
+row's crossing from the rows before it. `census.intersect_curves` walks
+every row; `search` walks only its first rows and falls back on the walk.
+
+The same holds for real x. Write F(x,y) = left - right. For real
+x > y+a+b-1 every factor of both sides is positive, and
+
+    d/dx log(left/right) = sum_(i<a+b) 1/(x-y-i) - sum_(i<a) 1/(x-i) > 0,
+
+since each of the first a terms is at least its partner 1/(x-i) and b
+positive terms remain. log(left/right) tends to -inf as x falls to
+y+a+b-1 and to +inf as x grows, so row y has exactly one real crossing
+phi(y) > y+a+b-1, with F < 0 left of it and F > 0 right of it. Then
+m_y = ceil(phi(y)), and row y holds a solution iff phi(y) is an integer.
+As phi(y) = (1+zeta)y + c + O(1/y), over a block of rows phi stays in a
+thin strip about a line.
+
+Above its first rows (`_TUBE_START`, more for large a+b), `search`
+covers the rows in blocks [y0, y1] that double in size
+(`_tube_solutions`). For each block it takes two lines
+L(y) = (P*y + Q_L)/M and U(y) = (P*y + Q_U)/M with M = 2^k, and proves
+L(y) < phi(y) < U(y) for every real y in the block by three exact
+checks (`_block_solutions`):
+
+  - L(y) > y+a+b-1 at y0 and at y1, hence on the whole block;
+  - M^(a+b) * F(L(y), y) has no root in [y0, y1] and is negative there,
+    so L(y) < phi(y);
+  - M^(a+b) * F(U(y), y) has no root in [y0, y1] and is positive there,
+    so U(y) > phi(y).
+
+Along a line every factor of the product form, times M, is linear in y.
+After the Moebius map y = (y0 + y1*t)/(1+t), which takes t in [0, +inf]
+onto [y0, y1], each factor f becomes (f(y0) + f(y1)*t)/(1+t), so
+(1+t)^(a+b) * M^(a+b) * F is a difference of two products of such
+linear terms (`_line_sign`). Its sign on t >= 0 is settled by Descartes'
+rule of signs, and by a Sturm count only when the coefficients change
+sign (`polynomials.positive_axis_sign`; Vincent's theorem, as used by
+Collins and Akritas, 1976).
+
+In a proved block a solution can lie only on a row where an integer
+fits strictly between L and U. With W = Q_U - Q_L < M, those are the
+rows with (P*y + Q_L) mod M > M - W, and the integer is floor(L(y)) + 1.
+A Euclid-like recursion finds the least such row from any start in
+O(k) steps (`_least_row`), and `equality_check` decides each candidate.
+
+The lines come from phi at y0, at y1 and at the middle row, each taken
+to 2^-k by `bisect_root` on [m_y - 1, m_y], with k = 2*bits(y1) + 24:
+the chord through the ends, widened on both sides by twice the sagitta
+at the middle row and by the rounding. The choice affects only the
+cost; correctness rests on the three checks, and no float enters. A
+failed proof halves the block, and a block of fewer than 16 rows is
+walked. So `search` costs O(log y_max) block proofs plus its candidate
+rows, and the walk remains both its fallback and its reference.
+
+An exhaustive brute sweep is kept as the correctness oracle. A
+solution's value C(x,y) is formed only within a bit budget
+(`_check_value_bits`), and `equality_check` forms its products only
+within another (`_MAX_PRODUCT_BITS`).
 """
 
 from __future__ import annotations
@@ -33,10 +86,11 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import perm
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .combinatorics import binomial, falling_factorial, fibonacci
 from .errors import PreconditionError
+from .polynomials import UniPoly, bisect_root, positive_axis_sign
 from .ratios import Interval, ShiftPair, bracket, zeta_poly
 
 
@@ -64,14 +118,26 @@ class FamilyMember:
     value: int
 
 
+# Each product equality_check forms has at most (a+b)*bits(x) bits; on 2 CPUs a 2^20-bit
+# math.perm takes about 0.15 s, and the cache records of the benchmark stay under 2^12 bits.
+_MAX_PRODUCT_BITS = 1 << 20
+
+
 def equality_check(x: int, y: int, shift: ShiftPair) -> bool:
-    """Exact test of C(x,y) = C(x-a,y+b) without computing either side."""
+    """Exact test of C(x,y) = C(x-a,y+b) without computing either side.
+
+    The sides ff(x-y, a+b) and ff(x, a)*ff(y+b, b) have at most
+    (a+b)*bits(x) bits when x-a >= y+b; a test past _MAX_PRODUCT_BITS is
+    refused before any product is formed.
+    """
     if x < y or y < 0:
         # through Decimal, which Python's int-to-string digit limit does not apply to
         raise PreconditionError(f"equality_check needs x >= y >= 0, got x={Decimal(x)}, y={Decimal(y)}")
     if x - shift.a < y + shift.b:
         # right side is 0 while C(x,y) >= 1
         return False
+    if shift.degree * x.bit_length() > _MAX_PRODUCT_BITS:
+        raise PreconditionError(f"equality_check does not form products of over {_MAX_PRODUCT_BITS} bits")
     right = falling_factorial(x, shift.a) * falling_factorial(y + shift.b, shift.b)
     return falling_factorial(x - y, shift.degree) == right
 
@@ -175,8 +241,10 @@ def _row_crossing(y: int, shift: ShiftPair, hi: int | None, guess: int) -> tuple
     return top, top_gap == 0
 
 
-def _row_solutions(shift: ShiftPair, y_max: int, x_max: int | None = None) -> Iterator[tuple[int, int]]:
-    """Yield (x, y) for each row 0..y_max whose crossing, up to x_max, solves.
+def _row_solutions(
+    shift: ShiftPair, y_max: int, x_max: int | None = None, y_lo: int = 0
+) -> Iterator[tuple[int, int]]:
+    """Yield (x, y) for each row y_lo..y_max whose crossing, up to x_max, solves.
 
     The first row's guess is y+a+b, the second's one above the first
     crossing, and every later row's 2*m_(y-1) - m_(y-2). Crossings never
@@ -186,7 +254,7 @@ def _row_solutions(shift: ShiftPair, y_max: int, x_max: int | None = None) -> It
     therefore stops at the first row with no crossing up to x_max.
     """
     last = prev = None  # crossings of the two rows before
-    for y in range(y_max + 1):
+    for y in range(y_lo, y_max + 1):
         if prev is not None:
             guess = 2 * last - prev
         else:
@@ -200,11 +268,167 @@ def _row_solutions(shift: ShiftPair, y_max: int, x_max: int | None = None) -> It
             yield x, y
 
 
+_TUBE_START = 256  # rows below it are walked; the first block has this many rows
+# A block's proof costs about (a+b)^2 big-integer products and walking a row three C-level
+# perm calls; on 2 CPUs they break even at blocks of about 32*(a+b) rows.
+_TUBE_ROWS_PER_DEGREE = 32
+_TUBE_MIN_ROWS = 16  # a block with fewer rows is walked
+_TUBE_GUARD_BITS = 24  # bits of the lines beyond twice the bit length of the block's last row
+
+
+def _linear_product(pairs: Iterable[tuple[int, int]]) -> UniPoly:
+    """The product of the linear polynomials u + v*t, ascending coefficients."""
+    out = [1]
+    for u, v in pairs:
+        out = [u * out[0]] + [u * out[i] + v * out[i - 1] for i in range(1, len(out))] + [v * out[-1]]
+    return UniPoly(out)
+
+
+def _crossing_point(y: int, shift: ShiftPair, guess: int, bits: int) -> tuple[int, int]:
+    """Row y's integer crossing m and about 2^bits * phi(y), for the real crossing phi(y) in [m-1, m]."""
+    m, equal = _row_crossing(y, shift, None, guess)
+    if equal:
+        return m, m << bits
+    left = _linear_product((-y - i, 1) for i in range(shift.degree))
+    right = _linear_product((-i, 1) for i in range(shift.a)) * perm(y + shift.b, shift.b)
+    lo, _ = bisect_root(left - right, Fraction(m - 1), Fraction(m), Fraction(1, 1 << bits))
+    return m, (lo.numerator << bits) // lo.denominator
+
+
+def _line_sign(shift: ShiftPair, p: int, q: int, big_m: int, y0: int, y1: int) -> int:
+    """The proved sign of F((p*y + q)/big_m, y) on every real y in [y0, y1], or 0.
+
+    Each factor of the product form, times big_m, is linear in y; after
+    y = (y0 + y1*t)/(1+t) it is (f(y0) + f(y1)*t)/(1+t). Both sides have
+    a+b factors, so H(t) = (1+t)^(a+b) * big_m^(a+b) * F is the difference
+    of two products of (f(y0) + f(y1)*t), and H(0) and the t^(a+b)
+    coefficient are the values at y0 and y1.
+    """
+    a, b, d = shift.a, shift.b, shift.degree
+
+    def ends(u: int, v: int) -> tuple[int, int]:  # the factor u*y + v at y0 and y1
+        return u * y0 + v, u * y1 + v
+
+    left = _linear_product(ends(p - big_m, q - big_m * i) for i in range(d))
+    right = _linear_product(
+        [ends(p, q - big_m * i) for i in range(a)] + [ends(big_m, big_m * j) for j in range(1, b + 1)]
+    )
+    h = left - right
+    return positive_axis_sign(h) if h.degree == d else 0
+
+
+def _least_row(p: int, q: int, m: int, lo: int, hi: int) -> int | None:
+    """Least z >= 0 with lo <= (p*z + q) mod m <= hi, for 0 <= lo <= hi < m; None if none.
+
+    Subtracting q turns the target into a cyclic range for p*z mod m; one
+    that wraps past m-1 holds 0, and z = 0. Otherwise, with 0 <= p < m:
+    if lo = 0, z = 0. If p > m/2, mirror: p*z mod m lies in [lo, hi]
+    (lo >= 1) exactly when (m-p)*z mod m lies in [m-hi, m-lo]. If a
+    multiple p*z lies in [lo, hi] itself, the least is z = ceil(lo/p).
+    Otherwise [lo, hi] lies strictly between two multiples of p, and the
+    least z has p*z = m*w + v with v in [lo, hi] and w >= 1 least such
+    that some multiple of p lies in [m*w + lo, m*w + hi], that is with
+    (-m)*w mod p in [lo mod p, hi mod p]: the same problem with (p, m)
+    replaced by ((-m) mod p, p), at most half the modulus. Then
+    z = ceil((m*w + lo)/p).
+    """
+    lo, hi = (lo - q) % m, (lo - q) % m + hi - lo
+    if hi >= m:
+        return 0
+    p %= m
+    frames = []
+    while True:
+        if lo == 0:
+            z = 0
+            break
+        if p == 0:
+            return None
+        if 2 * p > m:
+            p, lo, hi = m - p, m - hi, m - lo
+        z = -(-lo // p)
+        if p * z <= hi:
+            break
+        frames.append((m, lo, p))
+        p, m, lo, hi = -m % p, p, lo % p, hi % p
+    for m, lo, p in reversed(frames):
+        z = -(-(m * z + lo) // p)
+    return z
+
+
+def _rows_between(p: int, q_lo: int, q_hi: int, m: int, y0: int, y1: int) -> Iterator[tuple[int, int]]:
+    """(x, y) for each row y0..y1 with an integer x strictly between (p*y + q_lo)/m and (p*y + q_hi)/m.
+
+    For 1 < q_hi - q_lo = w < m there is at most one such x, floor of the
+    lower end plus one, and it exists exactly when (p*y + q_lo) mod m > m - w.
+    """
+    w = q_hi - q_lo
+    y = y0
+    while True:
+        z = _least_row(p, p * y + q_lo, m, m - w + 1, m - 1)
+        if z is None or y + z > y1:
+            return
+        y += z
+        yield (p * y + q_lo) // m + 1, y
+        y += 1
+
+
+def _block_solutions(shift: ShiftPair, y0: int, y1: int, known: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
+    """The solutions in rows y0..y1 from a proved tube, or None when the proof fails.
+
+    known holds the rows and integer crossings found so far, most recent
+    last; each new crossing is guessed from the last two and appended.
+    """
+    d = shift.degree
+    k = 2 * y1.bit_length() + _TUBE_GUARD_BITS
+    big_m = 1 << k
+    ym = (y0 + y1) // 2
+    scaled = []  # about big_m * phi(y) at y0, ym and y1
+    for y in (y0, ym, y1):
+        guess = y + d
+        if len(known) > 1:
+            (ya, ma), (yb, mb) = known[-2:]
+            guess = mb + (mb - ma) * (y - yb) // (yb - ya)
+        m, phi = _crossing_point(y, shift, guess, k)
+        known.append((y, m))
+        scaled.append(phi)
+    f0, fm, f1 = scaled
+    p = (f1 - f0) // (y1 - y0)
+    q = f0 - p * y0
+    margin = 2 * abs(fm - p * ym - q) + 4 * (y1 - y0) + 32
+    q_lo, q_hi = q - margin, q + margin
+    width = q_hi - q_lo
+    if width >= big_m or any(p * y + q_lo <= big_m * (y + d - 1) for y in (y0, y1)):
+        return None
+    if _line_sign(shift, p, q_lo, big_m, y0, y1) != -1 or _line_sign(shift, p, q_hi, big_m, y0, y1) != 1:
+        return None
+    return [(x, y) for x, y in _rows_between(p, q_lo, q_hi, big_m, y0, y1) if equality_check(x, y, shift)]
+
+
+def _tube_solutions(shift: ShiftPair, y_max: int, y_start: int | None = None) -> Iterator[tuple[int, int]]:
+    """Yield (x, y) for each solution row 0..y_max: rows below y_start walked, then proved blocks."""
+    if y_start is None:
+        y_start = max(_TUBE_START, _TUBE_ROWS_PER_DEGREE * shift.degree)
+    yield from _row_solutions(shift, min(y_max, y_start - 1))
+    known: list[tuple[int, int]] = []
+    y0, size = y_start, y_start
+    while y0 <= y_max:
+        y1 = min(y0 + size - 1, y_max)
+        if y1 - y0 + 1 < _TUBE_MIN_ROWS:
+            found = _row_solutions(shift, y1, y_lo=y0)
+        else:
+            found = _block_solutions(shift, y0, y1, known)
+            if found is None:
+                size = (y1 - y0 + 1) // 2
+                continue
+        yield from found
+        y0, size = y1 + 1, 2 * size
+
+
 def search(shift: ShiftPair, y_max: int) -> list[Solution]:
     """Every solution with 0 <= y <= y_max, in increasing y; a row holds at most one."""
     if y_max < 1:
         raise PreconditionError(f"search needs y_max >= 1, got {y_max}")
-    return [_make_solution(x, y, shift) for x, y in _row_solutions(shift, y_max)]
+    return [_make_solution(x, y, shift) for x, y in _tube_solutions(shift, y_max)]
 
 
 def brute_search(shift: ShiftPair, x_max: int) -> list[Solution]:

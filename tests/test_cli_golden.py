@@ -14,7 +14,11 @@ from the rows before it, while --workers still split the rows among
 processes: with two CPUs the second chunk of each search started cold,
 at y = 251, at the solution row y = 272, and inside the rows y <= a.
 Every search now runs in one process. The family index beyond 6 is
-refused before any member is formed. A change that alters any byte of
+refused before any member is formed. The two searches to y = 10^30 were
+recorded when proved blocks of rows first replaced the walk above its
+first rows; they print only the trivial row y = 0, and the walk finds no
+other solution of either shift up to y = 10^6. A y_max of 2^256 is refused before any row
+is searched. A change that alters any byte of
 output or any exit status fails here. "{cache}" stands for a solution
 cache that the search row with --cache writes, and that the verify rows
 read.
@@ -91,6 +95,9 @@ GOLDEN = [
     ("search --a 63 --b 3 --y-max 100 --workers 2 --format csv", 0, "e9e04c3f8f5fc303045a80dd5f7c3789646e7b06fbcc2c0d8f475b41fc3be4a1"),
     ("intersect --a1 63 --b1 3 --a2 64 --b2 4 --x-max 80", 0, "06c76ae96a295a219072f66fac713c09346257ac0bdc79b4c0bf2c20c72ac04c"),
     ("family --i-max 7", 1, EMPTY),
+    ("search --a 1 --b 2 --y-max 1000000000000000000000000000000", 0, "6fdd3bc11cf61d864367e9788e7d46f2f208ca6a9accfca4382e83e1bcf9d5cc"),
+    ("search --a 2 --b 3 --y-max 1000000000000000000000000000000", 0, "d56ff14338ef53c4253fd3f810eefd15b72bca8269e21983d960dd64b726468e"),
+    ("search --a 2 --b 3 --y-max 115792089237316195423570985008687907853269984665640564039457584007913129639936", 1, EMPTY),
 ]
 
 

@@ -1,9 +1,10 @@
 """The row walk against the window bisection it replaced.
 
-search finds each row's crossing, the least x >= y+a+b where the product
-form's left side reaches its right side, by exponential search from a
-guess extrapolated from the two rows before, and reads the row's
-solution off it. The reference below is the solver that ran before: the
+The row walk finds each row's crossing, the least x >= y+a+b where the
+product form's left side reaches its right side, by exponential search
+from a guess extrapolated from the two rows before, and reads the row's
+solution off it; search walks its first rows and proves blocks of rows
+above them. The reference below is the solver that ran before: the
 zeta window of every row y > a bisected on the product sides, and a
 gallop from y+a+b for rows y <= a. The crossing itself is checked against
 its definition on the binomials, C(x-a,y+b) >= C(x,y), from math.comb.

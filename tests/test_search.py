@@ -197,7 +197,8 @@ def test_importing_the_cli_does_not_load_multiprocessing():
 def test_row_walk_costs_at_most_three_evaluations_per_row(a, b, y_max, monkeypatch):
     # An evaluation is one left side ff(x-y, a+b); a, b >= 1 makes every
     # other perm call shorter. The guess from the last two crossings is
-    # mostly off by at most one, which costs two evaluations.
+    # mostly off by at most one, which costs two evaluations. The walk
+    # covers every row here; search walks only its first rows.
     evaluations = 0
 
     def counting_perm(n, k):
@@ -206,7 +207,7 @@ def test_row_walk_costs_at_most_three_evaluations_per_row(a, b, y_max, monkeypat
         return math.perm(n, k)
 
     monkeypatch.setattr(search_mod, "perm", counting_perm)
-    search(ShiftPair(a, b), y_max)
+    list(search_mod._row_solutions(ShiftPair(a, b), y_max))
     assert evaluations <= 3 * (y_max + 1)
 
 

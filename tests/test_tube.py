@@ -1,0 +1,222 @@
+"""The proved tube of search against the row walk it skips.
+
+Above its first rows, search proves for each block of rows two lines
+L < phi < U around the rows' real crossings phi(y), and checks only the
+rows where an integer fits between them. The row walk, which finds every
+row's crossing, is the reference: whatever the block schedule, the two
+must list the same solutions. The candidate recursion is checked against
+a scan of its residues, the sign proof against polynomials of known
+roots, and a proof made to fail must fall back to the walk.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import time
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pascalrepeats.cli import main
+from pascalrepeats.errors import PreconditionError
+from pascalrepeats.polynomials import UniPoly, positive_axis_sign
+from pascalrepeats.ratios import ShiftPair
+from pascalrepeats.search import equality_check, search
+
+search_mod = importlib.import_module("pascalrepeats.search")
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(1, 8), b=st.integers(1, 8), y_max=st.integers(1, 3000), y_start=st.integers(16, 40))
+@example(a=1, b=1, y_max=3000, y_start=16)
+@example(a=1, b=3, y_max=3000, y_start=16)
+@example(a=8, b=8, y_max=3000, y_start=16)
+@example(a=2, b=1, y_max=31, y_start=16)
+def test_tube_lists_the_walks_solutions(a, b, y_max, y_start):
+    shift = ShiftPair(a, b)
+    walk = list(search_mod._row_solutions(shift, y_max))
+    assert list(search_mod._tube_solutions(shift, y_max, y_start)) == walk
+
+
+@pytest.mark.parametrize("y_start", [16, 17, 256])
+def test_walked_rows_and_proved_blocks_tile_the_range(y_start, monkeypatch):
+    covered = []
+    walk, block = search_mod._row_solutions, search_mod._block_solutions
+
+    def walking(shift, y_max, x_max=None, y_lo=0):
+        covered.append((y_lo, y_max))
+        return walk(shift, y_max, x_max, y_lo)
+
+    def proving(shift, y0, y1, known):
+        found = block(shift, y0, y1, known)
+        if found is not None:
+            covered.append((y0, y1))
+        return found
+
+    monkeypatch.setattr(search_mod, "_row_solutions", walking)
+    monkeypatch.setattr(search_mod, "_block_solutions", proving)
+    list(search_mod._tube_solutions(ShiftPair(2, 3), 5000, y_start))
+    # in order, each range starts right after the one before, from row 0 to 5000
+    assert covered[0][0] == 0 and covered[-1][1] == 5000
+    assert all(lo == hi + 1 for (_, hi), (lo, _) in zip(covered, covered[1:]))
+
+
+@pytest.mark.parametrize("y_start", [17, 39, 40, 272, 273, 935])
+def test_solution_rows_on_block_edges(y_start):
+    # the (1,1) solutions at y = 39, 272 and 1869 as the first row of a
+    # block (17: blocks from 17 double to [272, 543]; 39; 272), the last
+    # walked row (40, 273) and the last row of a block (935: [935, 1869])
+    shift = ShiftPair(1, 1)
+    walk = list(search_mod._row_solutions(shift, 3000))
+    assert [y for _, y in walk if y > 5] == [39, 272, 1869]
+    assert list(search_mod._tube_solutions(shift, 3000, y_start)) == walk
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(1, 300))
+@example(data=None, m=1)
+def test_least_row_is_the_first_residue_in_range(data, m):
+    if data is None:
+        p = q = lo = hi = 0
+    else:
+        p = data.draw(st.integers(0, 3 * m))
+        q = data.draw(st.integers(-3 * m, 3 * m))
+        lo = data.draw(st.integers(0, m - 1))
+        hi = data.draw(st.integers(lo, m - 1))
+    # (p*z + q) mod m repeats with period m, so a scan of one period decides
+    scan = next((z for z in range(m) if lo <= (p * z + q) % m <= hi), None)
+    assert search_mod._least_row(p, q, m, lo, hi) == scan
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(3, 200))
+def test_rows_between_are_the_rows_with_an_integer_inside(data, m):
+    p = data.draw(st.integers(-2 * m, 2 * m))
+    q_lo = data.draw(st.integers(-3 * m, 3 * m))
+    q_hi = q_lo + data.draw(st.integers(2, m - 1))
+    y0 = data.draw(st.integers(0, 50))
+    y1 = y0 + data.draw(st.integers(0, 2 * m))
+    scan = [
+        (x, y)
+        for y in range(y0, y1 + 1)
+        for x in range((p * y + q_lo) // m, (p * y + q_hi) // m + 2)
+        if p * y + q_lo < m * x < p * y + q_hi
+    ]
+    assert list(search_mod._rows_between(p, q_lo, q_hi, m, y0, y1)) == scan
+
+
+def test_least_row_on_power_of_two_moduli():
+    # the tube's lines live on a 2^k grid; a 2^40 modulus is out of reach of a scan,
+    # so each answer is checked by its residue and by the residues just before it
+    m = 1 << 40
+    for p, q, lo in [(3**25, 12345, m - 1000), ((1 << 39) + 1, 7, m - 3), (m - 1, 0, m - 2)]:
+        z = search_mod._least_row(p, q, m, lo, m - 1)
+        assert z is not None and lo <= (p * z + q) % m
+        assert all((p * w + q) % m < lo for w in range(max(0, z - 2000), z))
+
+
+def _poly_from_roots(c: int, reals: list[int], centres: list[int]) -> UniPoly:
+    p = UniPoly((c,))
+    for r in reals:
+        p = p * UniPoly((-r, 1))
+    for s in centres:
+        p = p * UniPoly((s * s + 1, -2 * s, 1))  # roots s +- i
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c=st.sampled_from([-3, -1, 1, 2]),
+    reals=st.lists(st.integers(-6, 6), max_size=4),
+    centres=st.lists(st.integers(-6, 6), max_size=3),
+)
+@example(c=1, reals=[], centres=[3])
+@example(c=1, reals=[1, 1], centres=[])
+@example(c=-1, reals=[-2], centres=[1, 4])
+def test_positive_axis_sign_against_known_roots(c, reals, centres):
+    # complex pairs with positive real part give coefficient sign changes
+    # without a positive root, which only the Sturm count can settle
+    p = _poly_from_roots(c, reals, centres)
+    # every factor is positive at t >= 0 when every real root is negative
+    want = (1 if c > 0 else -1) if all(r < 0 for r in reals) else 0
+    assert positive_axis_sign(p) == want
+
+
+def test_positive_axis_sign_needs_the_sturm_count():
+    # t^2 - 6t + 10 = (t - 3)^2 + 1: two sign changes, no real root
+    p = UniPoly((10, -6, 1))
+    assert positive_axis_sign(p) == 1
+    assert positive_axis_sign(UniPoly((0, 1))) == 0
+    assert positive_axis_sign(UniPoly()) == 0
+
+
+def test_line_through_a_solution_has_no_sign():
+    # x = y + 10 meets the (1,3) curve at its solution (15, 5)
+    shift = ShiftPair(1, 3)
+    assert equality_check(15, 5, shift)
+    assert search_mod._line_sign(shift, 1, 10, 1, 4, 6) == 0
+    # at a block's end the line's polynomial loses its top coefficient
+    assert search_mod._line_sign(shift, 1, 10, 1, 3, 5) == 0
+    assert search_mod._line_sign(shift, 1, 10, 1, 5, 7) == 0
+
+
+def test_a_failed_proof_falls_back_to_the_walk(monkeypatch):
+    # every phi moved up by one: the lower line then lies above phi, so
+    # every proof fails, and blocks halve below 16 rows and are walked
+    real = search_mod._crossing_point
+    shift = ShiftPair(2, 3)
+
+    def nudged(y, s, guess, bits):
+        m, phi = real(y, s, guess, bits)
+        return m, phi + (1 << bits)
+
+    outcomes = []
+    block = search_mod._block_solutions
+
+    def recording(*args):
+        outcomes.append(block(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(search_mod, "_crossing_point", nudged)
+    monkeypatch.setattr(search_mod, "_block_solutions", recording)
+    got = list(search_mod._tube_solutions(shift, 3000, 16))
+    assert outcomes and all(o is None for o in outcomes)
+    assert got == list(search_mod._row_solutions(shift, 3000))
+
+
+def test_tube_finds_the_known_far_rows():
+    # the repeats 6, 10, 120 and 3003 as shifts with a+b <= 7, and the
+    # (1,1) family past the walked rows, to y = 10^30
+    far = 10**30
+    for a, b, want in [(2, 1, [(6, 1)]), (5, 1, [(10, 1)]), (6, 1, [(16, 2)]), (1, 3, [(15, 5)]), (1, 2, [])]:
+        got = [(s.x, s.y) for s in search(ShiftPair(a, b), far) if not s.trivial]
+        assert got == want, (a, b)
+    family = [(s.x, s.y) for s in search(ShiftPair(1, 1), 20000) if not s.trivial]
+    assert family == [(15, 5), (104, 39), (714, 272), (4895, 1869), (33552, 12815)]
+
+
+def test_equality_check_refuses_products_past_the_budget(tmp_path, capsys):
+    record = {"a": 5000, "b": 1, "x": "1" + "0" * 1000, "y": "1", "value": "1", "trivial": True}
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps(record) + "\n")
+    start = time.perf_counter()
+    assert main(["verify", "--cache", str(cache)]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: line 1: record outside the solution domain: "
+        "equality_check does not form products of over 1048576 bits\n"
+    )
+    with pytest.raises(PreconditionError):
+        equality_check(10**1000, 1, ShiftPair(20000, 1))
+    # a product of (a+b)*bits(x) = 1,048,576 bits is still formed
+    assert not equality_check(1 << 131071, 1, ShiftPair(7, 1))
+
+
+def test_search_y_max_bound_refuses_before_any_row(monkeypatch, capsys):
+    monkeypatch.setattr("pascalrepeats.cli.search", lambda *a: pytest.fail("searched"))
+    assert main(["search", "--a", "2", "--b", "3", "--y-max", str(1 << 256)]) == 1
+    assert capsys.readouterr() == ("", "error: search --y-max must be below 2^256\n")
