@@ -38,6 +38,9 @@ from .search import Solution, _check_value_bits, equality_check, family_member, 
 FORMATS = ("json", "csv", "text")
 _MAX_DECIMAL_EXPONENT = 100_000  # 1e-100000 is a 332,000-bit denominator
 _MAX_PLOT_SECTIONS = 1_000_000
+# the exact eliminants of curve --certify --format json cost about 1.6 times more per degree:
+# degree 15 took 2.6-2.9 s on 2 CPUs, degree 16 4.2 s
+_MAX_CERTIFY_DEGREE = 15
 # the cost of search's proved blocks grows with y_max's bit length: to y_max = 2^256 - 1
 # every shift with a+b <= 8 other than (1,1) took at most 0.8 s on 2 CPUs, to 2^384 2.4 s
 _MAX_SEARCH_Y_BITS = 256
@@ -297,6 +300,8 @@ def _run_family(args: argparse.Namespace, out: TextIO) -> None:
 def _run_curve(args: argparse.Namespace, out: TextIO) -> None:
     _no_csv(args.format, "curve")
     shift = ShiftPair(args.a, args.b)
+    if args.certify and shift.degree > _MAX_CERTIFY_DEGREE:
+        raise PreconditionError(f"curve --certify needs a+b <= {_MAX_CERTIFY_DEGREE}, got {shift.degree}")
     curve = curves_mod.build_curve(shift)
     top = curves_mod.top_form(shift)
     base = {
@@ -458,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="the shift's plane curve, optionally certified")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--certify", action="store_true")
+    p.add_argument(
+        "--certify", action="store_true", help=f"prove smoothness and the genus; needs a+b <= {_MAX_CERTIFY_DEGREE}"
+    )
     add_format(p)
     p.set_defaults(run=_run_curve)
 

@@ -8,13 +8,21 @@ whose lattice points in the triangle region are exactly the equation's
 solutions. This module certifies nonsingularity by resultant elimination:
 a singular point forces the two eliminants Res(F,F_x) and Res(F,F_y) to
 share a root, and the leading y-coefficient of F is the constant
-(-1)^(a+b), so leading-coefficient degeneracy cannot fake a root. The
-eliminants stay exact; their gcd is proved constant by unipoly_gcd
-modulo the prime P = 2^61 - 1: when P divides neither leading
-coefficient, the gcd over Z keeps its degree mod P and divides the gcd
-mod P, so a constant gcd mod P is a constant gcd over Z. Otherwise the
-exact remainder sequence decides, with the same result. A nonconstant
-eliminant gcd is reported as inconclusive, never as a proven
+(-1)^(a+b), so leading-coefficient degeneracy cannot fake a root.
+
+certify decides the affine verdict modulo the prime P = 2^61 - 1 first.
+With d = a+b and D = d(d-1), it evaluates F, F_x and F_y at x0 = 0..D
+mod P as polynomials in y, takes both resultants in y over GF(P) at each
+point and interpolates the two eliminants mod P. Full degree D and a
+constant gcd mod P prove the YES that the exact path prints (the
+argument is in certify's docstring). Otherwise affine_singular_check
+runs on exact integers. The exact eliminants are formed only when a
+Certificate's eliminants are read, which JSON output does. Their gcd is
+proved constant by unipoly_gcd modulo the same P: when P divides neither
+leading coefficient, the gcd over Z keeps its degree mod P and divides
+the gcd mod P, so a constant gcd mod P is a constant gcd over Z.
+Otherwise the exact remainder sequence decides, with the same result. A
+nonconstant eliminant gcd is reported as inconclusive, never as a proven
 singularity. Nonsingular degree-d curves get genus (d-1)(d-2)/2 and are
 irreducible outright.
 """
@@ -22,6 +30,7 @@ irreducible outright.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -31,6 +40,9 @@ from .errors import PreconditionError
 from .polynomials import (
     BiPoly,
     UniPoly,
+    _gcd_degree_mod,
+    _interpolate_mod,
+    _resultant_mod,
     bipoly_resultant,
     isolate_real_roots,
     trial_div,
@@ -79,7 +91,11 @@ class Certificate:
     genus: int | None
     irreducible: bool | None
     finiteness: Finiteness
-    eliminants: AffineReport
+
+    @functools.cached_property
+    def eliminants(self) -> AffineReport:
+        """The exact eliminants of affine_singular_check, formed on first read."""
+        return affine_singular_check(self.shift)
 
     def to_json_dict(self) -> dict:
         def poly_strings(p: UniPoly) -> list[str]:
@@ -190,30 +206,71 @@ def classify_finiteness(shift: ShiftPair) -> Finiteness:
     return Finiteness.OPEN
 
 
+def _eliminants_mod(shift: ShiftPair) -> tuple[list[int], list[int]]:
+    """Res_y(F,F_x) and Res_y(F,F_y) mod P, ascending, from their values at x0 = 0..d(d-1)."""
+    f = build_curve(shift)
+    columns = [g.coeffs_in("y") for g in (f, f.partial("x"), f.partial("y"))]
+    res_fx, res_fy = [], []
+    for x0 in range(shift.degree * (shift.degree - 1) + 1):
+        fv, fxv, fyv = ([c(x0) for c in col] for col in columns)
+        res_fx.append(_resultant_mod(fv, fxv))
+        res_fy.append(_resultant_mod(fv, fyv))
+    return _interpolate_mod(res_fx), _interpolate_mod(res_fy)
+
+
+def _affine_nonsingular_mod_p(shift: ShiftPair) -> bool:
+    """True when both eliminants mod P have degree d(d-1) and a constant gcd mod P."""
+    full = shift.degree * (shift.degree - 1)
+    res_fx, res_fy = _eliminants_mod(shift)
+    return len(res_fx) == len(res_fy) == full + 1 and _gcd_degree_mod(UniPoly(res_fx), UniPoly(res_fy)) == 0
+
+
 def certify(shift: ShiftPair) -> Certificate:
     """Full certificate: singularity checks, genus when they pass, class.
+
+    The affine verdict is first proved modulo P = 2^61 - 1, and no
+    verdict can differ from the exact path's. Let d = a+b, D = d(d-1).
+    As polynomials in y, F has degree d and leading coefficient (-1)^d,
+    F_y has degree d-1 and leading coefficient (-1)^d * d, and F_x has
+    degree d-1 and leading coefficient (-1)^(d-1) * d - [a = 1] (the -1
+    is x*y^b's, for a = 1). All three are nonzero constants that P does
+    not divide, so Res_y commutes with reduction mod P and with
+    evaluation at any x0: the resultant over GF(P) of the sections at x0
+    is the eliminant mod P at x0. Res_y of total degrees d and d-1 has
+    x-degree at most D, so its values at x0 = 0..D determine it. When
+    both eliminants mod P have degree exactly D, P divides neither
+    integer leading coefficient, and unipoly_gcd's argument applies: the
+    integer gcd keeps its degree mod P and divides the gcd mod P, so a
+    constant gcd mod P makes the gcd over Z constant, which is the YES
+    that affine_singular_check prints in direction y. In every other
+    case affine_singular_check decides, in both directions, on exact
+    integers. The exact eliminants are formed only when the certificate's
+    eliminants are read (JSON output reads them).
 
     Genus uses the plane-curve formula (d-1)(d-2)/2, valid only for a
     nonsingular curve, so it is present exactly when both verdicts are
     yes; irreducibility then follows (components of a plane curve meet,
     and a meeting point would be singular).
     """
-    affine = affine_singular_check(shift)
+    affine = None if _affine_nonsingular_mod_p(shift) else affine_singular_check(shift)
+    verdict = Verdict.YES if affine is None else affine.verdict
     infinity = infinity_singular_check(shift)
     d = shift.degree
-    nonsingular = affine.verdict is Verdict.YES and infinity is Verdict.YES
+    nonsingular = verdict is Verdict.YES and infinity is Verdict.YES
     genus = (d - 1) * (d - 2) // 2 if nonsingular else None
     irreducible = True if nonsingular else None
-    return Certificate(
+    cert = Certificate(
         shift=shift,
         degree=d,
-        affine_nonsingular=affine.verdict,
+        affine_nonsingular=verdict,
         infinity_nonsingular=infinity,
         genus=genus,
         irreducible=irreducible,
         finiteness=classify_finiteness(shift),
-        eliminants=affine,
     )
+    if affine is not None:
+        object.__setattr__(cert, "eliminants", affine)  # fills the cached property
+    return cert
 
 
 _QUAD_CANDIDATES = (

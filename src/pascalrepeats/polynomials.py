@@ -7,7 +7,10 @@ remainder sequences, written generically so the same routine serves both
 integer coefficients and polynomial coefficients (for bivariate
 elimination). unipoly_gcd first proves a constant gcd modulo the prime
 2^61 - 1 when it can, and runs its exact remainder sequence only when
-that fails. Real roots are isolated by Sturm sign variations and
+that fails. Over GF(2^61 - 1), one remainder step serves the gcd degree
+and a resultant by Euclid with the Sylvester sign convention, and
+Newton's forward differences interpolate a polynomial from its values
+at 0..n-1; curves.certify builds its modular eliminants from the two. Real roots are isolated by Sturm sign variations and
 bisection on integer numerators over a common power-of-two denominator;
 past 64 halvings, an integer Newton iteration names the cell the
 halving would end in, and two exact sign tests prove it. One signed
@@ -337,23 +340,77 @@ def _signed_prs(a: UniPoly, b: UniPoly) -> Iterator[UniPoly]:
 _GCD_PRIME = (1 << 61) - 1  # a Mersenne prime
 
 
+def _rem_mod(a: list[int], b: list[int]) -> list[int]:
+    """a mod b over GF(m), m = _GCD_PRIME, in place on a; b's last element is nonzero mod m."""
+    m = _GCD_PRIME
+    inv = pow(b[-1], -1, m)
+    low = b[:-1]
+    db = len(low)
+    while len(a) > db:
+        f = a.pop() * inv % m
+        s = len(a) - db
+        a[s:] = [(c - f * d) % m for c, d in zip(a[s:], low)]
+        _trim(a)
+    return a
+
+
 def _gcd_degree_mod(p: UniPoly, q: UniPoly) -> int:
     """Degree of gcd(p mod m, q mod m) over GF(m), m = _GCD_PRIME, by Euclid; -1 if both vanish."""
     m = _GCD_PRIME
     a = _trim([c % m for c in p.coeffs])
     b = _trim([c % m for c in q.coeffs])
     while b:
-        inv = pow(b[-1], -1, m)
-        db = len(b) - 1
-        while len(a) > db:
-            f = a[-1] * inv % m
-            s = len(a) - 1 - db
-            for j in range(db):
-                a[s + j] = (a[s + j] - f * b[j]) % m
-            a.pop()
-            _trim(a)
-        a, b = b, a
+        a, b = b, _rem_mod(a, b)
     return len(a) - 1
+
+
+def _resultant_mod(a: list[int], b: list[int]) -> int:
+    """Res(a, b) mod m, m = _GCD_PRIME, for coefficient lists whose last elements are nonzero mod m.
+
+    Euclid over GF(m) with the Sylvester sign convention of
+    _resultant_lists. With r = a mod b, Res(a, b) = (-1)^(deg a * deg b)
+    Res(b, a), and Res(b, a) = lc(b)^(deg a - deg r) Res(b, r), since a
+    and r agree at every root of b. Res(b, 0) = 0 when deg b >= 1, and
+    Res(a, c) = c^(deg a) for a constant c.
+    """
+    m = _GCD_PRIME
+    a = [c % m for c in a]
+    b = [c % m for c in b]
+    out = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        r = _rem_mod(a, b)
+        if not r:
+            return 0
+        if da * db % 2:
+            out = -out
+        out = out * pow(b[-1], da - len(r) + 1, m) % m
+        a, b = b, r
+    return out * pow(b[0], len(a) - 1, m) % m
+
+
+def _interpolate_mod(values: list[int]) -> list[int]:
+    """Coefficients mod m, m = _GCD_PRIME, ascending, of the polynomial of degree < n through (i, values[i]).
+
+    Newton's forward-difference form: with n = len(values) <= m, the
+    polynomial is the sum over k of (Delta^k v)(0) / k! * x(x-1)...(x-k+1),
+    one inverse per order k, expanded by Horner in the falling basis.
+    """
+    m = _GCD_PRIME
+    c = [v % m for v in values]
+    n = len(c)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) % m
+    fact = 1
+    for k in range(2, n):
+        fact = fact * k % m
+        c[k] = c[k] * pow(fact, -1, m) % m
+    out = c[-1:]
+    for k in range(n - 2, -1, -1):
+        # out = out * (x - k) + c[k]
+        out = [(c[k] - k * out[0]) % m] + [(out[i - 1] - k * out[i]) % m for i in range(1, len(out))] + out[-1:]
+    return _trim(out)
 
 
 def unipoly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:

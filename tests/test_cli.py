@@ -235,6 +235,26 @@ def test_curve_text_and_certificate():
     assert doc["infinity_nonsingular"] == "yes"
 
 
+def test_curve_certify_refuses_a_degree_beyond_the_bound_before_any_work(monkeypatch):
+    monkeypatch.setattr(curves_mod, "build_curve", lambda shift: pytest.fail("built a curve"))
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(["curve", "--a", "8", "--b", "8", "--certify", "--format", fmt])
+        assert (code, out) == (1, "")
+        assert err == "error: curve --certify needs a+b <= 15, got 16\n"
+
+
+def test_text_certificate_forms_no_exact_eliminant(monkeypatch):
+    def exact(*args):
+        raise AssertionError("formed an exact eliminant")
+
+    monkeypatch.setattr(curves_mod, "bipoly_resultant", exact)
+    code, out, _ = run_cli(["curve", "--a", "4", "--b", "5", "--certify"])
+    assert code == 0
+    assert "affine_nonsingular = yes\n" in out and "genus = 28\n" in out
+    with pytest.raises(AssertionError, match="exact eliminant"):
+        run_cli(["curve", "--a", "4", "--b", "5", "--certify", "--format", "json"])
+
+
 def test_census_modes_and_validation():
     code, out, _ = run_cli(["census", "--t", "120"])
     assert code == 0

@@ -18,7 +18,8 @@ refused before any member is formed. The two searches to y = 10^30 were
 recorded when proved blocks of rows first replaced the walk above its
 first rows; they print only the trivial row y = 0, and the walk finds no
 other solution of either shift up to y = 10^6. A y_max of 2^256 is refused before any row
-is searched. A change that alters any byte of
+is searched. A certificate of degree above 15 is refused before the
+curve is built. A change that alters any byte of
 output or any exit status fails here. "{cache}" stands for a solution
 cache that the search row with --cache writes, and that the verify rows
 read.
@@ -98,6 +99,7 @@ GOLDEN = [
     ("search --a 1 --b 2 --y-max 1000000000000000000000000000000", 0, "6fdd3bc11cf61d864367e9788e7d46f2f208ca6a9accfca4382e83e1bcf9d5cc"),
     ("search --a 2 --b 3 --y-max 1000000000000000000000000000000", 0, "d56ff14338ef53c4253fd3f810eefd15b72bca8269e21983d960dd64b726468e"),
     ("search --a 2 --b 3 --y-max 115792089237316195423570985008687907853269984665640564039457584007913129639936", 1, EMPTY),
+    ("curve --a 8 --b 8 --certify --format json", 1, EMPTY),
 ]
 
 

@@ -158,6 +158,25 @@ def test_forms_at_infinity_never_vanish_at_the_axes():
             assert infinity_singular_check(shift) is Verdict.YES
 
 
+def test_y_leading_coefficients_are_nonzero_constants():
+    # the facts behind certify's modular proof: as polynomials in y, F, F_x
+    # and F_y keep their degrees d, d-1, d-1 at every x, with constant
+    # leading coefficients that 2^61 - 1 does not divide; for a = 1 the
+    # x*y^b block adds -1 to F_x's
+    for d in range(2, 13):
+        for a in range(1, d):
+            f = build_curve(ShiftPair(a, d - a))
+            leads = [
+                (f, d, (-1) ** d),
+                (f.partial("x"), d - 1, (-1) ** (d - 1) * d - (a == 1)),
+                (f.partial("y"), d - 1, (-1) ** d * d),
+            ]
+            for g, degree, lead in leads:
+                assert g.degree_in("y") == degree
+                assert g.coeffs_in("y")[degree] == UniPoly.constant(lead)
+                assert 0 < abs(lead) < (1 << 61) - 1
+
+
 def test_classify_finiteness_labels():
     assert classify_finiteness(ShiftPair(1, 2)) is Finiteness.PROVEN_FINITE
     assert classify_finiteness(ShiftPair(3, 1)) is Finiteness.PROVEN_FINITE

@@ -5,7 +5,10 @@ primitive remainder sequence only when that proof fails. The reference
 below is a primitive pseudo-remainder sequence with its own arithmetic,
 so no code of the package enters it. The certificates of every shift
 with a+b <= 8 must come out identical with the reference in place of
-unipoly_gcd, in both elimination directions.
+unipoly_gcd, in both elimination directions. The same sweep checks
+certify's modular proof against the exact path: the eliminants it
+interpolates mod P are the exact ones reduced mod P, and the certificate
+and its whole JSON payload are those of the exact path.
 """
 
 from __future__ import annotations
@@ -138,13 +141,19 @@ def assert_certificate_matches_reference(a: int, b: int) -> None:
     for var in ("y", "x"):
         res_fx, res_fy = bipoly_resultant(f, fx, var), bipoly_resultant(f, fy, var)
         assert unipoly_gcd(res_fx, res_fy) == reference(res_fx, res_fy), (a, b, var)
-    fast = certify(shift).to_json_dict()
-    real = curves.unipoly_gcd
+        if var == "y":
+            reduced = tuple([c % P for c in r.coeffs] for r in (res_fx, res_fy))
+            assert curves._eliminants_mod(shift) == reduced, (a, b)
+    proved = certify(shift)
+    fast = proved.to_json_dict()
+    real_gcd, real_proof = curves.unipoly_gcd, curves._affine_nonsingular_mod_p
     curves.unipoly_gcd = reference
+    curves._affine_nonsingular_mod_p = lambda shift: False
     try:
-        assert fast == certify(shift).to_json_dict(), (a, b)
+        exact = certify(shift)
+        assert exact == proved and exact.to_json_dict() == fast, (a, b)
     finally:
-        curves.unipoly_gcd = real
+        curves.unipoly_gcd, curves._affine_nonsingular_mod_p = real_gcd, real_proof
 
 
 @pytest.mark.parametrize("a,b", SHIFTS)
