@@ -10,8 +10,8 @@ the bracket from one `math.comb` (see `_interior_occurrences`).
 
 `scan_high_multiplicity` tallies the columns k >= 3 row by row, which
 visits O(t_max^(1/3)) rows, and settles column 2 by arithmetic.
-`intersect_curves` filters the solutions of one shift, found by the row
-walk of `search`, by the equation of the other.
+`intersect_curves` filters the solutions of one shift, found by the proved
+tube of `search`, by the equation of the other.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .ratios import ShiftPair
-from .search import _row_solutions, equality_check
+from .search import _last_row, _tube_solutions, equality_check
 
 
 @dataclass(frozen=True)
@@ -170,15 +170,15 @@ def scan_high_multiplicity(t_max: int, m_min: int) -> list[MultiplicityRecord]:
 
 
 def intersect_curves(s1: ShiftPair, s2: ShiftPair, x_max: int) -> list[tuple[int, int]]:
-    """Points (x,y), 0 <= y <= x <= x_max, solving both shift equations.
+    """Points (x,y), 0 <= y <= x <= x_max, solving both shift equations, in increasing y.
 
-    Walks the first shift's rows up to x_max with the row walk of
-    `search` and keeps the solutions that also solve the second; a
-    nontrivial hit is a value repeated at three or more positions in the
-    triangle.
+    The first shift's solutions are crossings, which never decrease in y,
+    so those with x <= x_max lie in the rows up to `_last_row`. The tube of
+    `search` finds them, and those that solve the second shift are kept. A
+    nontrivial hit is a value at three or more places in the triangle.
     """
     if s1 == s2:
         raise PreconditionError("intersect_curves needs two distinct shifts")
     if x_max < 1:
         raise PreconditionError(f"intersect_curves needs x_max >= 1, got {x_max}")
-    return [(x, y) for x, y in _row_solutions(s1, x_max, x_max) if equality_check(x, y, s2)]
+    return [(x, y) for x, y in _tube_solutions(s1, _last_row(s1, x_max)) if equality_check(x, y, s2)]

@@ -20,6 +20,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -41,9 +42,17 @@ _MAX_PLOT_SECTIONS = 1_000_000
 # the exact eliminants of curve --certify --format json cost about 1.6 times more per degree:
 # degree 15 took 2.6-2.9 s on 2 CPUs, degree 16 4.2 s
 _MAX_CERTIFY_DEGREE = 15
+# plain curve prints F and its top form, about 8 times more per doubling of a+b: on 2 CPUs
+# degree 160 took 1.3-1.9 s and printed 2.2 MB, degree 80 0.2 s
+_MAX_CURVE_DEGREE = 160
 # the cost of search's proved blocks grows with y_max's bit length: to y_max = 2^256 - 1
-# every shift with a+b <= 8 other than (1,1) took at most 0.8 s on 2 CPUs, to 2^384 2.4 s
+# every shift with a+b <= 8 other than (1,1) took at most 0.8 s on 2 CPUs, to 2^384 2.4 s;
+# intersect runs the same blocks on rows below x_max/2
 _MAX_SEARCH_Y_BITS = 256
+# values a census scan may hold: with --m-min 4 or less each column-2 value is a record, and
+# at the bound (t_max about 1.9e9) a scan took 2.1 s on 2 CPUs and printed 6 MB; with
+# --m-min 5 or more it reaches t_max of about 3.2e13 in 0.1 s
+_MAX_CENSUS_VALUES = 1 << 16
 # member 6 has 220,628 bits and takes about 0.7 s; each further one costs about 30 times more
 _MAX_FAMILY_INDEX = 6
 
@@ -302,6 +311,8 @@ def _run_curve(args: argparse.Namespace, out: TextIO) -> None:
     shift = ShiftPair(args.a, args.b)
     if args.certify and shift.degree > _MAX_CERTIFY_DEGREE:
         raise PreconditionError(f"curve --certify needs a+b <= {_MAX_CERTIFY_DEGREE}, got {shift.degree}")
+    if shift.degree > _MAX_CURVE_DEGREE:
+        raise PreconditionError(f"curve needs a+b <= {_MAX_CURVE_DEGREE}, got {shift.degree}")
     curve = curves_mod.build_curve(shift)
     top = curves_mod.top_form(shift)
     base = {
@@ -335,6 +346,25 @@ def _run_curve(args: argparse.Namespace, out: TextIO) -> None:
         out.write(f"finiteness = {cert.finiteness.value}\n")
 
 
+def _census_values(t_max: int, m_min: int) -> int:
+    """An upper bound on the number of values scan_high_multiplicity(t_max, m_min) holds.
+
+    Column k >= 3 holds C(n,k) <= t_max only in rows 2k <= n <= r+k-1,
+    r = floor((k!*t_max)^(1/k)) (`census._interior_occurrences`), at most
+    r-k of them, and only while C(2k,k) <= t_max. With m_min <= 4 the
+    column-2 values C(n,2) <= t_max, fewer than sqrt(2*t_max) + 1, are held
+    too. The sum stops once it passes _MAX_CENSUS_VALUES.
+    """
+    count = math.isqrt(max(2 * t_max, 0)) + 1 if m_min <= 4 else 0  # t_max < 2 is refused by the scan
+    k, fact, central = 3, 6, 20  # k!, C(2k,k)
+    while central <= t_max and count <= _MAX_CENSUS_VALUES:
+        count += census_mod._kth_root(fact * t_max, k) - k
+        central = central * 2 * (2 * k + 1) // (k + 1)
+        k += 1
+        fact *= k
+    return count
+
+
 def _run_census(args: argparse.Namespace, out: TextIO) -> None:
     single = args.t is not None
     ranged = args.t_max is not None or args.m_min is not None
@@ -345,6 +375,8 @@ def _run_census(args: argparse.Namespace, out: TextIO) -> None:
     else:
         if args.t_max is None or args.m_min is None:
             raise PreconditionError("census scan needs both --t-max and --m-min")
+        if _census_values(args.t_max, args.m_min) > _MAX_CENSUS_VALUES:
+            raise PreconditionError(f"census scan would hold more than {_MAX_CENSUS_VALUES} values")
         records = census_mod.scan_high_multiplicity(args.t_max, args.m_min)
     if args.format == "json":
         payload = [r.to_json_dict() for r in records]
@@ -361,6 +393,8 @@ def _run_census(args: argparse.Namespace, out: TextIO) -> None:
 def _run_intersect(args: argparse.Namespace, out: TextIO) -> None:
     s1 = ShiftPair(args.a1, args.b1)
     s2 = ShiftPair(args.a2, args.b2)
+    if args.x_max >= 1 << _MAX_SEARCH_Y_BITS:
+        raise PreconditionError(f"intersect --x-max must be below 2^{_MAX_SEARCH_Y_BITS}")
     points = census_mod.intersect_curves(s1, s2, args.x_max)
     if args.format == "json":
         _emit_json([{"x": str(x), "y": str(y)} for x, y in points], out)
@@ -460,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(run=_run_family)
 
-    p = sub.add_parser("curve", help="the shift's plane curve, optionally certified")
+    p = sub.add_parser("curve", help=f"the shift's plane curve for a+b <= {_MAX_CURVE_DEGREE}, optionally certified")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument(
@@ -481,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b1", type=int, required=True)
     p.add_argument("--a2", type=int, required=True)
     p.add_argument("--b2", type=int, required=True)
-    p.add_argument("--x-max", type=int, required=True)
+    p.add_argument("--x-max", type=int, required=True, help=f"largest x, below 2^{_MAX_SEARCH_Y_BITS}")
     add_format(p)
     p.set_defaults(run=_run_intersect)
 

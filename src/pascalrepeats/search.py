@@ -21,8 +21,8 @@ crossing m_y, the least x >= y+a+b with left >= right; it is one exactly
 when left = right there. The crossing is found by exponential search
 from a guess (`_row_crossing`); any guess gives the same m_y, and a good
 one makes the search short. One walk (`_row_solutions`) guesses each
-row's crossing from the rows before it. `census.intersect_curves` walks
-every row; `search` walks only its first rows and falls back on the walk.
+row's crossing from the rows before it. Both `search` and
+`census.intersect_curves` run the tube below, which starts with the walk.
 
 The same holds for real x. Write F(x,y) = left - right. For real
 x > y+a+b-1 every factor of both sides is positive, and
@@ -182,32 +182,22 @@ def _make_solution(x: int, y: int, shift: ShiftPair) -> Solution:
     return Solution(shift, x, y, value, value <= 1)
 
 
-def _row_crossing(y: int, shift: ShiftPair, hi: int | None, guess: int) -> tuple[int, bool] | None:
-    """Row y's crossing up to hi and whether it solves; hi=None means unbounded.
+def _row_crossing(y: int, shift: ShiftPair, guess: int) -> tuple[int, bool]:
+    """Row y's crossing, the least x >= y+a+b with left >= right, and whether left = right there.
 
-    The crossing is the least x >= y+a+b, x <= hi, with
-    ff(x-y, a+b) >= ff(x, a) * ff(y+b, b); it is a solution exactly when
-    the two sides are equal there. None means no x up to hi qualifies.
-    On x >= y+a+b the sides' ratio R(x) = C(x-a,y+b)/C(x,y) increases
-    strictly (module docstring), so the predicate is false below the
-    crossing and true from it on, and the answer does not depend on the
-    guess. From the guess, clamped into the range, the search gallops by
-    1, 2, 4, ... away from the side the predicate names until it brackets
-    the crossing, then bisects the last step. Unbounded, the gallop ends
-    because R grows without bound. Every argument of `perm` is
-    nonnegative here, and ff(y+b, b) is taken once per row. The sides'
-    difference is written out at each probe: a helper call per probe
-    costs more than the two `perm` calls.
+    The predicate is false below the crossing and true from it on (module
+    docstring), so the answer does not depend on the guess. From the
+    guess, raised to y+a+b, the search gallops by 1, 2, 4, ... away from
+    the side the predicate names until it brackets the crossing, which it
+    does because R grows without bound, then bisects the last step. Every
+    argument of `perm` is nonnegative, and ff(y+b, b) is taken once per
+    row. The sides' difference is written out at each probe: a helper
+    call per probe costs more than the two `perm` calls.
     """
-    a, b = shift.a, shift.b
-    d = a + b
+    a, b, d = shift.a, shift.b, shift.degree
     lo = y + d
-    if hi is not None and lo > hi:
-        return None
     row = perm(y + b, b)
     x = guess if guess > lo else lo
-    if hi is not None and x > hi:
-        x = hi
     gap = perm(x - y, d) - perm(x, a) * row  # left - right
     # below: greatest x known false (lo - 1 when none is); top: least known true
     step = 1
@@ -221,16 +211,10 @@ def _row_crossing(y: int, shift: ShiftPair, hi: int | None, guess: int) -> tuple
                 break
             top, top_gap, step = x, gap, 2 * step
     else:
-        below = x
-        while True:
-            if below == hi:
-                return None
-            x = below + step if hi is None else min(below + step, hi)
+        while gap < 0:
+            below, x, step = x, x + step, 2 * step
             gap = perm(x - y, d) - perm(x, a) * row
-            if gap >= 0:
-                top, top_gap = x, gap
-                break
-            below, step = x, 2 * step
+        top, top_gap = x, gap
     while top - below > 1:
         x = (below + top) // 2
         gap = perm(x - y, d) - perm(x, a) * row
@@ -241,17 +225,14 @@ def _row_crossing(y: int, shift: ShiftPair, hi: int | None, guess: int) -> tuple
     return top, top_gap == 0
 
 
-def _row_solutions(
-    shift: ShiftPair, y_max: int, x_max: int | None = None, y_lo: int = 0
-) -> Iterator[tuple[int, int]]:
-    """Yield (x, y) for each row y_lo..y_max whose crossing, up to x_max, solves.
+def _row_solutions(shift: ShiftPair, y_max: int, y_lo: int = 0) -> Iterator[tuple[int, int]]:
+    """Yield (x, y) for each row y_lo..y_max whose crossing solves.
 
     The first row's guess is y+a+b, the second's one above the first
     crossing, and every later row's 2*m_(y-1) - m_(y-2). Crossings never
     decrease in y: with R_y the ratio R of row y, for x >= y+1+a+b
     R_(y+1)(x)/R_y(x) = (x-y-a-b)(y+1) / ((x-y)(y+b+1)) < 1, so
-    R_y(m_(y+1)) > R_(y+1)(m_(y+1)) >= 1 and m_y <= m_(y+1). The walk
-    therefore stops at the first row with no crossing up to x_max.
+    R_y(m_(y+1)) > R_(y+1)(m_(y+1)) >= 1 and m_y <= m_(y+1).
     """
     last = prev = None  # crossings of the two rows before
     for y in range(y_lo, y_max + 1):
@@ -259,13 +240,30 @@ def _row_solutions(
             guess = 2 * last - prev
         else:
             guess = y + shift.degree if last is None else last + 1
-        crossing = _row_crossing(y, shift, x_max, guess)
-        if crossing is None:
-            return
-        x, equal = crossing
+        x, equal = _row_crossing(y, shift, guess)
         last, prev = x, last
         if equal:
             yield x, y
+
+
+def _last_row(shift: ShiftPair, x_max: int) -> int:
+    """The greatest row y whose crossing m_y is at most x_max >= 0, or -1 if there is none.
+
+    m_y >= y+a+b, so y <= x_max-a-b. For such y, x_max >= y+a+b, and R
+    increases in x on x >= y+a+b, so m_y <= x_max exactly when
+    ff(x_max-y, a+b) >= ff(x_max, a) * ff(y+b, b). At fixed x_max the
+    left side falls in y and the right side rises, so the rows that pass
+    form a prefix of 0..x_max-a-b, and bisection finds its end.
+    """
+    a, b, d = shift.a, shift.b, shift.degree
+    lo, hi = -1, x_max - d  # row lo passes (-1 stands for none); rows above hi fail
+    while hi > lo:
+        y = (lo + hi + 1) // 2
+        if perm(x_max - y, d) >= perm(x_max, a) * perm(y + b, b):
+            lo = y
+        else:
+            hi = y - 1
+    return lo
 
 
 _TUBE_START = 256  # rows below it are walked; the first block has this many rows
@@ -286,7 +284,7 @@ def _linear_product(pairs: Iterable[tuple[int, int]]) -> UniPoly:
 
 def _crossing_point(y: int, shift: ShiftPair, guess: int, bits: int) -> tuple[int, int]:
     """Row y's integer crossing m and about 2^bits * phi(y), for the real crossing phi(y) in [m-1, m]."""
-    m, equal = _row_crossing(y, shift, None, guess)
+    m, equal = _row_crossing(y, shift, guess)
     if equal:
         return m, m << bits
     left = _linear_product((-y - i, 1) for i in range(shift.degree))

@@ -241,6 +241,8 @@ def test_intersect_curves_matches_direct_double_filter():
         (ShiftPair(63, 3), ShiftPair(64, 4), 200),
         (ShiftPair(63, 3), ShiftPair(64, 4), 78),  # the crossing (78,2) sits on the bound
         (ShiftPair(104, 1), ShiftPair(110, 2), 200),
+        (ShiftPair(2, 3), ShiftPair(1, 4), 5),  # the trivial (5,0) is row 0's crossing, on the bound
+        (ShiftPair(2, 3), ShiftPair(1, 4), 4),
     ]:
         assert intersect_curves(s1, s2, x_max) == double_filter(s1, s2, x_max)
 
@@ -259,31 +261,32 @@ def test_intersect_curves_is_the_double_filter(a1, b1, a2, b2, x_max):
     assert intersect_curves(s1, s2, x_max) == double_filter(s1, s2, x_max)
 
 
-def test_intersect_walk_stops_at_the_first_row_without_a_crossing(monkeypatch):
-    # An evaluation is one left side ff(x-y, 2) of the first shift (1,1).
-    # Crossings never decrease in y, so the walk ends at the first row
-    # whose crossing lies beyond x_max.
-    evaluations = 0
-    rows = []
+def test_intersect_to_a_million_makes_a_few_hundred_row_crossings(monkeypatch):
+    # The rows of (1,1) up to _last_row, about 382,000, are covered by the
+    # tube: 256 walked rows, then three crossings per proved block.
+    calls = 0
     crossing = search_mod._row_crossing
 
-    def counting_perm(n, k):
-        nonlocal evaluations
-        evaluations += k == 2
-        return math.perm(n, k)
+    def counting_crossing(y, shift, guess):
+        nonlocal calls
+        calls += 1
+        return crossing(y, shift, guess)
 
-    def recording_crossing(y, shift, hi, guess):
-        result = crossing(y, shift, hi, guess)
-        rows.append((y, result is None))
-        return result
+    monkeypatch.setattr(search_mod, "_row_crossing", counting_crossing)
+    assert intersect_curves(ShiftPair(1, 1), ShiftPair(1, 3), 10**6) == [(15, 5)]
+    assert calls <= 300
 
-    monkeypatch.setattr(search_mod, "perm", counting_perm)
-    monkeypatch.setattr(search_mod, "_row_crossing", recording_crossing)
-    intersect_curves(ShiftPair(1, 1), ShiftPair(1, 3), 3000)
-    assert [y for y, _ in rows] == list(range(len(rows)))
-    assert [none for _, none in rows] == [False] * (len(rows) - 1) + [True]
-    assert len(rows) < 1200  # m_y is about (1 + golden ratio) * y
-    assert evaluations <= 3 * len(rows)
+
+@pytest.mark.parametrize(
+    "s1,s2", [((1, 1), (1, 3)), ((5, 1), (5, 2)), ((6, 1), (5, 1))], ids=["1,1-1,3", "5,1-5,2", "6,1-5,1"]
+)
+def test_intersect_to_a_million_is_the_walk_up_to_the_last_row(s1, s2):
+    # hits: 3003 = C(15,5) = C(14,6) = C(14,8), and 10 = C(10,1) = C(5,2) = C(5,3);
+    # (6,1) solves at (16,2), 120 = C(16,2) = C(10,3), which (5,1) does not
+    s1, s2 = ShiftPair(*s1), ShiftPair(*s2)
+    last = search_mod._last_row(s1, 10**6)
+    walk = [(x, y) for x, y in search_mod._row_solutions(s1, last) if equality_check(x, y, s2)]
+    assert intersect_curves(s1, s2, 10**6) == walk
 
 
 def test_intersect_curves_rejects_equal_shifts():

@@ -17,7 +17,7 @@ from pascalrepeats.cli import (
     main,
     read_solutions,
 )
-from pascalrepeats.errors import CacheError
+from pascalrepeats.errors import CacheError, PreconditionError
 from pascalrepeats.ratios import ShiftPair
 from pascalrepeats.search import FamilyMember, search
 
@@ -243,6 +243,16 @@ def test_curve_certify_refuses_a_degree_beyond_the_bound_before_any_work(monkeyp
         assert err == "error: curve --certify needs a+b <= 15, got 16\n"
 
 
+def test_curve_refuses_a_degree_beyond_the_bound_before_any_work(monkeypatch):
+    def reached(shift):
+        raise PreconditionError(f"built a curve of degree {shift.degree}")
+
+    monkeypatch.setattr(curves_mod, "build_curve", reached)
+    for argv in (["--a", "80", "--b", "81"], ["--a", "1", "--b", "160", "--format", "json"]):
+        assert run_cli(["curve", *argv]) == (1, "", "error: curve needs a+b <= 160, got 161\n")
+    assert run_cli(["curve", "--a", "80", "--b", "80"]) == (1, "", "error: built a curve of degree 160\n")
+
+
 def test_text_certificate_forms_no_exact_eliminant(monkeypatch):
     def exact(*args):
         raise AssertionError("formed an exact eliminant")
@@ -266,6 +276,44 @@ def test_census_modes_and_validation():
     assert code == 1 and "error:" in err
     code, _, err = run_cli(["census"])
     assert code == 1 and "error:" in err
+
+
+def test_census_scan_refuses_more_values_than_the_bound_before_the_tally(monkeypatch):
+    monkeypatch.setattr(cli_mod.census_mod, "scan_high_multiplicity", lambda t_max, m_min: pytest.fail("tallied"))
+    for t_max, m_min in ((1938714181, 4), (1938714181, 3), (31500106239179, 6), (10**24, 8)):
+        code, out, err = run_cli(["census", "--t-max", str(t_max), "--m-min", str(m_min)])
+        assert (code, out, err) == (1, "", "error: census scan would hold more than 65536 values\n")
+    assert cli_mod._census_values(1938714180, 4) == cli_mod._census_values(31500106239178, 6) == 65536
+
+
+@pytest.mark.parametrize("t_max", ["-5", "1"])
+def test_census_scan_below_two_is_refused_by_the_scan(t_max):
+    err = f"error: scan_high_multiplicity needs t_max >= 2, got {t_max}\n"
+    assert run_cli(["census", "--t-max", t_max, "--m-min", "4"]) == (1, "", err)
+
+
+@pytest.mark.parametrize("t_max", [2, 19, 20, 35, 3003, 10**4, 123456])
+@pytest.mark.parametrize("m_min", [3, 4, 5])
+def test_census_value_bound_holds_every_value_the_scan_holds(t_max, m_min):
+    # every C(n,k) <= t_max with 3 <= k <= n/2 (2 <= k with m_min <= 4), column by column
+    values = set()
+    k = 2 if m_min <= 4 else 3
+    while math.comb(2 * k, k) <= t_max:
+        n = 2 * k
+        while math.comb(n, k) <= t_max:
+            values.add(math.comb(n, k))
+            n += 1
+        k += 1
+    assert len(values) <= cli_mod._census_values(t_max, m_min)
+
+
+def test_intersect_refuses_an_x_max_of_2_to_the_256_before_any_row(monkeypatch, capsys):
+    monkeypatch.setattr(cli_mod.census_mod, "intersect_curves", lambda s1, s2, x_max: pytest.fail("searched"))
+    argv = ["intersect", "--a1", "2", "--b1", "3", "--a2", "1", "--b2", "4", "--x-max", str(1 << 256)]
+    assert run_cli(argv) == (1, "", "error: intersect --x-max must be below 2^256\n")
+    with pytest.raises(SystemExit):
+        main(["intersect", "--help"])
+    assert "largest x, below 2^256" in capsys.readouterr().out
 
 
 def test_intersect_json():

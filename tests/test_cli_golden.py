@@ -19,7 +19,13 @@ recorded when proved blocks of rows first replaced the walk above its
 first rows; they print only the trivial row y = 0, and the walk finds no
 other solution of either shift up to y = 10^6. A y_max of 2^256 is refused before any row
 is searched. A certificate of degree above 15 is refused before the
-curve is built. A change that alters any byte of
+curve is built. The intersection to x_max = 2^256 - 1 was recorded
+when intersect first ran the proved blocks of search; it prints what
+the row to x_max = 100 prints, and an x_max of 2^256 is refused before
+any row. A curve of degree above 160 is refused before it is built.
+The census scan to 31,500,106,239,178 holds at most 65,536 values and
+was recorded before scans were bounded; one more is refused before the
+tally. A change that alters any byte of
 output or any exit status fails here. "{cache}" stands for a solution
 cache that the search row with --cache writes, and that the verify rows
 read.
@@ -100,6 +106,11 @@ GOLDEN = [
     ("search --a 2 --b 3 --y-max 1000000000000000000000000000000", 0, "d56ff14338ef53c4253fd3f810eefd15b72bca8269e21983d960dd64b726468e"),
     ("search --a 2 --b 3 --y-max 115792089237316195423570985008687907853269984665640564039457584007913129639936", 1, EMPTY),
     ("curve --a 8 --b 8 --certify --format json", 1, EMPTY),
+    ("intersect --a1 1 --b1 1 --a2 1 --b2 3 --x-max 115792089237316195423570985008687907853269984665640564039457584007913129639935", 0, "7a058f6706367feb7a42d7a415345cf531008b6238ade1023a5438ee3dd97b6c"),
+    ("intersect --a1 1 --b1 1 --a2 1 --b2 3 --x-max 115792089237316195423570985008687907853269984665640564039457584007913129639936", 1, EMPTY),
+    ("curve --a 80 --b 81", 1, EMPTY),
+    ("census --t-max 31500106239178 --m-min 6", 0, "decf0b8cad6b5a3e1e7887d77d248a0e01884fc8943daaf93032a84a725eeda9"),
+    ("census --t-max 31500106239179 --m-min 6", 1, EMPTY),
 ]
 
 

@@ -9,7 +9,9 @@ zeta window of every row y > a bisected on the product sides, and a
 gallop from y+a+b for rows y <= a. The crossing itself is checked against
 its definition on the binomials, C(x-a,y+b) >= C(x,y), from math.comb.
 Whatever the guess, the walk must return the same crossing, and a row's
-solution must be the one the reference finds.
+solution must be the one the reference finds. The last row whose
+crossing is at most a bound, where intersect stops, is checked against
+the crossings themselves.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -102,7 +105,7 @@ def box_zeta(a: int, b: int):
     return isolate_zeta(ShiftPair(a, b), Fraction(1, Y_BOX + b))
 
 
-GUESSES = ("far_below", "lo", "near", "far_above", "beyond_hi")
+GUESSES = ("far_below", "lo", "near", "far_above")
 
 
 @settings(max_examples=400, deadline=None)
@@ -112,29 +115,55 @@ GUESSES = ("far_below", "lo", "near", "far_above", "beyond_hi")
     y=st.integers(0, Y_BOX),
     kind=st.sampled_from(GUESSES),
     offset=st.integers(-5, 5),
-    hi_offset=st.integers(-3, 3),
 )
-@example(a=1, b=1, y=272, kind="near", offset=0, hi_offset=0)
-@example(a=1, b=1, y=0, kind="far_below", offset=0, hi_offset=-3)
-@example(a=8, b=1, y=8, kind="lo", offset=0, hi_offset=0)
-@example(a=8, b=8, y=9, kind="far_above", offset=0, hi_offset=-1)
-@example(a=2, b=3, y=Y_BOX, kind="beyond_hi", offset=5, hi_offset=3)
-def test_crossing_is_the_reference_whatever_the_guess(a, b, y, kind, offset, hi_offset):
+@example(a=1, b=1, y=272, kind="near", offset=0)
+@example(a=1, b=1, y=0, kind="far_below", offset=0)
+@example(a=8, b=1, y=8, kind="lo", offset=0)
+@example(a=8, b=8, y=9, kind="far_above", offset=0)
+@example(a=2, b=3, y=Y_BOX, kind="near", offset=5)
+def test_crossing_is_the_reference_whatever_the_guess(a, b, y, kind, offset):
     shift = ShiftPair(a, b)
     m = comb_crossing(y, shift)
     solution = reference_row(y, shift, box_zeta(a, b))
     assert solution is None or solution == m
-    hi = m + hi_offset
     guess = {
         "far_below": -(10**6),
         "lo": y + a + b,
         "near": m + offset,
         "far_above": m + 10**6,
-        "beyond_hi": hi + 1 + abs(offset),
     }[kind]
-    assert search_mod._row_crossing(y, shift, None, guess) == (m, solution == m)
-    want = (m, solution == m) if m <= hi else None
-    assert search_mod._row_crossing(y, shift, hi, guess) == want
+    assert search_mod._row_crossing(y, shift, guess) == (m, solution == m)
+
+
+@lru_cache(maxsize=None)
+def box_crossing(a: int, b: int, y: int) -> int:
+    return comb_crossing(y, ShiftPair(a, b))
+
+
+def assert_last_row(a: int, b: int, x_max: int) -> None:
+    passing = [y for y in range(x_max - a - b + 1) if box_crossing(a, b, y) <= x_max]
+    assert passing == list(range(len(passing)))  # a prefix of the rows
+    assert search_mod._last_row(ShiftPair(a, b), x_max) == len(passing) - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.integers(1, 8), b=st.integers(1, 8), data=st.data())
+def test_last_row_is_the_greatest_row_crossing_by_x_max(a, b, data):
+    kind = data.draw(st.sampled_from(("below", "on", "any")))
+    if kind == "below":
+        x_max = data.draw(st.integers(0, a + b - 1))
+    elif kind == "on":
+        x_max = box_crossing(a, b, data.draw(st.integers(0, 100)))
+    else:
+        x_max = data.draw(st.integers(0, 300))
+    assert_last_row(a, b, x_max)
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (8, 1), (1, 8)])
+def test_last_row_at_the_first_crossings(a, b):
+    # row 0 crosses at a+b, where C(a+b,0) = C(b,b) = 1; one below it no row crosses
+    for x_max in (a + b - 1, a + b, box_crossing(a, b, 1), box_crossing(a, b, 272)):
+        assert_last_row(a, b, x_max)
 
 
 def test_search_is_the_reference_sweep():

@@ -45,9 +45,9 @@ def test_walked_rows_and_proved_blocks_tile_the_range(y_start, monkeypatch):
     covered = []
     walk, block = search_mod._row_solutions, search_mod._block_solutions
 
-    def walking(shift, y_max, x_max=None, y_lo=0):
+    def walking(shift, y_max, y_lo=0):
         covered.append((y_lo, y_max))
-        return walk(shift, y_max, x_max, y_lo)
+        return walk(shift, y_max, y_lo)
 
     def proving(shift, y0, y1, known):
         found = block(shift, y0, y1, known)
