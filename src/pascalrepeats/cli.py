@@ -20,7 +20,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -49,10 +48,6 @@ _MAX_CURVE_DEGREE = 160
 # every shift with a+b <= 8 other than (1,1) took at most 0.8 s on 2 CPUs, to 2^384 2.4 s;
 # intersect runs the same blocks on rows below x_max/2
 _MAX_SEARCH_Y_BITS = 256
-# values a census scan may hold: with --m-min 4 or less each column-2 value is a record, and
-# at the bound (t_max about 1.9e9) a scan took 2.1 s on 2 CPUs and printed 6 MB; with
-# --m-min 5 or more it reaches t_max of about 3.2e13 in 0.1 s
-_MAX_CENSUS_VALUES = 1 << 16
 # member 6 has 220,628 bits and takes about 0.7 s; each further one costs about 30 times more
 _MAX_FAMILY_INDEX = 6
 
@@ -346,25 +341,6 @@ def _run_curve(args: argparse.Namespace, out: TextIO) -> None:
         out.write(f"finiteness = {cert.finiteness.value}\n")
 
 
-def _census_values(t_max: int, m_min: int) -> int:
-    """An upper bound on the number of values scan_high_multiplicity(t_max, m_min) holds.
-
-    Column k >= 3 holds C(n,k) <= t_max only in rows 2k <= n <= r+k-1,
-    r = floor((k!*t_max)^(1/k)) (`census._interior_occurrences`), at most
-    r-k of them, and only while C(2k,k) <= t_max. With m_min <= 4 the
-    column-2 values C(n,2) <= t_max, fewer than sqrt(2*t_max) + 1, are held
-    too. The sum stops once it passes _MAX_CENSUS_VALUES.
-    """
-    count = math.isqrt(max(2 * t_max, 0)) + 1 if m_min <= 4 else 0  # t_max < 2 is refused by the scan
-    k, fact, central = 3, 6, 20  # k!, C(2k,k)
-    while central <= t_max and count <= _MAX_CENSUS_VALUES:
-        count += census_mod._kth_root(fact * t_max, k) - k
-        central = central * 2 * (2 * k + 1) // (k + 1)
-        k += 1
-        fact *= k
-    return count
-
-
 def _run_census(args: argparse.Namespace, out: TextIO) -> None:
     single = args.t is not None
     ranged = args.t_max is not None or args.m_min is not None
@@ -375,8 +351,6 @@ def _run_census(args: argparse.Namespace, out: TextIO) -> None:
     else:
         if args.t_max is None or args.m_min is None:
             raise PreconditionError("census scan needs both --t-max and --m-min")
-        if _census_values(args.t_max, args.m_min) > _MAX_CENSUS_VALUES:
-            raise PreconditionError(f"census scan would hold more than {_MAX_CENSUS_VALUES} values")
         records = census_mod.scan_high_multiplicity(args.t_max, args.m_min)
     if args.format == "json":
         payload = [r.to_json_dict() for r in records]

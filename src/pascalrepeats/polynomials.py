@@ -10,18 +10,16 @@ elimination). unipoly_gcd first proves a constant gcd modulo the prime
 that fails. Over GF(2^61 - 1), one remainder step serves the gcd degree
 and a resultant by Euclid with the Sylvester sign convention, and
 Newton's forward differences interpolate a polynomial from its values
-at 0..n-1; curves.certify builds its modular eliminants from the two. Real roots are isolated by Sturm sign variations and
-bisection on integer numerators over a common power-of-two denominator;
-past 64 halvings, an integer Newton iteration names the cell the
-halving would end in, and two exact sign tests prove it. One signed
-primitive remainder sequence of (p, p') is both the Sturm chain and,
-through its last term gcd(p, p'), the squarefree part that bisection
-runs on. positive_axis_sign proves a polynomial's sign on t >= 0 by
-Descartes' rule of signs, with a Sturm count when the rule is
-inconclusive. UniPoly.sign_at(u, w), the sign at an integer u over an
-integer w > 0, is the one evaluator. One square-and-multiply serves both
-polynomial types' powers, and one renderer their text. No floating
-point anywhere.
+at 0..n-1; curves.certify builds its modular eliminants from the two.
+Real roots are isolated by Sturm sign variations and bisection on
+integer numerators over a common power-of-two denominator; past 64
+halvings, an integer Newton iteration names the cell the halving would
+end in, and two exact sign tests prove it. One signed primitive
+remainder sequence of (p, p') is both the Sturm chain and, through its
+last term gcd(p, p'), the squarefree part that bisection runs on.
+UniPoly.sign_at(u, w), the sign at an integer u over an integer w > 0,
+is the one evaluator. One square-and-multiply serves both polynomial
+types' powers, and one renderer their text. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -450,37 +448,10 @@ def unipoly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 
-def _changes(values: Iterable[int]) -> int:
-    """Sign changes along a sequence, zeros skipped."""
-    signs = [s for s in map(_sgn, values) if s]
-    return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
-
-
 def _variations(chain: list[UniPoly], v: Fraction) -> int:
-    u, w = v.numerator, v.denominator
-    return _changes(q.sign_at(u, w) for q in chain)
-
-
-def positive_axis_sign(p: UniPoly) -> int:
-    """s in {-1, 1} when p(t) has the sign s at every t >= 0 and so has lc(p); else 0.
-
-    Descartes' rule of signs decides first: coefficients with no sign
-    change leave p no positive root. When they change, the signed
-    remainder chain of (pp, pp') counts the distinct roots in (0, +inf)
-    as V(0) - V(+inf), which is valid since p(0) != 0; a term's sign is
-    its constant coefficient at 0 and its leading one at +inf. Read
-    after the Moebius map y = (y0 + y1*t)/(1+t), which takes [0, +inf]
-    onto [y0, y1], this proves the sign of a polynomial on a closed
-    interval (Vincent's theorem, as used by Collins and Akritas, 1976).
-    """
-    s = _sgn(p.coeffs[0]) if p else 0
-    if s == 0 or _sgn(p.leading) != s:
-        return 0
-    if _changes(p.coeffs) == 0:
-        return s
-    pp = p.primitive_part()
-    chain = list(_signed_prs(pp, pp.derivative()))
-    return s if _changes(q.coeffs[0] for q in chain) == _changes(q.leading for q in chain) else 0
+    """Sign changes along the chain's values at v, zeros skipped."""
+    signs = [s for s in (q.sign_at(v.numerator, v.denominator) for q in chain) if s]
+    return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
 def root_bound(p: UniPoly) -> Fraction:

@@ -167,8 +167,10 @@ def ratio_identity_check(x: int, y: int, shift: ShiftPair) -> bool:
 def row_expansion_check(n: int, k: int, r: int) -> bool:
     """Verify C(n,k) = sum_{s=0}^{r} C(r,s) C(n-r,k-s) exactly.
 
-    A true identity for every valid input; kept as a regression oracle for
-    the expansion machinery behind ratio_identity_check.
+    Vandermonde's identity, true for every valid input: criterion 8 of the
+    acceptance suite checks it on random rows, as a check of `binomial`.
+    ratio_identity_check does not rest on it; it clears denominators with
+    falling factorials.
     """
     if r > n:
         raise PreconditionError(f"row_expansion_check needs r <= n, got r={r}, n={n}")

@@ -55,9 +55,9 @@ After the Moebius map y = (y0 + y1*t)/(1+t), which takes t in [0, +inf]
 onto [y0, y1], each factor f becomes (f(y0) + f(y1)*t)/(1+t), so
 (1+t)^(a+b) * M^(a+b) * F is a difference of two products of such
 linear terms (`_line_sign`). Its sign on t >= 0 is settled by Descartes'
-rule of signs, and by a Sturm count only when the coefficients change
-sign (`polynomials.positive_axis_sign`; Vincent's theorem, as used by
-Collins and Akritas, 1976).
+rule of signs: coefficients of one sign, with nonzero ends, leave it no
+root there (Vincent's theorem, as used by Collins and Akritas, 1976).
+When the rule is inconclusive, the proof fails.
 
 In a proved block a solution can lie only on a row where an integer
 fits strictly between L and U. With W = Q_U - Q_L < M, those are the
@@ -90,7 +90,7 @@ from typing import Iterable, Iterator
 
 from .combinatorics import binomial, falling_factorial, fibonacci
 from .errors import PreconditionError
-from .polynomials import UniPoly, bisect_root, positive_axis_sign
+from .polynomials import UniPoly, bisect_root
 from .ratios import Interval, ShiftPair, bracket, zeta_poly
 
 
@@ -300,7 +300,10 @@ def _line_sign(shift: ShiftPair, p: int, q: int, big_m: int, y0: int, y1: int) -
     y = (y0 + y1*t)/(1+t) it is (f(y0) + f(y1)*t)/(1+t). Both sides have
     a+b factors, so H(t) = (1+t)^(a+b) * big_m^(a+b) * F is the difference
     of two products of (f(y0) + f(y1)*t), and H(0) and the t^(a+b)
-    coefficient are the values at y0 and y1.
+    coefficient are the values at y0 and y1. By Descartes' rule of signs,
+    H keeps the sign of H(0) on all of [0, +inf] when H(0) != 0, H has
+    degree a+b, and no two coefficients have opposite signs. Otherwise
+    the rule is inconclusive, and 0 fails the block's proof.
     """
     a, b, d = shift.a, shift.b, shift.degree
 
@@ -311,8 +314,10 @@ def _line_sign(shift: ShiftPair, p: int, q: int, big_m: int, y0: int, y1: int) -
     right = _linear_product(
         [ends(p, q - big_m * i) for i in range(a)] + [ends(big_m, big_m * j) for j in range(1, b + 1)]
     )
-    h = left - right
-    return positive_axis_sign(h) if h.degree == d else 0
+    c = (left - right).coeffs
+    if len(c) != d + 1 or min(c) < 0 < max(c):
+        return 0
+    return (c[0] > 0) - (c[0] < 0)
 
 
 def _least_row(p: int, q: int, m: int, lo: int, hi: int) -> int | None:

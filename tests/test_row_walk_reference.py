@@ -141,7 +141,9 @@ def box_crossing(a: int, b: int, y: int) -> int:
 
 
 def assert_last_row(a: int, b: int, x_max: int) -> None:
-    passing = [y for y in range(x_max - a - b + 1) if box_crossing(a, b, y) <= x_max]
+    # x_max >= y+a+b, and C(x-a,y+b) >= C(x,y) holds from the crossing on, so m_y <= x_max
+    # exactly when it holds at x_max
+    passing = [y for y in range(x_max - a - b + 1) if math.comb(x_max - a, y + b) >= math.comb(x_max, y)]
     assert passing == list(range(len(passing)))  # a prefix of the rows
     assert search_mod._last_row(ShiftPair(a, b), x_max) == len(passing) - 1
 

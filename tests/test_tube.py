@@ -5,8 +5,10 @@ L < phi < U around the rows' real crossings phi(y), and checks only the
 rows where an integer fits between them. The row walk, which finds every
 row's crossing, is the reference: whatever the block schedule, the two
 must list the same solutions. The candidate recursion is checked against
-a scan of its residues, the sign proof against polynomials of known
-roots, and a proof made to fail must fall back to the walk.
+a scan of its residues, the sign proof against exact values of the
+product form along its line, and a proof made to fail must fall back to
+the walk. At the production block starts Descartes' rule alone decides
+every line, so no proof fails there.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import importlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +24,6 @@ from hypothesis import strategies as st
 
 from pascalrepeats.cli import main
 from pascalrepeats.errors import PreconditionError
-from pascalrepeats.polynomials import UniPoly, positive_axis_sign
 from pascalrepeats.ratios import ShiftPair
 from pascalrepeats.search import equality_check, search
 
@@ -31,6 +33,8 @@ search_mod = importlib.import_module("pascalrepeats.search")
 @settings(max_examples=60, deadline=None)
 @given(a=st.integers(1, 8), b=st.integers(1, 8), y_max=st.integers(1, 3000), y_start=st.integers(16, 40))
 @example(a=1, b=1, y_max=3000, y_start=16)
+@example(a=1, b=1, y_max=3000, y_start=17)
+@example(a=1, b=1, y_max=3000, y_start=23)
 @example(a=1, b=3, y_max=3000, y_start=16)
 @example(a=8, b=8, y_max=3000, y_start=16)
 @example(a=2, b=1, y_max=31, y_start=16)
@@ -117,41 +121,6 @@ def test_least_row_on_power_of_two_moduli():
         assert all((p * w + q) % m < lo for w in range(max(0, z - 2000), z))
 
 
-def _poly_from_roots(c: int, reals: list[int], centres: list[int]) -> UniPoly:
-    p = UniPoly((c,))
-    for r in reals:
-        p = p * UniPoly((-r, 1))
-    for s in centres:
-        p = p * UniPoly((s * s + 1, -2 * s, 1))  # roots s +- i
-    return p
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    c=st.sampled_from([-3, -1, 1, 2]),
-    reals=st.lists(st.integers(-6, 6), max_size=4),
-    centres=st.lists(st.integers(-6, 6), max_size=3),
-)
-@example(c=1, reals=[], centres=[3])
-@example(c=1, reals=[1, 1], centres=[])
-@example(c=-1, reals=[-2], centres=[1, 4])
-def test_positive_axis_sign_against_known_roots(c, reals, centres):
-    # complex pairs with positive real part give coefficient sign changes
-    # without a positive root, which only the Sturm count can settle
-    p = _poly_from_roots(c, reals, centres)
-    # every factor is positive at t >= 0 when every real root is negative
-    want = (1 if c > 0 else -1) if all(r < 0 for r in reals) else 0
-    assert positive_axis_sign(p) == want
-
-
-def test_positive_axis_sign_needs_the_sturm_count():
-    # t^2 - 6t + 10 = (t - 3)^2 + 1: two sign changes, no real root
-    p = UniPoly((10, -6, 1))
-    assert positive_axis_sign(p) == 1
-    assert positive_axis_sign(UniPoly((0, 1))) == 0
-    assert positive_axis_sign(UniPoly()) == 0
-
-
 def test_line_through_a_solution_has_no_sign():
     # x = y + 10 meets the (1,3) curve at its solution (15, 5)
     shift = ShiftPair(1, 3)
@@ -160,6 +129,76 @@ def test_line_through_a_solution_has_no_sign():
     # at a block's end the line's polynomial loses its top coefficient
     assert search_mod._line_sign(shift, 1, 10, 1, 3, 5) == 0
     assert search_mod._line_sign(shift, 1, 10, 1, 5, 7) == 0
+
+
+def product_form(shift: ShiftPair, x: Fraction, y: Fraction) -> Fraction:
+    """F(x,y) = ff(x-y, a+b) - ff(x, a) * ff(y+b, b) at rational x and y."""
+    left = right = Fraction(1)
+    for i in range(shift.degree):
+        left *= x - y - i
+    for i in range(shift.a):
+        right *= x - i
+    for j in range(1, shift.b + 1):
+        right *= y + j
+    return left - right
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.integers(1, 6),
+    b=st.integers(1, 6),
+    y0=st.integers(0, 300),
+    rows=st.integers(2, 300),
+    k=st.integers(0, 40),
+    lift=st.integers(-12, 12),
+    nudge=st.integers(-3, 3),
+    ts=st.lists(st.fractions(0, 1, max_denominator=1000), max_size=5),
+)
+@example(a=2, b=3, y0=100, rows=100, k=8, lift=0, nudge=-300, ts=[])
+@example(a=2, b=3, y0=100, rows=100, k=8, lift=0, nudge=300, ts=[])
+def test_a_line_sign_is_the_sign_along_the_whole_block(a, b, y0, rows, k, lift, nudge, ts):
+    # the chord through phi at the block's ends on the 2^-k grid, moved by lift/4 of its
+    # sagitta at the middle row and by nudge grid steps: from 0 to 1 sagitta toward the
+    # middle it crosses phi twice, and its ends alone would name a sign. A nonzero sign
+    # must be F's along the line at every y of the block.
+    shift = ShiftPair(a, b)
+    y1, ym = y0 + rows, y0 + rows // 2
+    f0, fm, f1 = (search_mod._crossing_point(y, shift, y + shift.degree, k)[1] for y in (y0, ym, y1))
+    p = (f1 - f0) // rows
+    q = f0 - p * y0
+    q += lift * (fm - p * ym - q) // 4 + nudge
+    big_m = 1 << k
+    s = search_mod._line_sign(shift, p, q, big_m, y0, y1)
+    assert s in (-1, 0, 1)
+    if s:
+        for t in [Fraction(0), Fraction(1), Fraction(rows // 2, rows), *ts]:
+            y = y0 + rows * t
+            f = product_form(shift, (p * y + q) / big_m, y)
+            assert (f > 0) - (f < 0) == s, (t, f)
+
+
+def test_a_line_with_one_sign_at_both_ends_but_not_between_has_no_sign():
+    # x = 3 - 3y crosses two branches of the (1,1) curve between y = 0 and y = 2
+    shift = ShiftPair(1, 1)
+    values = [product_form(shift, 3 - 3 * y, y) for y in (Fraction(0), Fraction(1, 2), Fraction(2))]
+    assert values == [3, Fraction(-9, 4), 39]
+    assert search_mod._line_sign(shift, -3, 3, 1, 0, 2) == 0
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 6) for b in range(1, 7 - a)])
+def test_descartes_decides_every_block_at_the_production_starts(a, b, monkeypatch):
+    # a block whose proof fails is halved and walked, which is correct but slow;
+    # from the production start, to y = 10^30, every line proof succeeds
+    outcomes = []
+    block = search_mod._block_solutions
+
+    def recording(*args):
+        outcomes.append(block(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(search_mod, "_block_solutions", recording)
+    list(search_mod._tube_solutions(ShiftPair(a, b), 10**30))
+    assert outcomes and all(o is not None for o in outcomes)
 
 
 def test_a_failed_proof_falls_back_to_the_walk(monkeypatch):
