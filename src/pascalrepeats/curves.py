@@ -302,6 +302,27 @@ def _x_section(curve: BiPoly, u: int, w: int = 1) -> UniPoly:
     return UniPoly(out)
 
 
+def _continued(before: list[tuple[Fraction, list[tuple[int, int]]]], y0: Fraction) -> list[tuple[int, int]]:
+    """Guesses (u, w) at the roots of the section at y0 from the sections before it.
+
+    before holds the last one or two sections as (y, roots), each root
+    the left end of its enclosure as (numerator, denominator). With two
+    sections of equal root count, the i-th root is extrapolated linearly
+    in y through the i-th roots of both: r2 + (r2 - r1)(y0 - y2)/(y2 - y1),
+    over the product of the denominators. Otherwise the last section's
+    roots are the guesses; the first section has none.
+    """
+    if not before:
+        return []
+    y2, r2 = before[-1]
+    y1, r1 = before[0]
+    if len(r1) != len(r2) or y1 == y2:
+        return r2
+    s = (y0 - y2) / (y2 - y1)
+    sn, sd = s.numerator, s.denominator
+    return [(n2 * d1 * sd + (n2 * d1 - n1 * d2) * sn, d1 * d2 * sd) for (n1, d1), (n2, d2) in zip(r1, r2)]
+
+
 def real_branches(
     shift: ShiftPair,
     y_values: Iterable[Fraction | int],
@@ -314,12 +335,22 @@ def real_branches(
     enclosure of width at most the requested one (default 1e-9); exact
     rational roots may come back as zero-width intervals. At most a+b
     branches per y.
+
+    Sections are continued: along a branch the roots of neighbouring
+    sections move smoothly, so each section's roots are extrapolated from
+    the two sections before it (see _continued) and handed to
+    isolate_real_roots as hints. A hint only picks the cell that Newton
+    tries first; the Sturm count and every enclosure are what the section
+    gives alone.
     """
     f = build_curve(shift)
+    before: list[tuple[Fraction, list[tuple[int, int]]]] = []
     for y0 in y_values:
         y0 = Fraction(y0)
         section = _x_section(f, y0.numerator, y0.denominator)
-        yield y0, [Interval(lo, hi) for lo, hi in isolate_real_roots(section, width)]
+        enclosures = isolate_real_roots(section, width, _continued(before, y0))
+        before = before[-1:] + [(y0, [(lo.numerator, lo.denominator) for lo, _ in enclosures])]
+        yield y0, [Interval(lo, hi) for lo, hi in enclosures]
 
 
 def lattice_points_in_box(

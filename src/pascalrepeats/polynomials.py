@@ -13,8 +13,9 @@ Newton's forward differences interpolate a polynomial from its values
 at 0..n-1; curves.certify builds its modular eliminants from the two.
 Real roots are isolated by Sturm sign variations and bisection on
 integer numerators over a common power-of-two denominator; past 64
-halvings, an integer Newton iteration names the cell the halving would
-end in, and two exact sign tests prove it. One signed primitive
+halvings, or at once from a hint such as a neighbouring section's root,
+an integer Newton iteration names the cell the halving would end in,
+and two exact sign tests prove it. One signed primitive
 remainder sequence of (p, p') is both the Sturm chain and, through its
 last term gcd(p, p'), the squarefree part that bisection runs on.
 UniPoly.sign_at(u, w), the sign at an integer u over an integer w > 0,
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import PreconditionError, ZeroPolynomialError
 
@@ -455,11 +456,14 @@ def _variations(chain: list[UniPoly], v: Fraction) -> int:
 
 
 def root_bound(p: UniPoly) -> Fraction:
-    """Cauchy bound: every real root lies strictly inside (-M, M)."""
+    """Cauchy bound: every real root lies strictly inside (-M, M).
+
+    M = 1 + max |c_i / lead|; the leading coefficient is common to every
+    term, so one Fraction of the largest |c_i| is the same value.
+    """
     if p.degree < 1:
         raise ZeroPolynomialError("root bound needs positive degree")
-    lead = abs(p.leading)
-    return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
+    return 1 + Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.leading))
 
 
 def _split_point(sf: UniPoly, lo: Fraction, hi: Fraction) -> Fraction:
@@ -488,22 +492,30 @@ def _shifted(sf: UniPoly, u: int, d: int, w: int) -> list[int]:
     return q
 
 
-def _newton_index(sf: UniPoly, u: int, d: int, w: int, k: int) -> int | None:
+def _newton_index(sf: UniPoly, u: int, d: int, w: int, k: int, start: tuple[int, int] | None = None) -> int | None:
     """An estimate of floor(2^k t) for the root t in (0, 1) of q(t) = w^n sf((u + t*d)/w).
 
     Newton's iteration on q in fixed point: t is an integer T over 2^prec,
     and one Horner pass gives q and q' at T/2^prec, each times 2^prec and
-    floored at every step. prec starts at 32. Once a step is at most
-    2^(prec/2), the iterate had about prec/2 right bits and now has about
-    prec, since Newton's error squares near a simple root, so prec doubles,
-    up to k plus guard bits. None when an iterate leaves [0, 1], q'
-    vanishes, or the steps do not settle. The index is only an estimate;
-    _newton_cell proves it or moves it.
+    floored at every step. Without a start, prec starts at 32 and t at
+    1/2. Once a step is at most 2^(prec/2), the iterate had about prec/2
+    right bits and now has about prec, since Newton's error squares near a
+    simple root, so prec doubles, up to the goal of k plus guard bits, and
+    a step of at most 2^(goal/2) ends the iteration. That stop suits
+    the narrow bracket left by the seed halvings, where the squared error
+    carries a small factor; on a whole bracket the factor is large. So a
+    start (n, m), a hint at t = n/m, runs at the goal precision at once
+    and stops only on a step of at most 2^_GUARD_BITS, one level-k cell.
+    None when an iterate leaves [0, 1], q' vanishes, or the steps do not
+    settle. The index is only an estimate; _newton_cell proves it or
+    moves it.
     """
     q = _shifted(sf, u, d, w)
-    prec = 32
-    goal = max(prec, k + _GUARD_BITS)
-    t = 1 << (prec - 1)
+    goal = max(32, k + _GUARD_BITS)
+    if start is None:
+        prec, t, settled = 32, 1 << 31, 1 << (goal // 2)
+    else:
+        prec, t, settled = goal, (start[0] << goal) // start[1], 1 << _GUARD_BITS
     for _ in range(8 + goal.bit_length()):
         a, b = q[-1] << prec, 0
         for c in reversed(q[:-1]):
@@ -515,15 +527,18 @@ def _newton_index(sf: UniPoly, u: int, d: int, w: int, k: int) -> int | None:
         t -= step
         if not 0 <= t <= 1 << prec:
             return None
-        if abs(step) <= 1 << (prec // 2):
-            if prec == goal:
+        if prec == goal:
+            if abs(step) <= settled:
                 return t >> (prec - k)
+        elif abs(step) <= 1 << (prec // 2):
             t <<= min(prec, goal - prec)
             prec = min(2 * prec, goal)
     return None
 
 
-def _newton_cell(sf: UniPoly, u: int, d: int, w: int, k: int, slo: int) -> tuple[Fraction, Fraction] | None:
+def _newton_cell(
+    sf: UniPoly, u: int, d: int, w: int, k: int, slo: int, start: tuple[int, int] | None = None
+) -> tuple[Fraction, Fraction] | None:
     """The level-k cell of the bracket [u, u+d]/w that bisection would return, or None.
 
     The cells are [u*2^k + j*d, u*2^k + (j+1)*d]/(w*2^k), 0 <= j < 2^k.
@@ -531,8 +546,9 @@ def _newton_cell(sf: UniPoly, u: int, d: int, w: int, k: int, slo: int) -> tuple
     it, so the cell holds the root exactly when its left end has sign slo
     and its right end -slo; a wrong sign moves j by one toward the root.
     A zero sign is the root itself, a grid point, returned as [r, r].
+    start is _newton_index's.
     """
-    j = _newton_index(sf, u, d, w, k)
+    j = _newton_index(sf, u, d, w, k, start)
     if j is None:
         return None
     base, den = u << k, w << k
@@ -555,11 +571,18 @@ def _newton_cell(sf: UniPoly, u: int, d: int, w: int, k: int, slo: int) -> tuple
     return None
 
 
-def bisect_root(sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+def _halvings(span: int, unit: int) -> int:
+    """The least k with span <= unit * 2^k: the halvings bisect_root still has to make."""
+    return (-(-span // unit) - 1).bit_length()
+
+
+def bisect_root(
+    sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction, hint: tuple[int, int] | None = None
+) -> tuple[Fraction, Fraction]:
     """Halve [lo, hi], which holds exactly one root r of sf, until hi - lo <= width.
 
-    Neither end is a root, and sf changes sign at r (r is simple in both
-    callers). Keeps the half whose ends differ in sign; a midpoint that is
+    Neither end is a root, and sf changes sign at r (r is simple in every
+    caller). Keeps the half whose ends differ in sign; a midpoint that is
     itself a root comes back as [m, m]. The ends are integer numerators
     u, v over one denominator w that doubles at each halving, so v - u
     stays fixed and no Fraction is built until the return. The caller
@@ -578,16 +601,31 @@ def bisect_root(sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tup
     halving would. If the tests fail after a few moves of the index,
     halving goes on from the last proved bracket, and the cell is tried
     again 64 halvings later.
+
+    A hint (hu, hw), the rational hu/hw with hw > 0, is a guess at r, such
+    as the root of a neighbouring section. When it lies strictly inside
+    (lo, hi), Newton starts from it at once, on the whole bracket, and
+    _newton_cell tests the level-k cell it names before any halving. The
+    proof above does not depend on where Newton started: a cell is
+    returned only when its two exact sign tests prove it, or a zero sign
+    finds r on the grid. On None the halving runs as without a hint, so a
+    bad hint costs time and never changes the result.
     """
     w = math.lcm(lo.denominator, hi.denominator)
     u, v = lo.numerator * (w // lo.denominator), hi.numerator * (w // hi.denominator)
     span = (v - u) * width.denominator  # (hi - lo) > width  <=>  span > width.numerator * w
     slo = sf.sign_at(u, w)
+    if hint is not None and span > width.numerator * w:
+        hu, hw = hint
+        t = (hu * w - u * hw, (v - u) * hw)  # the hint as a fraction of the bracket
+        if 0 < t[0] < t[1]:
+            cell = _newton_cell(sf, u, v - u, w, _halvings(span, width.numerator * w), slo, t)
+            if cell is not None:
+                return cell
     newton_at = w << _SEED_HALVINGS
     while span > width.numerator * w:
         if w == newton_at:
-            k = (-(-span // (width.numerator * w)) - 1).bit_length()  # halvings still to make
-            cell = _newton_cell(sf, u, v - u, w, k, slo)
+            cell = _newton_cell(sf, u, v - u, w, _halvings(span, width.numerator * w), slo)
             if cell is not None:
                 return cell
             newton_at <<= _SEED_HALVINGS
@@ -603,7 +641,9 @@ def bisect_root(sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tup
     return Fraction(u, w), Fraction(v, w)
 
 
-def isolate_real_roots(p: UniPoly, width: Fraction = Fraction(1, 10**9)) -> list[tuple[Fraction, Fraction]]:
+def isolate_real_roots(
+    p: UniPoly, width: Fraction = Fraction(1, 10**9), hints: Sequence[tuple[int, int]] = ()
+) -> list[tuple[Fraction, Fraction]]:
     """Rational enclosures of every real root of p, one per root, ascending.
 
     Each enclosure has width <= the requested width; an exact rational root
@@ -622,6 +662,11 @@ def isolate_real_roots(p: UniPoly, width: Fraction = Fraction(1, 10**9)) -> list
     Thm 2.50). Every point the chain is read at is +-bound or a split
     point where sf, hence pp, is nonzero. Bisection, split points and the
     root bound use sf.
+
+    hints are guesses (u, w) at roots, each the rational u/w with w > 0.
+    The walk does not read them: each bracket it hands to bisect_root
+    with one root gets the first hint strictly inside it, if any, and
+    bisect_root returns the same enclosure with or without it.
     """
     if not p:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
@@ -635,11 +680,17 @@ def isolate_real_roots(p: UniPoly, width: Fraction = Fraction(1, 10**9)) -> list
     bound = root_bound(sf)
     out: list[tuple[Fraction, Fraction]] = []
 
+    def inside(lo: Fraction, hi: Fraction) -> tuple[int, int] | None:
+        for hu, hw in hints:
+            if lo.numerator * hw < hu * lo.denominator and hu * hi.denominator < hi.numerator * hw:
+                return hu, hw
+        return None
+
     def walk(lo: Fraction, hi: Fraction, nroots: int) -> None:
         if nroots == 0:
             return
         if nroots == 1:
-            out.append(bisect_root(sf, lo, hi, width))
+            out.append(bisect_root(sf, lo, hi, width, inside(lo, hi)))
             return
         m = _split_point(sf, lo, hi)
         left = _variations(chain, lo) - _variations(chain, m)

@@ -7,6 +7,11 @@ integers over a doubling denominator, that ran before: the two must
 return the same endpoints, bit for bit, including the [m, m] of a root
 that is a midpoint. Cases: zeta_poly of random shifts, squarefree
 products with rational roots, and brackets whose root sits near an end.
+
+With a hint (u, w), a guess u/w at the root, bisect_root starts Newton
+from the hint on the whole bracket before any halving; it must still
+return what plain halving does, whatever the hint: at the root, on a
+grid root, next to an end, outside the bracket, or far off.
 """
 
 from __future__ import annotations
@@ -66,8 +71,8 @@ def zeta_cases(draw):
 
 
 @st.composite
-def rational_root_cases(draw):
-    """A squarefree product of linear factors; a bracket [r - i*h, r + (N-i)*h] round one root r.
+def rooted_rational_cases(draw):
+    """A squarefree product of linear factors; a bracket [r - i*h, r + (N-i)*h] round one root r; then r.
 
     N = 2^e puts r on the dyadic grid of the bracket, so halving may end on
     it as [r, r]; i = 1 or N - 1 puts r next to an end.
@@ -88,7 +93,11 @@ def rational_root_cases(draw):
     i = draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
     h = min(gaps + [Fraction(1)]) / (n + 1)
     lo, hi = r - i * h, r + (n - i) * h
-    return p, lo, hi, draw(widths(p.degree, hi - lo))
+    return p, lo, hi, draw(widths(p.degree, hi - lo)), r
+
+
+def rational_root_cases():
+    return rooted_rational_cases().map(lambda case: case[:4])
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,3 +156,82 @@ def test_newton_cell_replaces_the_fine_halvings(case, monkeypatch):
     p, lo, hi, width = case
     bisect_root(p, lo, hi, width)
     assert len(calls) <= 1 + 64 + 2 * polynomials._CELL_TRIES  # lo, the seed halvings, the cell tests
+
+
+def _hints(lo: Fraction, hi: Fraction, root: Fraction) -> list[tuple[int, int]]:
+    """Hints (u, w) round a bracket: at the root (also not in lowest terms), a hair off it,
+    next to lo and hi, on and outside both ends, at the middle and far off toward an end."""
+    span = hi - lo
+    points = [
+        root,
+        root + span / 2**90,
+        root - span / 2**40,
+        lo + span / 2**60,
+        hi - span / 2**60,
+        lo,
+        hi,
+        lo - 1,
+        hi + span,
+        (lo + hi) / 2,
+        lo + span / 1000,
+    ]
+    return [(root.numerator * 3, root.denominator * 3)] + [(q.numerator, q.denominator) for q in points]
+
+
+@settings(max_examples=15, deadline=None)
+@given(zeta_cases())
+@example((zeta_poly(ShiftPair(1, 1)), Fraction(1), Fraction(4), Fraction(1, 2**3000)))
+@example((zeta_poly(ShiftPair(2, 10)), Fraction(1), Fraction(2**12), Fraction(1, 10**300)))
+def test_hinted_zeta_cells_match_plain_halving(case):
+    p, lo, hi, width = case
+    expected = plain_halving(p, lo, hi, width)
+    root = plain_halving(p, lo, hi, (hi - lo) / 2**100)[0]
+    for hint in _hints(lo, hi, root):
+        assert bisect_root(p, lo, hi, width, hint) == expected, hint
+
+
+@settings(max_examples=25, deadline=None)
+@given(rooted_rational_cases())
+@example((UniPoly([-1, 3]), Fraction(0), Fraction(1), Fraction(1, 2**3000), Fraction(1, 3)))
+@example((UniPoly([-3, 2**70]), Fraction(0), Fraction(1), Fraction(1, 2**200), Fraction(3, 2**70)))  # grid root
+@example((UniPoly([-3, 2**70]), Fraction(0), Fraction(1), Fraction(1, 2**60), Fraction(3, 2**70)))  # off the grid
+@example((UniPoly([-1, 2**65]) * UniPoly([1, 0, 1]), Fraction(0), Fraction(1), Fraction(1, 2**64), Fraction(1, 2**65)))
+def test_hinted_rational_roots_match_plain_halving(case):
+    p, lo, hi, width, root = case
+    expected = plain_halving(p, lo, hi, width)
+    for hint in _hints(lo, hi, root):
+        assert bisect_root(p, lo, hi, width, hint) == expected, hint
+
+
+@pytest.mark.parametrize("offset", [-5, -1, 1, 3, None])
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_wrong_newton_index_from_a_hint_is_moved_or_falls_back_to_halving(case, offset, monkeypatch):
+    real = polynomials._newton_index
+
+    def off(*args):
+        j = real(*args)
+        return None if offset is None or j is None else j + offset
+
+    monkeypatch.setattr(polynomials, "_newton_index", off)
+    p, lo, hi, width = case
+    expected = plain_halving(p, lo, hi, width)
+    root = sum(expected) / 2
+    assert bisect_root(p, lo, hi, width, (root.numerator, root.denominator)) == expected
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_a_good_hint_proves_its_cell_without_halving(case, monkeypatch):
+    p, lo, hi, width = case
+    expected = plain_halving(p, lo, hi, width)
+    root = sum(expected) / 2
+    calls = []
+    real = UniPoly.sign_at
+
+    def counted(self, u, w=1):
+        calls.append(w)
+        return real(self, u, w)
+
+    monkeypatch.setattr(UniPoly, "sign_at", counted)
+    assert bisect_root(p, lo, hi, width, (root.numerator, root.denominator)) == expected
+    # the sign at lo, then the cell tests, all on the one level-k grid: no halving ran
+    assert len(calls) <= 1 + 2 * polynomials._CELL_TRIES and len(set(calls[1:])) == 1

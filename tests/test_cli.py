@@ -34,6 +34,35 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
 # ---------------------------------------------------------------------------
 
 
+# exit 0, exit 1 (a domain error), exit 2 (usage) and --help, which exits 0 from argparse
+REUSE_ARGV = [
+    ["census", "--t", "120"],
+    ["plot", "--a", "1", "--b", "1", "--y-min", "0", "--y-max", "3", "--y-step", "1/2"],
+    ["zeta", "--a", "0", "--b", "1"],
+    ["family", "--i-max", "99"],
+    ["zeta", "--a", "1"],
+    ["plot", "--a", "1", "--b", "1", "--y-min", "0", "--y-max", "3", "--y-step", "x"],
+    ["--help"],
+    ["plot", "--help"],
+]
+
+
+def test_a_reused_parser_answers_like_a_fresh_one(capsys):
+    def answer(parse_and_run):
+        try:
+            code = parse_and_run()
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    fresh = [answer(lambda: dispatch(build_parser.__wrapped__().parse_args(argv))) for argv in REUSE_ARGV]
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 1, 2, 2, 0, 0]
+    assert main(["census", "--t", "120"]) == 0 and build_parser() is build_parser()
+    capsys.readouterr()
+    for _ in range(2):
+        assert [answer(lambda: main(argv)) for argv in REUSE_ARGV] == fresh
+
+
 def test_parse_config_search():
     ns = build_parser().parse_args(["search", "--a", "2", "--b", "3", "--y-max", "40", "--workers", "2"])
     assert ns.command == "search"
@@ -659,9 +688,9 @@ def test_plot_writes_each_section_before_isolating_the_next(fmt, monkeypatch):
     written = []  # the output at each section's isolation
     isolate = curves_mod.isolate_real_roots
 
-    def recording_isolate(section, width):
+    def recording_isolate(section, width, hints):
         written.append(out.getvalue())
-        return isolate(section, width)
+        return isolate(section, width, hints)
 
     def rows(text):
         return text.count('"y": ') if fmt == "json" else max(text.count("\n") - 1, 0)

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from pascalrepeats import polynomials
 from pascalrepeats.combinatorics import falling_factorial
 from pascalrepeats.curves import (
     Finiteness,
+    Interval,
     Verdict,
     affine_singular_check,
     build_curve,
@@ -19,7 +21,7 @@ from pascalrepeats.curves import (
     top_form,
 )
 from pascalrepeats.errors import PreconditionError
-from pascalrepeats.polynomials import BiPoly, UniPoly, format_bipoly, trial_div
+from pascalrepeats.polynomials import BiPoly, UniPoly, format_bipoly, isolate_real_roots, trial_div
 from pascalrepeats.ratios import ShiftPair
 from pascalrepeats.search import equality_check
 
@@ -311,6 +313,76 @@ def test_real_branches_count_bounded_by_degree():
     for a, b in [(1, 1), (2, 1), (2, 2)]:
         for _, ivs in real_branches(ShiftPair(a, b), range(0, 8)):
             assert len(ivs) <= a + b
+
+
+def _alone(shift: ShiftPair, ys, width: Fraction) -> list[tuple[Fraction, list[Interval]]]:
+    """Each section y isolated by itself, without hints: w^deg_y * F(x, u/w) for y = u/w."""
+    f = build_curve(shift)
+    dy = f.degree_in("y")
+    out = []
+    for y in map(Fraction, ys):
+        section = UniPoly.constant(0)
+        for (i, j), c in f.terms.items():
+            section = section + UniPoly.x_power(i, c * y.numerator**j * y.denominator ** (dy - j))
+        out.append((y, [Interval(lo, hi) for lo, hi in isolate_real_roots(section, width)]))
+    return out
+
+
+SWEEPS = [
+    ("step 1 from negative y", [Fraction(y) for y in range(-6, 25)]),
+    ("step 1/7", [Fraction(-1) + Fraction(i, 7) for i in range(0, 29)]),
+    ("step 3", [Fraction(y) for y in range(-9, 61, 3)]),
+    ("empty, as plot's reversed range", []),
+]
+
+
+@pytest.mark.parametrize("name, ys", SWEEPS, ids=[name for name, _ in SWEEPS])
+def test_continued_sections_equal_sections_isolated_alone(name, ys, monkeypatch):
+    hinted = []
+    real = polynomials.bisect_root
+
+    def recording(sf, lo, hi, width, hint=None):
+        hinted.append(hint is not None)
+        return real(sf, lo, hi, width, hint)
+
+    monkeypatch.setattr(polynomials, "bisect_root", recording)
+    counts_change = False
+    for a in range(1, 6):
+        for b in range(1, 7 - a):
+            shift = ShiftPair(a, b)
+            width = Fraction(1, 10**13) if (a + b) % 2 else Fraction(1, 2**90)
+            alone = _alone(shift, ys, width)
+            assert list(real_branches(shift, ys, width)) == alone, (shift, name)
+            counts = [len(ivs) for _, ivs in alone]
+            counts_change |= len(set(counts)) > 1
+    assert (any(hinted), counts_change) == ((True, True) if ys else (False, False))
+
+
+@pytest.mark.parametrize("shift, ys", [((3, 2), range(0, 81)), ((2, 5), range(-40, 201, 3))])
+def test_continued_sections_prove_their_cells_without_halving(shift, ys, monkeypatch):
+    # A hinted cell may fall back to halving only where the root count changes among
+    # the section and the two before it: there the hints are the last section's roots,
+    # too far off for Newton on the whole bracket. (3,2) has 4, 3, 2, 1 roots at
+    # y = 0..3 and one above; at y = 42..72 a Newton that stopped on a step of
+    # 2^(goal/2) named a cell about 2^19 cells off. (2,5) has 7 roots at y = -4 and -1.
+    proved = {}
+    real = polynomials._newton_cell
+
+    def recording(sf, u, d, w, k, slo, start=None):
+        cell = real(sf, u, d, w, k, slo, start)
+        if start is not None:
+            proved.setdefault(y, []).append(cell is not None)
+        return cell
+
+    monkeypatch.setattr(polynomials, "_newton_cell", recording)
+    sections = real_branches(ShiftPair(*shift), ys, Fraction(1, 10**13))
+    counts = []
+    for y in ys:
+        counts.append(len(next(sections)[1]))  # isolates section y
+    assert sorted(proved) == list(ys)[1:]
+    changes = {y for i, y in enumerate(ys) if len(set(counts[max(i - 2, 0) : i + 1])) > 1}
+    fell_back = {y for y, cells in proved.items() if not all(cells)}
+    assert fell_back <= changes and len(changes) <= 6
 
 
 def test_lattice_points_in_small_box():

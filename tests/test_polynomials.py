@@ -282,6 +282,15 @@ def test_root_bound_contains_all_real_roots():
     assert root_bound(p) >= 3
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=12), st.integers(-(10**20), 10**20).filter(bool))
+@example([0], 1)
+@example([7, -7], -3)
+def test_root_bound_is_the_cauchy_bound_term_by_term(low, lead):
+    p = UniPoly(low + [lead])
+    assert root_bound(p) == 1 + max(Fraction(abs(c), abs(lead)) for c in low)
+
+
 def test_isolation_counts_and_locates_known_roots():
     # (x^2-2)(x^2-3): four irrational roots
     p = UniPoly([-2, 0, 1]) * UniPoly([-3, 0, 1])
