@@ -56,7 +56,9 @@ _MAX_CURVE_DEGREE = 160
 # every shift with a+b <= 8 other than (1,1) took at most 0.8 s on 2 CPUs, to 2^384 2.4 s;
 # intersect runs the same blocks on rows below x_max/2
 _MAX_SEARCH_Y_BITS = 256
-# member 6 has 220,628 bits and takes about 0.7 s; each further one costs about 30 times more
+# member 6 has 220,628 bits, formed in about 20 ms and printed by _digits in 0.08 s on 2 CPUs;
+# member 7 has 1,512,263 bits, formed in 0.4 s but printed in about 3.8 s, and str(Decimal(v))
+# grows about quadratically, so each further member costs seconds more to print
 _MAX_FAMILY_INDEX = 6
 
 

@@ -449,10 +449,25 @@ def unipoly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 
+def _sign_changes(signs: Iterable[int]) -> int:
+    """Changes along a sequence of signs, zeros skipped."""
+    nonzero = [s for s in signs if s]
+    return sum(1 for s1, s2 in zip(nonzero, nonzero[1:]) if s1 != s2)
+
+
 def _variations(chain: list[UniPoly], v: Fraction) -> int:
     """Sign changes along the chain's values at v, zeros skipped."""
-    signs = [s for s in (q.sign_at(v.numerator, v.denominator) for q in chain) if s]
-    return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
+    return _sign_changes(q.sign_at(v.numerator, v.denominator) for q in chain)
+
+
+def _real_root_count(chain: list[UniPoly]) -> int:
+    """V(-inf) - V(+inf) of the chain, read from its leading coefficients and degrees.
+
+    Near +inf each term has the sign of its leading coefficient lc, near
+    -inf the sign of lc*(-1)^deg.
+    """
+    at_minus = _sign_changes(-_sgn(q.leading) if q.degree % 2 else _sgn(q.leading) for q in chain)
+    return at_minus - _sign_changes(_sgn(q.leading) for q in chain)
 
 
 def root_bound(p: UniPoly) -> Fraction:
@@ -659,9 +674,16 @@ def isolate_real_roots(
     Sturm sequence of sf. So V(lo) - V(hi) of the chain counts the
     distinct roots in (lo, hi) even when p has repeated roots (Basu,
     Pollack and Roy, Algorithms in Real Algebraic Geometry, 2006,
-    Thm 2.50). Every point the chain is read at is +-bound or a split
-    point where sf, hence pp, is nonzero. Bisection, split points and the
-    root bound use sf.
+    Thm 2.50). Every point the chain is read at is a split point where
+    sf, hence pp, is nonzero. Bisection, split points and the root bound
+    use sf.
+
+    The walk starts on (-B, B), B = root_bound(sf), with the count
+    V(-inf) - V(+inf) read from the chain's leading coefficients and
+    degrees, which evaluates nothing. That is the count on (-B, B): by the
+    same theorem, V(-inf) - V(-B) and V(B) - V(+inf) count the distinct
+    roots of sf in (-inf, -B] and (B, +inf), and there are none, since
+    every real root of sf lies strictly inside (-B, B).
 
     hints are guesses (u, w) at roots, each the rational u/w with w > 0.
     The walk does not read them: each bracket it hands to bisect_root
@@ -697,8 +719,7 @@ def isolate_real_roots(
         walk(lo, m, left)
         walk(m, hi, nroots - left)
 
-    total = _variations(chain, -bound) - _variations(chain, bound)
-    walk(-bound, bound, total)
+    walk(-bound, bound, _real_root_count(chain))
     return sorted(out)
 
 

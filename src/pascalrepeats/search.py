@@ -160,7 +160,9 @@ def candidate_window(y: int, shift: ShiftPair, zeta: Interval) -> tuple[int, int
 
 
 # The bound of _check_value_bits is 87,840 bits for family member 6 (220,628 bits), which
-# passes, and 602,069 for member 7 (about 1.5 million bits and 20 s to form), which does not.
+# passes, and 602,069 for member 7 (1,512,263 bits), which does not. Member 7 takes about 0.4 s
+# to form on 2 CPUs, but its 455,237 decimal digits take about 3.8 s to print by cli._digits
+# (member 6's 66,416 take 0.08 s; the time grows about quadratically), so the bound stays.
 _MAX_VALUE_BITS = 1 << 18
 
 
@@ -456,11 +458,12 @@ def _family_nk(i: int) -> tuple[int, int]:
 def family_member(i: int) -> FamilyMember:
     """Member i with its exact value C(n+1,k+1).
 
-    The value has on the order of F_{2i+2}F_{2i+3} digits worth of factors,
-    and the cost of forming it grows about 30-fold per step: on 2 CPUs
-    member i=6 (220,628 bits) takes about 0.7 s and i=7 about 20 s.
-    family_verify checks the defining identity without ever forming the
-    value.
+    The value has on the order of F_{2i+2}F_{2i+3} bits, about 6.9 times
+    more per step. `binomial` forms these central values from their prime
+    factorisation: on 2 CPUs member i=5 (32,183 bits) takes about 2 ms,
+    i=6 (220,628 bits) about 20 ms and i=7 (1,512,263 bits) about 0.4 s,
+    where math.comb takes 14-19 ms, 0.4-0.54 s and 17 s. family_verify
+    checks the defining identity without ever forming the value.
     """
     n, k = _family_nk(i)
     return FamilyMember(i, n, k, binomial(n + 1, k + 1))

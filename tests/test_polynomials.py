@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pascalrepeats import polynomials
 from pascalrepeats.errors import PreconditionError, ZeroPolynomialError
 from pascalrepeats.polynomials import (
     BiPoly,
@@ -384,6 +385,36 @@ def test_isolation_of_products_of_linear_factors(factors, rootless, bits):
     for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
         # sorted, with no shared interior point; a shared end is not a root
         assert hi1 <= lo2 and (hi1 < lo2 or p.sign_at(hi1.numerator, hi1.denominator) != 0)
+
+
+def test_sturm_count_from_leading_coefficients_equals_the_count_at_the_root_bound():
+    # isolate_real_roots reads V(-inf) - V(+inf) from the chain's leading terms; at +-root_bound(sf),
+    # sf the squarefree part, the chain must give the same count: sf has no real root outside
+    rng = random.Random(2031)
+    complex_factors = [UniPoly([1, 0, 1]), UniPoly([5, -2, 1]), UniPoly([3, 1, 2]), UniPoly([1, 0, 0, 0, 1])]
+    cases = 0
+    for _ in range(150):
+        p = UniPoly([rng.choice([-1, 1]) * rng.randrange(1, 40)])
+        real_roots = set()
+        for _ in range(rng.randrange(0, 4)):
+            num, den = rng.randrange(-20, 21), rng.randrange(1, 6)
+            p = p * UniPoly([-num, den]) ** rng.randrange(1, 4)
+            real_roots.add(Fraction(num, den))
+        for _ in range(rng.randrange(0, 3)):
+            p = p * rng.choice(complex_factors) ** rng.randrange(1, 3)
+        random_factor = rng.randrange(3) == 0
+        if random_factor:
+            p = p * UniPoly([rng.randrange(-50, 51) for _ in range(rng.randrange(2, 7))] + [rng.randrange(1, 9)])
+        if p.degree < 1:
+            continue
+        pp = p.primitive_part()
+        chain = list(polynomials._signed_prs(pp, pp.derivative()))
+        bound = root_bound(pp.exact_div(chain[-1].primitive_part()))
+        count = polynomials._real_root_count(chain)
+        assert count == polynomials._variations(chain, -bound) - polynomials._variations(chain, bound), p.coeffs
+        assert random_factor or count == len(real_roots)
+        cases += 1
+    assert cases > 100
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def test_row_walk_costs_at_most_three_evaluations_per_row(a, b, y_max, monkeypat
 
 
 def test_value_bit_budget_admits_member_six_and_refuses_member_seven(monkeypatch):
-    # neither value is formed: member 6 alone takes about 0.7 s, member 7 about 20 s
+    # neither value is formed: member 6 alone takes about 20 ms, member 7 about 0.4 s
     monkeypatch.setattr(search_mod, "binomial", lambda n, k: pytest.fail("formed a value"))
     x, y = (v + 1 for v in search_mod._family_nk(6))
     assert (x, y) == (229970, 87840)
