@@ -12,7 +12,6 @@ rational arithmetic; no floats enter any decision.
 from .census import MultiplicityRecord, intersect_curves, multiplicity, scan_high_multiplicity
 from .combinatorics import binomial, falling_factorial, fibonacci
 from .curves import (
-    AffineReport,
     Certificate,
     EliminantData,
     Finiteness,
@@ -67,7 +66,6 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineReport",
     "BiPoly",
     "CacheError",
     "Certificate",

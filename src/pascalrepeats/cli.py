@@ -2,16 +2,20 @@
 
 Subcommands: zeta, search, family, curve, census, intersect, verify,
 plot. Each subparser binds its own handler with set_defaults(run=...),
-and the handler reads the parsed argparse namespace directly. Output goes
-to standard output in json, csv, or text form; diagnostics go to standard
-error. Exit status is 0 on success; 1 on a domain or cache error, with
-one "error:" line; 2 on a usage error, which argparse reports, an
-unparseable integer or rational included, and a decimal exponent beyond
-+-100000. Identical invocations produce byte-identical output; every
-search runs in one process, and its --workers value is checked but
-selects nothing. Any number that may exceed 64 bits is serialized as a
-decimal string, rendered and parsed through Decimal so that Python's
-int-to-string digit limit never applies.
+and the handler reads the parsed argparse namespace directly. Output
+goes to standard output in json, csv, or text form; diagnostics go to
+standard error. A handler builds its output once, as the JSON objects it
+prints, and every list of them leaves through one writer, _emit_records:
+json as a streamed array, csv by named columns, text one line per
+record; plot's text is its csv. Exit status is 0 on success; 1 on a
+domain or cache error, with one "error:" line; 2 on a usage error, which
+argparse reports, an unparseable integer or rational included, and a
+decimal exponent beyond +-100000. Identical invocations produce
+byte-identical output; every search runs in one process, and its
+--workers value is checked but selects nothing. Any number that may
+exceed 64 bits is serialized as a decimal string, rendered and parsed
+through Decimal so that Python's int-to-string digit limit never
+applies.
 
 build_parser is cached: the parser, with its eight subparsers, is built
 once per process and reused by every main call. A one-shot process,
@@ -33,7 +37,7 @@ import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, TextIO
 
 from . import census as census_mod
 from . import curves as curves_mod
@@ -135,6 +139,9 @@ def _decimal_fixed(q: Fraction, places: int = 12) -> str:
 # ---------------------------------------------------------------------------
 
 
+_SOLUTION_KEYS = ("a", "b", "x", "y", "value", "trivial")
+
+
 def solution_to_dict(s: Solution) -> dict:
     return {
         "a": s.shift.a,
@@ -149,7 +156,7 @@ def solution_to_dict(s: Solution) -> dict:
 def _solution_from_dict(record: object, line: int) -> Solution:
     if not isinstance(record, dict):
         raise CacheError("record is not a JSON object", line)
-    expected = {"a", "b", "x", "y", "value", "trivial"}
+    expected = set(_SOLUTION_KEYS)
     if set(record) != expected:
         raise CacheError(f"record keys {sorted(record)} != {sorted(expected)}", line)
     try:
@@ -225,32 +232,40 @@ def _emit_json_array(items: Iterable, out: TextIO) -> None:
     out.write("[]\n" if opening == "[\n" else "\n]\n")
 
 
-def _emit_csv(header: list[str], rows: Iterable[list[str]], out: TextIO) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _emit_records(
+    records: Iterable[dict],
+    fmt: str,
+    out: TextIO,
+    columns: tuple[str, ...],
+    line: Callable[[dict], str] | None = None,
+    counted: str | None = None,
+) -> None:
+    """The one writer of a command's list of records, each written as it comes.
+
+    json is the array of the records, byte for byte what _emit_json
+    writes for the list; csv is a header of the named columns and a row
+    per record, each value as str() with booleans in lower case; text is
+    line(record) per record, then "N <counted>" when counted is given.
+    """
+    if fmt == "json":
+        _emit_json_array(records, out)
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        cells = ([r[c] for c in columns] for r in records)
+        writer.writerows([str(v).lower() if isinstance(v, bool) else str(v) for v in row] for row in cells)
+    else:
+        n = 0
+        for n, record in enumerate(records, start=1):
+            out.write(line(record) + "\n")
+        if counted is not None:
+            out.write(f"{n} {counted}\n")
 
 
 def _no_csv(fmt: str, command: str) -> None:
     """Refuse csv before any work is done."""
     if fmt == "csv":
         raise PreconditionError(f"csv output is not supported for {command!r}")
-
-
-def _emit_solutions(solutions: list[Solution], fmt: str, out: TextIO) -> None:
-    if fmt == "json":
-        _emit_json([solution_to_dict(s) for s in solutions], out)
-    elif fmt == "csv":
-        rows = [
-            [str(s.shift.a), str(s.shift.b), _digits(s.x), _digits(s.y), _digits(s.value), str(s.trivial).lower()]
-            for s in solutions
-        ]
-        _emit_csv(["a", "b", "x", "y", "value", "trivial"], rows, out)
-    else:
-        for s in solutions:
-            suffix = " (trivial)" if s.trivial else ""
-            out.write(f"x={_digits(s.x)} y={_digits(s.y)} value={_digits(s.value)}{suffix}\n")
-        out.write(f"{len(solutions)} solution(s)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +295,10 @@ def _run_zeta(args: argparse.Namespace, out: TextIO) -> None:
         out.write(f"decimal = {decimal}\n")
 
 
+def _solution_line(s: dict) -> str:
+    return "x={x} y={y} value={value}".format_map(s) + (" (trivial)" if s["trivial"] else "")
+
+
 def _run_search(args: argparse.Namespace, out: TextIO) -> None:
     shift = ShiftPair(args.a, args.b)
     if args.workers < 1:
@@ -289,7 +308,8 @@ def _run_search(args: argparse.Namespace, out: TextIO) -> None:
     solutions = search(shift, args.y_max)
     if args.cache is not None:
         append_solutions(args.cache, solutions)
-    _emit_solutions(solutions, args.format, out)
+    records = [solution_to_dict(s) for s in solutions]
+    _emit_records(records, args.format, out, _SOLUTION_KEYS, _solution_line, "solution(s)")
 
 
 def _run_family(args: argparse.Namespace, out: TextIO) -> None:
@@ -298,17 +318,8 @@ def _run_family(args: argparse.Namespace, out: TextIO) -> None:
     if args.i_max > _MAX_FAMILY_INDEX:
         raise PreconditionError(f"family --i-max is at most {_MAX_FAMILY_INDEX}, got {args.i_max}")
     members = [family_member(i) for i in range(1, args.i_max + 1)]
-    if args.format == "json":
-        _emit_json(
-            [{"i": m.i, "n": _digits(m.n), "k": _digits(m.k), "value": _digits(m.value)} for m in members],
-            out,
-        )
-    elif args.format == "csv":
-        rows = [[str(m.i), _digits(m.n), _digits(m.k), _digits(m.value)] for m in members]
-        _emit_csv(["i", "n", "k", "value"], rows, out)
-    else:
-        for m in members:
-            out.write(f"i={m.i} n={_digits(m.n)} k={_digits(m.k)} value={_digits(m.value)}\n")
+    records = [{"i": m.i, "n": _digits(m.n), "k": _digits(m.k), "value": _digits(m.value)} for m in members]
+    _emit_records(records, args.format, out, ("i", "n", "k", "value"), "i={i} n={n} k={k} value={value}".format_map)
 
 
 def _run_curve(args: argparse.Namespace, out: TextIO) -> None:
@@ -318,37 +329,35 @@ def _run_curve(args: argparse.Namespace, out: TextIO) -> None:
         raise PreconditionError(f"curve --certify needs a+b <= {_MAX_CERTIFY_DEGREE}, got {shift.degree}")
     if shift.degree > _MAX_CURVE_DEGREE:
         raise PreconditionError(f"curve needs a+b <= {_MAX_CURVE_DEGREE}, got {shift.degree}")
-    curve = curves_mod.build_curve(shift)
-    top = curves_mod.top_form(shift)
-    base = {
-        "a": shift.a,
-        "b": shift.b,
-        "degree": shift.degree,
-        "curve": format_bipoly(curve),
-        "top_form": format_bipoly(top),
-        "finiteness": curves_mod.classify_finiteness(shift).value,
-    }
-    if not args.certify:
+    curve = format_bipoly(curves_mod.build_curve(shift))
+    if args.certify:
+        cert = curves_mod.certify(shift)
         if args.format == "json":
-            _emit_json(base, out)
-        else:
-            out.write(f"F(x,y) = {base['curve']}\n")
-            out.write(f"top form = {base['top_form']}\n")
-            out.write(f"degree = {base['degree']}\n")
-            out.write(f"finiteness = {base['finiteness']}\n")
-        return
-    cert = curves_mod.certify(shift)
-    if args.format == "json":
-        payload = {"curve": base["curve"], **cert.to_json_dict()}
-        _emit_json(payload, out)
+            _emit_json({"curve": curve, **cert.to_json_dict()}, out)
+            return
+        fields = {
+            "degree": cert.degree,
+            "affine_nonsingular": cert.affine_nonsingular.value,
+            "infinity_nonsingular": cert.infinity_nonsingular.value,
+            "genus": cert.genus,
+            "irreducible": cert.irreducible,
+            "finiteness": cert.finiteness.value,
+        }
     else:
-        out.write(f"F(x,y) = {base['curve']}\n")
-        out.write(f"degree = {cert.degree}\n")
-        out.write(f"affine_nonsingular = {cert.affine_nonsingular.value}\n")
-        out.write(f"infinity_nonsingular = {cert.infinity_nonsingular.value}\n")
-        out.write(f"genus = {cert.genus}\n")
-        out.write(f"irreducible = {cert.irreducible}\n")
-        out.write(f"finiteness = {cert.finiteness.value}\n")
+        top = format_bipoly(curves_mod.top_form(shift))
+        finiteness = curves_mod.classify_finiteness(shift).value
+        if args.format == "json":
+            head = {"a": shift.a, "b": shift.b, "degree": shift.degree}
+            _emit_json({**head, "curve": curve, "top_form": top, "finiteness": finiteness}, out)
+            return
+        fields = {"top form": top, "degree": shift.degree, "finiteness": finiteness}
+    out.write(f"F(x,y) = {curve}\n")
+    out.writelines(f"{name} = {value}\n" for name, value in fields.items())
+
+
+def _census_line(r: dict) -> str:
+    occurrences = " ".join(f"({n},{k})" for n, k in r["occurrences"])
+    return f"t={r['t']} count={r['count']} occurrences: {occurrences}"
 
 
 def _run_census(args: argparse.Namespace, out: TextIO) -> None:
@@ -357,21 +366,15 @@ def _run_census(args: argparse.Namespace, out: TextIO) -> None:
     if single == ranged:
         raise PreconditionError("census needs either --t, or both --t-max and --m-min")
     if single:
-        records = [census_mod.multiplicity(args.t)]
+        records = [census_mod.multiplicity(args.t).to_json_dict()]
+        if args.format == "json":
+            _emit_json(records[0], out)
+            return
     else:
         if args.t_max is None or args.m_min is None:
             raise PreconditionError("census scan needs both --t-max and --m-min")
-        records = census_mod.scan_high_multiplicity(args.t_max, args.m_min)
-    if args.format == "json":
-        payload = [r.to_json_dict() for r in records]
-        _emit_json(payload[0] if single else payload, out)
-    elif args.format == "csv":
-        rows = [[str(r.t), str(r.count)] for r in records]
-        _emit_csv(["t", "count"], rows, out)
-    else:
-        for r in records:
-            occ = " ".join(f"({n},{k})" for n, k in r.occurrences)
-            out.write(f"t={r.t} count={r.count} occurrences: {occ}\n")
+        records = [r.to_json_dict() for r in census_mod.scan_high_multiplicity(args.t_max, args.m_min)]
+    _emit_records(records, args.format, out, ("t", "count"), _census_line)
 
 
 def _run_intersect(args: argparse.Namespace, out: TextIO) -> None:
@@ -379,15 +382,8 @@ def _run_intersect(args: argparse.Namespace, out: TextIO) -> None:
     s2 = ShiftPair(args.a2, args.b2)
     if args.x_max >= 1 << _MAX_SEARCH_Y_BITS:
         raise PreconditionError(f"intersect --x-max must be below 2^{_MAX_SEARCH_Y_BITS}")
-    points = census_mod.intersect_curves(s1, s2, args.x_max)
-    if args.format == "json":
-        _emit_json([{"x": str(x), "y": str(y)} for x, y in points], out)
-    elif args.format == "csv":
-        _emit_csv(["x", "y"], [[str(x), str(y)] for x, y in points], out)
-    else:
-        for x, y in points:
-            out.write(f"x={x} y={y}\n")
-        out.write(f"{len(points)} intersection point(s)\n")
+    records = [{"x": str(x), "y": str(y)} for x, y in census_mod.intersect_curves(s1, s2, args.x_max)]
+    _emit_records(records, args.format, out, ("x", "y"), "x={x} y={y}".format_map, "intersection point(s)")
 
 
 def _run_verify(args: argparse.Namespace, out: TextIO) -> None:
@@ -414,12 +410,9 @@ def _run_plot(args: argparse.Namespace, out: TextIO) -> None:
     # one can fail.
     first = next(branches, None)
     sections = branches if first is None else itertools.chain([first], branches)
-    rows = ([_decimal_fixed(y0), _decimal_fixed(enc.midpoint)] for y0, enclosures in sections for enc in enclosures)
-    if args.format == "json":
-        _emit_json_array(({"y": y, "x": x} for y, x in rows), out)
-    else:
-        # text and csv coincide: plot data is CSV by nature
-        _emit_csv(["y", "x"], rows, out)
+    records = ({"y": _decimal_fixed(y0), "x": _decimal_fixed(e.midpoint)} for y0, encs in sections for e in encs)
+    # text and csv coincide: plot data is CSV by nature
+    _emit_records(records, "csv" if args.format == "text" else args.format, out, ("y", "x"))
 
 
 def dispatch(args: argparse.Namespace, out: TextIO | None = None, err: TextIO | None = None) -> int:

@@ -57,7 +57,6 @@ from .ratios import Interval, ShiftPair
 
 class Verdict(str, enum.Enum):
     YES = "yes"
-    NO = "no"
     INCONCLUSIVE = "inconclusive"
 
 
@@ -69,18 +68,16 @@ class Finiteness(str, enum.Enum):
 
 @dataclass(frozen=True)
 class EliminantData:
-    """Resultants of (F,F_x) and (F,F_y) with one variable eliminated, and their gcd."""
+    """Res_y(F,F_x) and Res_y(F,F_y), and their gcd."""
 
-    eliminated: str
     res_fx: UniPoly
     res_fy: UniPoly
     common_factor: UniPoly
 
-
-@dataclass(frozen=True)
-class AffineReport:
-    verdict: Verdict
-    primary: EliminantData
+    @property
+    def verdict(self) -> Verdict:
+        """YES exactly when the gcd is constant."""
+        return Verdict.YES if self.common_factor.degree == 0 else Verdict.INCONCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ class Certificate:
     finiteness: Finiteness
 
     @functools.cached_property
-    def eliminants(self) -> AffineReport:
+    def eliminants(self) -> EliminantData:
         """The exact eliminants of affine_singular_check, formed on first read."""
         return affine_singular_check(self.shift)
 
@@ -104,7 +101,7 @@ class Certificate:
         def poly_strings(p: UniPoly) -> list[str]:
             return [str(c) for c in p.coeffs]
 
-        e = self.eliminants.primary
+        e = self.eliminants
         return {
             "a": self.shift.a,
             "b": self.shift.b,
@@ -116,7 +113,7 @@ class Certificate:
             "finiteness": self.finiteness.value,
             "eliminants": [
                 {
-                    "eliminated": e.eliminated,
+                    "eliminated": "y",
                     "res_fx": poly_strings(e.res_fx),
                     "res_fy": poly_strings(e.res_fy),
                     "common_factor": poly_strings(e.common_factor),
@@ -147,7 +144,7 @@ def top_form(shift: ShiftPair) -> BiPoly:
     return (x - y) ** shift.degree - x**shift.a * y**shift.b
 
 
-def affine_singular_check(shift: ShiftPair) -> AffineReport:
+def affine_singular_check(shift: ShiftPair) -> EliminantData:
     """Certify that F = F_x = F_y = 0 has no affine solution.
 
     A common solution with y-coordinate y0 makes both Res_y(F,F_x) and
@@ -159,9 +156,7 @@ def affine_singular_check(shift: ShiftPair) -> AffineReport:
     f = build_curve(shift)
     res_fx = bipoly_resultant(f, f.partial("x"), "y")
     res_fy = bipoly_resultant(f, f.partial("y"), "y")
-    common = unipoly_gcd(res_fx, res_fy)
-    verdict = Verdict.YES if common.degree == 0 else Verdict.INCONCLUSIVE
-    return AffineReport(verdict, EliminantData("y", res_fx, res_fy, common))
+    return EliminantData(res_fx, res_fy, unipoly_gcd(res_fx, res_fy))
 
 
 def infinity_singular_check(shift: ShiftPair) -> Verdict:

@@ -295,6 +295,19 @@ def test_text_certificate_forms_no_exact_eliminant(monkeypatch):
         run_cli(["curve", "--a", "4", "--b", "5", "--certify", "--format", "json"])
 
 
+@pytest.mark.parametrize("a,b", [(2, 2), (3, 6)])
+def test_certified_curve_forms_no_top_form_and_no_shape_label(a, b, monkeypatch):
+    argv = ["curve", "--a", str(a), "--b", str(b), "--certify", "--format"]
+    expected = {fmt: run_cli([*argv, fmt]) for fmt in ("text", "json")}
+    # certify is replaced by its result, so that a call of either is the CLI's own
+    cert = curves_mod.certify(ShiftPair(a, b))
+    monkeypatch.setattr(curves_mod, "certify", lambda shift: cert)
+    for name in ("top_form", "classify_finiteness"):
+        monkeypatch.setattr(curves_mod, name, lambda shift, name=name: pytest.fail(f"called {name}"))
+    for fmt in ("text", "json"):
+        assert run_cli([*argv, fmt]) == expected[fmt]
+
+
 def test_census_modes_and_validation():
     code, out, _ = run_cli(["census", "--t", "120"])
     assert code == 0

@@ -25,10 +25,12 @@ the row to x_max = 100 prints, and an x_max of 2^256 is refused before
 any row. A curve of degree above 160 is refused before it is built.
 The census scan to 31,500,106,239,178 holds at most 65,536 values and
 was recorded before scans were bounded; one more is refused before the
-tally. A change that alters any byte of
-output or any exit status fails here. "{cache}" stands for a solution
-cache that the search row with --cache writes, and that the verify rows
-read.
+tally. The empty census scan and the empty intersection in every
+format were recorded before every list of records was written by one
+writer; they pin the empty text, the csv header alone, "[]" and the
+zero count. A change that alters any byte of output or any exit status
+fails here. "{cache}" stands for a solution cache that the search row
+with --cache writes, and that the verify rows read.
 """
 
 import hashlib
@@ -111,6 +113,12 @@ GOLDEN = [
     ("curve --a 80 --b 81", 1, EMPTY),
     ("census --t-max 31500106239178 --m-min 6", 0, "decf0b8cad6b5a3e1e7887d77d248a0e01884fc8943daaf93032a84a725eeda9"),
     ("census --t-max 31500106239179 --m-min 6", 1, EMPTY),
+    ("census --t-max 100 --m-min 6", 0, EMPTY),
+    ("census --t-max 100 --m-min 6 --format csv", 0, "7bf627c6333a6b7707432a1b25200d6eba6f77fad597c629d3fa0885a3747acd"),
+    ("census --t-max 100 --m-min 6 --format json", 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("intersect --a1 1 --b1 2 --a2 1 --b2 3 --x-max 60", 0, "e0ec2daa5f7330e1e61dfd9d2c098e0686504139a770d7749b6573b84d721385"),
+    ("intersect --a1 1 --b1 2 --a2 1 --b2 3 --x-max 60 --format csv", 0, "9c6536d38fa37da58fac066342747e6d20fdace12ab5b287cf04506f2afe95b0"),
+    ("intersect --a1 1 --b1 2 --a2 1 --b2 3 --x-max 60 --format json", 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
 ]
 
 

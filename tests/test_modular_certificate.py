@@ -96,8 +96,8 @@ def test_proved_certificate_forms_the_exact_eliminants_once_when_read(exact_chec
     assert payload["eliminants"] == [
         {
             "eliminated": "y",
-            "res_fx": [str(c) for c in cert.eliminants.primary.res_fx.coeffs],
-            "res_fy": [str(c) for c in cert.eliminants.primary.res_fy.coeffs],
+            "res_fx": [str(c) for c in cert.eliminants.res_fx.coeffs],
+            "res_fy": [str(c) for c in cert.eliminants.res_fy.coeffs],
             "common_factor": ["1"],
         }
     ]
