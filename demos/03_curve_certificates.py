@@ -9,7 +9,7 @@ finite. The a=b=1 conic is the one genuine exception: genus 0 and an
 infinite family living on it.
 """
 
-from pascalrepeats import ShiftPair, build_curve, certify, quad_factor_test, top_form
+from pascalrepeats import ShiftPair, build_curve, certify, quad_factor_test
 from pascalrepeats.polynomials import format_bipoly, format_unipoly
 
 
@@ -17,7 +17,7 @@ def main() -> None:
     print("The quadratic case (1,1):")
     f = build_curve(ShiftPair(1, 1))
     print(f"  F(x,y) = {format_bipoly(f)}")
-    print(f"  leading form {format_bipoly(top_form(ShiftPair(1, 1)))} controls x/y -> phi+1")
+    print(f"  leading form {format_bipoly(f.homogeneous_part(f.total_degree))} controls x/y -> phi+1")
 
     print()
     header = f"{'shift':>7} {'degree':>6} {'affine':>7} {'infinity':>8} {'genus':>5} {'finiteness':>13}"

@@ -24,7 +24,6 @@ from .curves import (
     lattice_points_in_box,
     quad_factor_test,
     real_branches,
-    top_form,
 )
 from .errors import CacheError, PreconditionError, ZeroPolynomialError
 from .polynomials import (
@@ -34,9 +33,7 @@ from .polynomials import (
     format_bipoly,
     format_unipoly,
     isolate_real_roots,
-    trial_div,
     unipoly_gcd,
-    unipoly_resultant,
 )
 from .ratios import (
     Interval,
@@ -113,9 +110,6 @@ __all__ = [
     "scan_high_multiplicity",
     "search",
     "successive_ratios",
-    "top_form",
-    "trial_div",
     "unipoly_gcd",
-    "unipoly_resultant",
     "zeta_poly",
 ]

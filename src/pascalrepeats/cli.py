@@ -53,8 +53,9 @@ _MAX_PLOT_SECTIONS = 1_000_000
 # the exact eliminants of curve --certify --format json cost about 1.6 times more per degree:
 # degree 15 took 2.6-2.9 s on 2 CPUs, degree 16 4.2 s
 _MAX_CERTIFY_DEGREE = 15
-# plain curve prints F and its top form, about 8 times more per doubling of a+b: on 2 CPUs
-# degree 160 took 1.3-1.9 s and printed 2.2 MB, degree 80 0.2 s
+# plain curve forms F once and prints it and its top form, F's degree-(a+b) part; forming F is
+# nearly all of the cost, about 8 times more per doubling of a+b: on 2 CPUs degree 160 took
+# 1.0-1.9 s and printed 2.2 MB, degree 80 0.15-0.2 s
 _MAX_CURVE_DEGREE = 160
 # the cost of search's proved blocks grows with y_max's bit length: to y_max = 2^256 - 1
 # every shift with a+b <= 8 other than (1,1) took at most 0.8 s on 2 CPUs, to 2^384 2.4 s;
@@ -329,9 +330,9 @@ def _run_curve(args: argparse.Namespace, out: TextIO) -> None:
         raise PreconditionError(f"curve --certify needs a+b <= {_MAX_CERTIFY_DEGREE}, got {shift.degree}")
     if shift.degree > _MAX_CURVE_DEGREE:
         raise PreconditionError(f"curve needs a+b <= {_MAX_CURVE_DEGREE}, got {shift.degree}")
-    curve = format_bipoly(curves_mod.build_curve(shift))
     if args.certify:
         cert = curves_mod.certify(shift)
+        curve = format_bipoly(cert.curve)
         if args.format == "json":
             _emit_json({"curve": curve, **cert.to_json_dict()}, out)
             return
@@ -344,7 +345,9 @@ def _run_curve(args: argparse.Namespace, out: TextIO) -> None:
             "finiteness": cert.finiteness.value,
         }
     else:
-        top = format_bipoly(curves_mod.top_form(shift))
+        f = curves_mod.build_curve(shift)
+        curve = format_bipoly(f)
+        top = format_bipoly(f.homogeneous_part(shift.degree))
         finiteness = curves_mod.classify_finiteness(shift).value
         if args.format == "json":
             head = {"a": shift.a, "b": shift.b, "degree": shift.degree}

@@ -5,37 +5,41 @@ Each shift (a,b) yields the integer curve
     F(x,y) = (x-y)(x-y-1)...(x-y-a-b+1) - x(x-1)...(x-a+1)(y+1)...(y+b)
 
 whose lattice points in the triangle region are exactly the equation's
-solutions. This module certifies nonsingularity by eliminating y: a
+solutions. certify forms F once, with build_curve, and every check is a
+function of F alone, reading the degree d = a+b as F's total degree.
+Nonsingularity in the affine plane is certified by eliminating y: a
 singular point forces the two eliminants Res_y(F,F_x) and Res_y(F,F_y)
 to share a root, and the leading y-coefficient of F is the constant
-(-1)^(a+b), so leading-coefficient degeneracy cannot fake a root. For
-every shift with a+b <= 20 the gcd of the two is constant. Should a
-shift ever be inconclusive in y, eliminating x, with
+(-1)^d, so leading-coefficient degeneracy cannot fake a root. For every
+shift with a+b <= 20 the gcd of the two is constant. Should a shift
+ever be inconclusive in y, eliminating x, with
 `bipoly_resultant(..., "x")`, is the check to add back, together with a
-test that reaches it.
+test that reaches it. At infinity, the top form T = (x-y)^d - x^a y^b
+and the degree-(d-1) part F_(d-1) are read off F as its homogeneous
+parts of degree d and d-1.
 
 certify decides the affine verdict modulo the prime P = 2^61 - 1 first.
-With d = a+b and D = d(d-1), it evaluates F, F_x and F_y at x0 = 0..D
-mod P as polynomials in y, takes both resultants in y over GF(P) at each
-point and interpolates the two eliminants mod P. Full degree D and a
-constant gcd mod P prove the YES that the exact path prints (the
-argument is in certify's docstring). Otherwise affine_singular_check
-runs on exact integers. The exact eliminants are formed only when a
-Certificate's eliminants are read, which JSON output does. Their gcd is
-proved constant by unipoly_gcd modulo the same P: when P divides neither
-leading coefficient, the gcd over Z keeps its degree mod P and divides
-the gcd mod P, so a constant gcd mod P is a constant gcd over Z.
-Otherwise the exact remainder sequence decides, with the same result. A
-nonconstant eliminant gcd is reported as inconclusive, never as a proven
-singularity. Nonsingular degree-d curves get genus (d-1)(d-2)/2 and are
-irreducible outright.
+With D = d(d-1), it evaluates F, F_x and F_y at x0 = 0..D mod P as
+polynomials in y, takes both resultants in y over GF(P) at each point
+and interpolates the two eliminants mod P. Full degree D and a constant
+gcd mod P prove the YES that the exact path prints (the argument is in
+certify's docstring). Otherwise affine_singular_check runs on exact
+integers. The exact eliminants are formed only when a Certificate's
+eliminants are read, which JSON output does, from the F the Certificate
+keeps. Their gcd is proved constant by unipoly_gcd modulo the same P:
+when P divides neither leading coefficient, the gcd over Z keeps its
+degree mod P and divides the gcd mod P, so a constant gcd mod P is a
+constant gcd over Z. Otherwise the exact remainder sequence decides,
+with the same result. A nonconstant eliminant gcd is reported as
+inconclusive, never as a proven singularity. Nonsingular degree-d curves
+get genus (d-1)(d-2)/2 and are irreducible outright.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -49,7 +53,6 @@ from .polynomials import (
     _resultant_mod,
     bipoly_resultant,
     isolate_real_roots,
-    trial_div,
     unipoly_gcd,
 )
 from .ratios import Interval, ShiftPair
@@ -82,9 +85,10 @@ class EliminantData:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Per-curve record: singularity verdicts, genus, finiteness class."""
+    """Per-curve record: singularity verdicts, genus, finiteness class, and the curve F they read."""
 
     shift: ShiftPair
+    curve: BiPoly = field(repr=False, compare=False)
     degree: int
     affine_nonsingular: Verdict
     infinity_nonsingular: Verdict
@@ -95,7 +99,7 @@ class Certificate:
     @functools.cached_property
     def eliminants(self) -> EliminantData:
         """The exact eliminants of affine_singular_check, formed on first read."""
-        return affine_singular_check(self.shift)
+        return affine_singular_check(self.curve)
 
     def to_json_dict(self) -> dict:
         def poly_strings(p: UniPoly) -> list[str]:
@@ -137,15 +141,8 @@ def build_curve(shift: ShiftPair) -> BiPoly:
     return left - right
 
 
-def top_form(shift: ShiftPair) -> BiPoly:
-    """(x-y)^(a+b) - x^a y^b: the top-degree homogeneous part of the curve."""
-    x = BiPoly.variable("x")
-    y = BiPoly.variable("y")
-    return (x - y) ** shift.degree - x**shift.a * y**shift.b
-
-
-def affine_singular_check(shift: ShiftPair) -> EliminantData:
-    """Certify that F = F_x = F_y = 0 has no affine solution.
+def affine_singular_check(f: BiPoly) -> EliminantData:
+    """Certify that F = F_x = F_y = 0 has no affine solution, for the curve F = f.
 
     A common solution with y-coordinate y0 makes both Res_y(F,F_x) and
     Res_y(F,F_y) vanish at the x-coordinate, so a constant gcd of the two
@@ -153,18 +150,18 @@ def affine_singular_check(shift: ShiftPair) -> EliminantData:
     nonconstant gcd only yields "inconclusive". Eliminating x instead
     could still prove such a curve smooth (module docstring).
     """
-    f = build_curve(shift)
     res_fx = bipoly_resultant(f, f.partial("x"), "y")
     res_fy = bipoly_resultant(f, f.partial("y"), "y")
     return EliminantData(res_fx, res_fy, unipoly_gcd(res_fx, res_fy))
 
 
-def infinity_singular_check(shift: ShiftPair) -> Verdict:
-    """Certify the projective closure has no singular point on z = 0.
+def infinity_singular_check(f: BiPoly) -> Verdict:
+    """Certify the projective closure of the curve F = f has no singular point on z = 0.
 
     Homogenizing F and restricting the three partials to z = 0 leaves the
-    binary forms T_x, T_y (partials of the top form T = (x-y)^d - x^a y^b)
-    and the degree-(d-1) homogeneous part F_(d-1) of F. A singular point at
+    binary forms T_x, T_y and F_(d-1), all read off F: its top form
+    T = F_d, which is (x-y)^d - x^a y^b, and its degree-(d-1)
+    homogeneous part, where d is F's total degree. A singular point at
     infinity is a common projective root of the three. The point [1:0] is
     not on the curve at all, because T(1,0) = 1, so every candidate,
     [0:1] included, lies in the y = 1 chart, where a constant gcd of the
@@ -172,8 +169,9 @@ def infinity_singular_check(shift: ShiftPair) -> Verdict:
     T_x(1,0) = d, T_y(0,1) = (-1)^d * d, and the y^(d-1) coefficient of
     F_(d-1) is (-1)^d * C(d,2), for every shift.
     """
-    t = top_form(shift)
-    forms = (t.partial("x"), t.partial("y"), build_curve(shift).homogeneous_part(shift.degree - 1))
+    d = f.total_degree
+    t = f.homogeneous_part(d)
+    forms = (t.partial("x"), t.partial("y"), f.homogeneous_part(d - 1))
     tx, ty, fd = (_x_section(g, 1) for g in forms)
     gcd = unipoly_gcd(unipoly_gcd(tx, ty), fd)
     return Verdict.YES if gcd.degree == 0 else Verdict.INCONCLUSIVE
@@ -192,30 +190,31 @@ def classify_finiteness(shift: ShiftPair) -> Finiteness:
     return Finiteness.OPEN
 
 
-def _eliminants_mod(shift: ShiftPair) -> tuple[list[int], list[int]]:
-    """Res_y(F,F_x) and Res_y(F,F_y) mod P, ascending, from their values at x0 = 0..d(d-1)."""
-    f = build_curve(shift)
+def _eliminants_mod(f: BiPoly) -> tuple[list[int], list[int]]:
+    """Res_y(f,f_x) and Res_y(f,f_y) mod P, ascending, from their values at x0 = 0..d(d-1)."""
+    d = f.total_degree
     columns = [g.coeffs_in("y") for g in (f, f.partial("x"), f.partial("y"))]
     res_fx, res_fy = [], []
-    for x0 in range(shift.degree * (shift.degree - 1) + 1):
+    for x0 in range(d * (d - 1) + 1):
         fv, fxv, fyv = ([c(x0) for c in col] for col in columns)
         res_fx.append(_resultant_mod(fv, fxv))
         res_fy.append(_resultant_mod(fv, fyv))
     return _interpolate_mod(res_fx), _interpolate_mod(res_fy)
 
 
-def _affine_nonsingular_mod_p(shift: ShiftPair) -> bool:
+def _affine_nonsingular_mod_p(f: BiPoly) -> bool:
     """True when both eliminants mod P have degree d(d-1) and a constant gcd mod P."""
-    full = shift.degree * (shift.degree - 1)
-    res_fx, res_fy = _eliminants_mod(shift)
-    return len(res_fx) == len(res_fy) == full + 1 and _gcd_degree_mod(UniPoly(res_fx), UniPoly(res_fy)) == 0
+    d = f.total_degree
+    res_fx, res_fy = _eliminants_mod(f)
+    return len(res_fx) == len(res_fy) == d * (d - 1) + 1 and _gcd_degree_mod(UniPoly(res_fx), UniPoly(res_fy)) == 0
 
 
 def certify(shift: ShiftPair) -> Certificate:
     """Full certificate: singularity checks, genus when they pass, class.
 
-    The affine verdict is first proved modulo P = 2^61 - 1, and no
-    verdict can differ from the exact path's. Let d = a+b, D = d(d-1).
+    F is formed once, and every check below reads it. The affine
+    verdict is first proved modulo P = 2^61 - 1, and no verdict can
+    differ from the exact path's. Let d = a+b, D = d(d-1).
     As polynomials in y, F has degree d and leading coefficient (-1)^d,
     F_y has degree d-1 and leading coefficient (-1)^d * d, and F_x has
     degree d-1 and leading coefficient (-1)^(d-1) * d - [a = 1] (the -1
@@ -231,22 +230,24 @@ def certify(shift: ShiftPair) -> Certificate:
     that affine_singular_check prints. In every other case
     affine_singular_check decides on the exact eliminants. Those are
     formed only when the certificate's eliminants are read (JSON output
-    reads them).
+    reads them), from the F that the certificate keeps.
 
     Genus uses the plane-curve formula (d-1)(d-2)/2, valid only for a
     nonsingular curve, so it is present exactly when both verdicts are
     yes; irreducibility then follows (components of a plane curve meet,
     and a meeting point would be singular).
     """
-    affine = None if _affine_nonsingular_mod_p(shift) else affine_singular_check(shift)
+    f = build_curve(shift)
+    affine = None if _affine_nonsingular_mod_p(f) else affine_singular_check(f)
     verdict = Verdict.YES if affine is None else affine.verdict
-    infinity = infinity_singular_check(shift)
-    d = shift.degree
+    infinity = infinity_singular_check(f)
+    d = f.total_degree
     nonsingular = verdict is Verdict.YES and infinity is Verdict.YES
     genus = (d - 1) * (d - 2) // 2 if nonsingular else None
     irreducible = True if nonsingular else None
     cert = Certificate(
         shift=shift,
+        curve=f,
         degree=d,
         affine_nonsingular=verdict,
         infinity_nonsingular=infinity,
@@ -280,7 +281,9 @@ def quad_factor_test(n: int, r: int) -> UniPoly | None:
         raise PreconditionError(f"quad_factor_test needs n > r >= 1, got n={n}, r={r}")
     p = UniPoly.x_power(n) - UniPoly([binomial(r, i) for i in range(r + 1)])
     for cand in _QUAD_CANDIDATES:
-        if trial_div(p, cand) is None:
+        try:
+            p.exact_div(cand)
+        except ArithmeticError:
             continue
         c0, c1, _ = cand.coeffs
         if c1 * c1 - 4 * c0 > 0:

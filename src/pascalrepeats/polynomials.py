@@ -2,15 +2,16 @@
 
 Univariate polynomials are dense coefficient tuples (index = degree);
 bivariate polynomials are sparse maps from exponent pairs to coefficients.
-The resultant is computed by fraction-free (subresultant) polynomial
-remainder sequences, written generically so the same routine serves both
-integer coefficients and polynomial coefficients (for bivariate
-elimination). unipoly_gcd first proves a constant gcd modulo the prime
-2^61 - 1 when it can, and runs its exact remainder sequence only when
-that fails. Over GF(2^61 - 1), one remainder step serves the gcd degree
-and a resultant by Euclid with the Sylvester sign convention, and
-Newton's forward differences interpolate a polynomial from its values
-at 0..n-1; curves.certify builds its modular eliminants from the two.
+The resultant, for bivariate elimination, is computed by a
+fraction-free (subresultant) polynomial remainder sequence whose
+coefficients are univariate polynomials; its pseudo-remainder step is
+generic and also serves the integer Sturm chains. unipoly_gcd first
+proves a constant gcd modulo the prime 2^61 - 1 when it can, and runs
+its exact remainder sequence only when that fails. Over GF(2^61 - 1),
+one remainder step serves the gcd degree and a resultant by Euclid with
+the Sylvester sign convention, and Newton's forward differences
+interpolate a polynomial from its values at 0..n-1; curves.certify
+builds its modular eliminants from the two.
 Real roots are isolated by Sturm sign variations and bisection on
 integer numerators over a common power-of-two denominator; past 64
 halvings, or at once from a hint such as a neighbouring section's root,
@@ -213,30 +214,14 @@ def format_unipoly(p: UniPoly, var: str = "x") -> str:
     return _render_terms((p.coeffs[e], _monomial(var, e)) for e in range(p.degree, -1, -1) if p.coeffs[e])
 
 
-def trial_div(p: UniPoly, d: UniPoly) -> UniPoly | None:
-    """Quotient p/d over the integers when the division is exact, else None."""
-    try:
-        return p.exact_div(d)
-    except ArithmeticError:
-        return None
-
-
 # ---------------------------------------------------------------------------
-# Generic fraction-free remainder sequences.
+# Fraction-free remainder sequences.
 #
-# The element type R is either int or UniPoly; both support +, -, *, **,
-# and an exact-division helper below. Polynomials over R are plain lists of
-# R values in ascending order with a nonzero last element.
+# Polynomials over R are plain lists of R values in ascending order with a
+# nonzero last element. _prem and _trim serve R = int (the Sturm chains of
+# _signed_prs) and R = UniPoly (bivariate elimination) alike; the
+# resultant runs over R = UniPoly only, for bipoly_resultant.
 # ---------------------------------------------------------------------------
-
-
-def _elem_exact_div(a, b):
-    if isinstance(a, UniPoly):
-        return a.exact_div(b)
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact coefficient division")
-    return q
 
 
 def _trim(p: list) -> list:
@@ -265,8 +250,8 @@ def _prem(u: list, v: list) -> list:
     return r
 
 
-def _resultant_lists(pa: list, pb: list):
-    """Resultant of two nonzero polynomials over R by subresultant PRS.
+def _resultant_lists(pa: list[UniPoly], pb: list[UniPoly]) -> UniPoly:
+    """Resultant of two nonzero polynomials over Z[x] by subresultant PRS.
 
     Sign convention matches the Sylvester determinant with the rows of the
     first argument on top.
@@ -279,8 +264,7 @@ def _resultant_lists(pa: list, pb: list):
             sign = -sign
         A, B = B, A
         da, db = db, da
-    one = A[-1] ** 0
-    zero = A[-1] * 0
+    one = UniPoly((1,))
     if db == 0:
         return sign * (B[-1] ** da) if da > 0 else one
     g = one
@@ -292,30 +276,24 @@ def _resultant_lists(pa: list, pb: list):
             sign = -sign
         R = _prem(A, B)
         if not R:
-            return zero  # common factor of positive degree
+            return UniPoly()  # common factor of positive degree
         div = g * h ** delta
         A = B
-        B = [_elem_exact_div(c, div) for c in R]
+        B = [c.exact_div(div) for c in R]
         g = A[-1]
         if delta == 0:
             pass
         elif delta == 1:
             h = g
         else:
-            h = _elem_exact_div(g ** delta, h ** (delta - 1))
+            h = (g ** delta).exact_div(h ** (delta - 1))
         if len(B) - 1 == 0:
             dA = len(A) - 1
             if dA == 1:
                 out = B[-1]
             else:
-                out = _elem_exact_div(B[-1] ** dA, h ** (dA - 1))
+                out = (B[-1] ** dA).exact_div(h ** (dA - 1))
             return sign * out
-
-
-def unipoly_resultant(p: UniPoly, q: UniPoly) -> int:
-    if not p or not q:
-        raise ZeroPolynomialError("resultant of a zero polynomial")
-    return _resultant_lists(list(p.coeffs), list(q.coeffs))
 
 
 def _signed_prs(a: UniPoly, b: UniPoly) -> Iterator[UniPoly]:
@@ -875,5 +853,4 @@ def bipoly_resultant(p: BiPoly, q: BiPoly, eliminate: str) -> UniPoly:
         raise ZeroPolynomialError("resultant of a zero polynomial")
     pc = p.coeffs_in(eliminate)
     qc = q.coeffs_in(eliminate)
-    res = _resultant_lists(pc, qc)
-    return res if isinstance(res, UniPoly) else UniPoly((res,))
+    return _resultant_lists(pc, qc)

@@ -148,6 +148,13 @@ def candidate_window(y: int, shift: ShiftPair, zeta: Interval) -> tuple[int, int
     Inverting the bracket inequalities: any solution satisfies
     zeta < (x-y)/(y-a+1) and (x-a-y-b+1)/(y+b) < zeta, so
     x > zeta*(y-a+1) + y and x < zeta*(y+b) + y + a + b - 1.
+
+    No solver calls it; only tests do. It stays public because the
+    benchmark's trace table (LAYER_STATS in perfbench/run.py, checked by
+    tests/test_traced_names.py) names it, and tracing fails on a name the
+    package no longer defines. Delete it together with the unused
+    `search --workers`, which the benchmark's search_pool op passes, once
+    the benchmark names neither (ROADMAP item 2).
     """
     if y <= shift.a:
         raise PreconditionError(f"candidate_window needs y > a, got y={y}, a={shift.a}")

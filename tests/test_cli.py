@@ -19,6 +19,7 @@ from pascalrepeats.cli import (
     read_solutions,
 )
 from pascalrepeats.errors import CacheError, PreconditionError
+from pascalrepeats.polynomials import BiPoly
 from pascalrepeats.ratios import ShiftPair
 from pascalrepeats.search import FamilyMember, search
 
@@ -299,13 +300,32 @@ def test_text_certificate_forms_no_exact_eliminant(monkeypatch):
 def test_certified_curve_forms_no_top_form_and_no_shape_label(a, b, monkeypatch):
     argv = ["curve", "--a", str(a), "--b", str(b), "--certify", "--format"]
     expected = {fmt: run_cli([*argv, fmt]) for fmt in ("text", "json")}
-    # certify is replaced by its result, so that a call of either is the CLI's own
+    # certify is replaced by its result, so that any call below is the CLI's own:
+    # it prints the certificate's F, and forms no F, no top form and no label
     cert = curves_mod.certify(ShiftPair(a, b))
     monkeypatch.setattr(curves_mod, "certify", lambda shift: cert)
-    for name in ("top_form", "classify_finiteness"):
+    for name in ("build_curve", "classify_finiteness"):
         monkeypatch.setattr(curves_mod, name, lambda shift, name=name: pytest.fail(f"called {name}"))
+    monkeypatch.setattr(BiPoly, "homogeneous_part", lambda f, d: pytest.fail("formed a top form"))
     for fmt in ("text", "json"):
         assert run_cli([*argv, fmt]) == expected[fmt]
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (4, 1)])
+@pytest.mark.parametrize("mode", [[], ["--certify"]], ids=["plain", "certify"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_each_curve_invocation_forms_the_curve_once(a, b, mode, fmt, monkeypatch):
+    built = []
+    real = curves_mod.build_curve
+
+    def counted(shift):
+        built.append(shift)
+        return real(shift)
+
+    monkeypatch.setattr(curves_mod, "build_curve", counted)
+    code, _, err = run_cli(["curve", "--a", str(a), "--b", str(b), *mode, "--format", fmt])
+    assert (code, err) == (0, "")
+    assert built == [ShiftPair(a, b)]
 
 
 def test_census_modes_and_validation():

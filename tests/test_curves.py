@@ -18,12 +18,12 @@ from pascalrepeats.curves import (
     lattice_points_in_box,
     quad_factor_test,
     real_branches,
-    top_form,
 )
 from pascalrepeats.errors import PreconditionError
-from pascalrepeats.polynomials import BiPoly, UniPoly, format_bipoly, isolate_real_roots, trial_div
+from pascalrepeats.polynomials import BiPoly, UniPoly, format_bipoly, isolate_real_roots
 from pascalrepeats.ratios import ShiftPair
 from pascalrepeats.search import equality_check
+from test_polynomials import divides
 
 GOLDEN_QUAD = UniPoly([-1, -1, 1])  # x^2 - x - 1
 
@@ -77,13 +77,11 @@ def test_top_form_is_the_leading_homogeneous_part():
     for a, b in [(1, 1), (2, 1), (2, 3), (4, 2)]:
         shift = ShiftPair(a, b)
         f = build_curve(shift)
-        t = top_form(shift)
         d = a + b
         assert f.total_degree == d
-        assert f.homogeneous_part(d) == t
-        # and the closed form (x-y)^d - x^a y^b
+        # the top form the checks at infinity read off F: (x-y)^d - x^a y^b
         x, y = BiPoly.variable("x"), BiPoly.variable("y")
-        assert t == (x - y) ** d - x**a * y**b
+        assert f.homogeneous_part(d) == (x - y) ** d - x**a * y**b
 
 
 def test_partial_derivatives_of_the_quadratic_case():
@@ -127,13 +125,13 @@ def test_partial_top_coefficients_in_y():
 
 def test_affine_singular_check_smooth_cases():
     for a, b in [(1, 1), (2, 2), (1, 2), (3, 1)]:
-        report = affine_singular_check(ShiftPair(a, b))
+        report = affine_singular_check(build_curve(ShiftPair(a, b)))
         assert report.verdict is Verdict.YES
         assert report.common_factor.degree == 0
 
 
 def test_affine_eliminants_are_nonzero():
-    report = affine_singular_check(ShiftPair(2, 2))
+    report = affine_singular_check(build_curve(ShiftPair(2, 2)))
     assert report.res_fx.degree >= 0
     assert report.res_fy.degree >= 0
     assert report.res_fx != UniPoly([])
@@ -142,21 +140,21 @@ def test_affine_eliminants_are_nonzero():
 
 def test_infinity_singular_check_smooth_cases():
     for a, b in [(1, 1), (2, 2), (1, 2), (2, 3)]:
-        assert infinity_singular_check(ShiftPair(a, b)) is Verdict.YES
+        assert infinity_singular_check(build_curve(ShiftPair(a, b))) is Verdict.YES
 
 
 def test_forms_at_infinity_never_vanish_at_the_axes():
     # the facts behind infinity_singular_check's single gcd over the y = 1 chart
     for d in range(2, 13):
         for a in range(1, d):
-            shift = ShiftPair(a, d - a)
-            t = top_form(shift)
+            f = build_curve(ShiftPair(a, d - a))
+            t = f.homogeneous_part(d)
             assert t.evaluate(1, 0) == 1  # [1:0] is not on the curve
             assert t.partial("x").evaluate(1, 0) == d
             assert t.partial("y").evaluate(0, 1) == (-1) ** d * d
-            f_low = build_curve(shift).homogeneous_part(d - 1)
+            f_low = f.homogeneous_part(d - 1)
             assert f_low.coefficient(0, d - 1) == (-1) ** d * math.comb(d, 2)
-            assert infinity_singular_check(shift) is Verdict.YES
+            assert infinity_singular_check(f) is Verdict.YES
 
 
 def test_y_leading_coefficients_are_nonzero_constants():
@@ -187,6 +185,7 @@ def test_classify_finiteness_labels():
 
 def test_certify_golden_case():
     cert = certify(ShiftPair(1, 1))
+    assert cert.curve == build_curve(ShiftPair(1, 1)) and "curve=" not in repr(cert)
     assert cert.affine_nonsingular is Verdict.YES
     assert cert.infinity_nonsingular is Verdict.YES
     assert cert.degree == 2
@@ -250,14 +249,14 @@ def test_quad_factor_rejects_the_negative_discriminant_divisor():
     # x^2 + x + 1 divides x^10 - (x+1)^2 but has no real root, so it can
     # say nothing about zeta and must not be reported
     p = UniPoly.x_power(10) - UniPoly([1, 1]) ** 2
-    assert trial_div(p, UniPoly([1, 1, 1])) is not None
+    assert divides(UniPoly([1, 1, 1]), p)
     assert quad_factor_test(10, 2) is None
 
 
 def test_quad_factor_diagonal_witness_divides():
     for r in (1, 2, 5):
         p = UniPoly.x_power(2 * r) - UniPoly([1, 1]) ** r
-        assert trial_div(p, GOLDEN_QUAD) is not None
+        assert divides(GOLDEN_QUAD, p)
 
 
 def test_quad_factor_domain():

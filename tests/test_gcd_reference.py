@@ -143,12 +143,12 @@ def assert_certificate_matches_reference(a: int, b: int) -> None:
         assert unipoly_gcd(res_fx, res_fy) == reference(res_fx, res_fy), (a, b, var)
         if var == "y":
             reduced = tuple([c % P for c in r.coeffs] for r in (res_fx, res_fy))
-            assert curves._eliminants_mod(shift) == reduced, (a, b)
+            assert curves._eliminants_mod(f) == reduced, (a, b)
     proved = certify(shift)
     fast = proved.to_json_dict()
     real_gcd, real_proof = curves.unipoly_gcd, curves._affine_nonsingular_mod_p
     curves.unipoly_gcd = reference
-    curves._affine_nonsingular_mod_p = lambda shift: False
+    curves._affine_nonsingular_mod_p = lambda f: False
     try:
         exact = certify(shift)
         assert exact == proved and exact.to_json_dict() == fast, (a, b)

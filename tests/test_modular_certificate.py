@@ -1,11 +1,13 @@
 """certify's affine verdict modulo P = 2^61 - 1 against the exact path.
 
 The kernel's resultant over GF(P) must agree with bipoly_resultant
-reduced mod P, sign included, and its interpolation at 0..n-1 must give
-back a polynomial from its values. A modular proof that fails, by a
-degree drop or a nonconstant gcd mod P, must hand the verdict to
+reduced mod P, and with the Sylvester determinant of test_polynomials,
+sign included, and its interpolation at 0..n-1 must give back a
+polynomial from its values. A modular proof that fails, by a degree
+drop or a nonconstant gcd mod P, must hand the verdict to
 affine_singular_check and give the same certificate. A proved
-certificate forms the exact eliminants only when they are read.
+certificate forms the exact eliminants only when they are read, from
+the curve it certified.
 """
 
 from __future__ import annotations
@@ -15,16 +17,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pascalrepeats import curves
-from pascalrepeats.curves import certify
+from pascalrepeats.curves import build_curve, certify
 from pascalrepeats.polynomials import (
     BiPoly,
     UniPoly,
     _interpolate_mod,
     _resultant_mod,
     bipoly_resultant,
-    unipoly_resultant,
 )
 from pascalrepeats.ratios import ShiftPair
+from test_polynomials import sylvester_resultant
 
 P = (1 << 61) - 1
 
@@ -61,7 +63,7 @@ nonzero_lists = st.lists(coefficients, min_size=1, max_size=7).filter(lambda cs:
 @example([1, 2, 1], [3])
 @example([-2, 1], [-2, 1])
 def test_resultant_mod_p_keeps_the_sylvester_sign(a, b):
-    assert _resultant_mod(a, b) == unipoly_resultant(UniPoly(a), UniPoly(b)) % P
+    assert _resultant_mod(a, b) == sylvester_resultant(UniPoly(a), UniPoly(b)) % P
 
 
 @settings(max_examples=150, deadline=None)
@@ -74,13 +76,13 @@ def test_interpolation_recovers_the_polynomial_from_its_values(coeffs, extra):
 
 @pytest.fixture
 def exact_checks(monkeypatch):
-    """The shifts affine_singular_check runs on, in order."""
+    """The curves affine_singular_check runs on, in order."""
     runs = []
     real = curves.affine_singular_check
 
-    def spy(shift):
-        runs.append(shift)
-        return real(shift)
+    def spy(f):
+        runs.append(f)
+        return real(f)
 
     monkeypatch.setattr(curves, "affine_singular_check", spy)
     return runs
@@ -91,8 +93,9 @@ def test_proved_certificate_forms_the_exact_eliminants_once_when_read(exact_chec
     cert = certify(shift)
     assert cert.affine_nonsingular is curves.Verdict.YES and exact_checks == []
     payload = cert.to_json_dict()
-    assert exact_checks == [shift]
-    assert cert.to_json_dict() == payload and exact_checks == [shift]
+    assert exact_checks == [build_curve(shift)]
+    assert exact_checks[0] is cert.curve
+    assert cert.to_json_dict() == payload and len(exact_checks) == 1
     assert payload["eliminants"] == [
         {
             "eliminated": "y",
@@ -120,6 +123,7 @@ def test_failed_modular_proof_falls_back_to_the_exact_check(a, b, name, forced, 
     exact_checks.clear()
     monkeypatch.setattr(curves, name, forced(getattr(curves, name)))
     fallback = certify(shift)
-    assert exact_checks == [shift]
+    assert exact_checks == [build_curve(shift)]
+    assert exact_checks[0] is fallback.curve
     assert fallback == proved and fallback.to_json_dict() == payload
-    assert exact_checks == [shift]  # the JSON read the report the fallback formed
+    assert len(exact_checks) == 1  # the JSON read the report the fallback formed

@@ -17,9 +17,7 @@ from pascalrepeats.polynomials import (
     format_unipoly,
     isolate_real_roots,
     root_bound,
-    trial_div,
     unipoly_gcd,
-    unipoly_resultant,
 )
 
 
@@ -57,6 +55,22 @@ def sylvester_resultant(p: UniPoly, q: UniPoly) -> int:
                     mat[r][c] -= f * mat[col][c]
     assert det.denominator == 1
     return int(det)
+
+
+def y_resultant(p: UniPoly, q: UniPoly) -> int:
+    """Res(p, q) by bipoly_resultant, with p and q read as polynomials in y alone."""
+    r = bipoly_resultant(*(BiPoly({(0, j): c for j, c in enumerate(g.coeffs)}) for g in (p, q)), "y")
+    assert r.degree <= 0
+    return r(0)
+
+
+def divides(d: UniPoly, p: UniPoly) -> bool:
+    """True when d divides p exactly over the integers."""
+    try:
+        p.exact_div(d)
+    except ArithmeticError:
+        return False
+    return True
 
 
 def random_unipoly(rng: random.Random, max_deg: int, zero_ok: bool = False) -> UniPoly:
@@ -157,11 +171,11 @@ def test_unipoly_exact_div_roundtrip_and_failure():
         UniPoly([1, 0, 1]).exact_div(UniPoly([1, 1]))  # x^2+1 over x+1
 
 
-def test_trial_div_detects_planted_factor():
+def test_exact_div_detects_planted_factor():
     d = UniPoly([-1, -1, 1])  # x^2 - x - 1
     p = d * UniPoly([3, 0, -2, 1])
-    assert trial_div(p, d) == UniPoly([3, 0, -2, 1])
-    assert trial_div(UniPoly([1, 1, 1]), d) is None
+    assert p.exact_div(d) == UniPoly([3, 0, -2, 1])
+    assert not divides(d, UniPoly([1, 1, 1]))
 
 
 def test_format_unipoly_readable():
@@ -181,7 +195,7 @@ def test_resultant_matches_sylvester_on_random_pairs():
     for _ in range(150):
         p = random_unipoly(rng, 6)
         q = random_unipoly(rng, 6)
-        assert unipoly_resultant(p, q) == sylvester_resultant(p, q)
+        assert y_resultant(p, q) == sylvester_resultant(p, q)
 
 
 def test_resultant_zero_iff_planted_common_root():
@@ -191,17 +205,17 @@ def test_resultant_zero_iff_planted_common_root():
         common = UniPoly([-r, 1])  # x - r
         p = common * random_unipoly(rng, 4)
         q = common * random_unipoly(rng, 4)
-        assert unipoly_resultant(p, q) == 0
+        assert y_resultant(p, q) == 0
 
 
 def test_resultant_known_values():
     # Res(x-2, x-3) = det [[1,-2],[1,-3]] = -1
-    assert unipoly_resultant(UniPoly([-2, 1]), UniPoly([-3, 1])) == -1
+    assert y_resultant(UniPoly([-2, 1]), UniPoly([-3, 1])) == -1
     # Res(x^2-1, x^2-4) = (1-4)(1-4) = 9
-    assert unipoly_resultant(UniPoly([-1, 0, 1]), UniPoly([-4, 0, 1])) == 9
+    assert y_resultant(UniPoly([-1, 0, 1]), UniPoly([-4, 0, 1])) == 9
     # Res(x^2-x-1, derivative) = discriminant sign convention: -(-5) fits
     p = UniPoly([-1, -1, 1])
-    assert unipoly_resultant(p, p.derivative()) == sylvester_resultant(p, p.derivative())
+    assert y_resultant(p, p.derivative()) == sylvester_resultant(p, p.derivative())
 
 
 def test_resultant_swap_sign_rule():
@@ -210,7 +224,7 @@ def test_resultant_swap_sign_rule():
         p = random_unipoly(rng, 5)
         q = random_unipoly(rng, 5)
         sign = -1 if (p.degree * q.degree) % 2 else 1
-        assert unipoly_resultant(p, q) == sign * unipoly_resultant(q, p)
+        assert y_resultant(p, q) == sign * y_resultant(q, p)
 
 
 nonzero_unipolys = st.lists(st.integers(-50, 50), min_size=1, max_size=8).map(UniPoly).filter(bool)
@@ -219,13 +233,13 @@ nonzero_unipolys = st.lists(st.integers(-50, 50), min_size=1, max_size=8).map(Un
 @settings(max_examples=150, deadline=None)
 @given(nonzero_unipolys, nonzero_unipolys)
 def test_resultant_matches_sylvester_property(p, q):
-    assert unipoly_resultant(p, q) == sylvester_resultant(p, q)
+    assert y_resultant(p, q) == sylvester_resultant(p, q)
 
 
 def test_resultant_with_constant():
     p = UniPoly([1, 5, -2, 7])
-    assert unipoly_resultant(p, UniPoly.constant(3)) == 3**p.degree
-    assert unipoly_resultant(UniPoly.constant(4), UniPoly.constant(9)) == 1
+    assert y_resultant(p, UniPoly.constant(3)) == 3**p.degree
+    assert y_resultant(UniPoly.constant(4), UniPoly.constant(9)) == 1
 
 
 def test_resultant_multiplicative_in_first_argument():
@@ -234,7 +248,7 @@ def test_resultant_multiplicative_in_first_argument():
         p1 = random_unipoly(rng, 3)
         p2 = random_unipoly(rng, 3)
         q = random_unipoly(rng, 3)
-        assert unipoly_resultant(p1 * p2, q) == unipoly_resultant(p1, q) * unipoly_resultant(p2, q)
+        assert y_resultant(p1 * p2, q) == y_resultant(p1, q) * y_resultant(p2, q)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +265,9 @@ def test_gcd_contains_planted_factor_and_divides_both():
         u = random_unipoly(rng, 3)
         v = random_unipoly(rng, 3)
         d = unipoly_gcd(g * u, g * v)
-        assert trial_div(d, g) is not None  # g | gcd
-        assert trial_div(g * u, d) is not None  # gcd | both
-        assert trial_div(g * v, d) is not None
+        assert divides(g, d)  # g | gcd
+        assert divides(d, g * u)  # gcd | both
+        assert divides(d, g * v)
         assert d.leading > 0
 
 
@@ -510,7 +524,7 @@ def test_bipoly_resultant_specializes_correctly():
         for x0 in range(-4, 5):
             fs = UniPoly([c(x0) for c in f.coeffs_in("y")])
             gs = UniPoly([c(x0) for c in g.coeffs_in("y")])
-            assert r(x0) == unipoly_resultant(fs, gs)
+            assert r(x0) == sylvester_resultant(fs, gs)
 
 
 bipolys = st.dictionaries(
