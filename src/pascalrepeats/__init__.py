@@ -40,12 +40,10 @@ from .ratios import (
     IrrationalityWitness,
     ShiftPair,
     bracket,
-    gap_compare,
     irrationality_check,
     isolate_zeta,
     ratio_identity_check,
     row_expansion_check,
-    successive_ratios,
     zeta_poly,
 )
 from .search import (
@@ -95,7 +93,6 @@ __all__ = [
     "fibonacci",
     "format_bipoly",
     "format_unipoly",
-    "gap_compare",
     "infinity_singular_check",
     "intersect_curves",
     "irrationality_check",
@@ -109,7 +106,6 @@ __all__ = [
     "row_expansion_check",
     "scan_high_multiplicity",
     "search",
-    "successive_ratios",
     "unipoly_gcd",
     "zeta_poly",
 ]

@@ -41,11 +41,10 @@ from typing import Callable, Iterable, TextIO
 
 from . import census as census_mod
 from . import curves as curves_mod
-from .combinatorics import binomial
 from .errors import CacheError, PreconditionError, ZeroPolynomialError
 from .polynomials import format_bipoly
 from .ratios import ShiftPair, isolate_zeta
-from .search import Solution, _check_value_bits, equality_check, family_member, search
+from .search import Solution, _make_solution, equality_check, family_member, search
 
 FORMATS = ("json", "csv", "text")
 _MAX_DECIMAL_EXPONENT = 100_000  # 1e-100000 is a 332,000-bit denominator
@@ -53,9 +52,9 @@ _MAX_PLOT_SECTIONS = 1_000_000
 # the exact eliminants of curve --certify --format json cost about 1.6 times more per degree:
 # degree 15 took 2.6-2.9 s on 2 CPUs, degree 16 4.2 s
 _MAX_CERTIFY_DEGREE = 15
-# plain curve forms F once and prints it and its top form, F's degree-(a+b) part; forming F is
-# nearly all of the cost, about 8 times more per doubling of a+b: on 2 CPUs degree 160 took
-# 1.0-1.9 s and printed 2.2 MB, degree 80 0.15-0.2 s
+# plain curve forms F once and prints it and its top form, F's degree-(a+b) part; the output
+# grows about 8 times per doubling of a+b: on 2 CPUs degree 160 printed 2.2 MB in 0.12-0.18 s
+# (0.02 s forming F, 0.03 s rendering it, the rest starting Python), degree 80 0.27 MB in 0.09 s
 _MAX_CURVE_DEGREE = 160
 # the cost of search's proved blocks grows with y_max's bit length: to y_max = 2^256 - 1
 # every shift with a+b <= 8 other than (1,1) took at most 0.8 s on 2 CPUs, to 2^384 2.4 s;
@@ -176,14 +175,14 @@ def _solution_from_dict(record: object, line: int) -> Solution:
         other = f"C({_digits(x - shift.a)},{_digits(y + shift.b)})"
         raise CacheError(f"C({_digits(x)},{_digits(y)}) != {other}: not a solution", line)
     try:
-        _check_value_bits(x, y)
+        solution = _make_solution(x, y, shift)
     except PreconditionError as exc:
         raise CacheError(f"C({_digits(x)},{_digits(y)}): {exc}", line) from exc
-    if binomial(x, y) != value:
+    if solution.value != value:
         raise CacheError(f"stored value does not equal C({_digits(x)},{_digits(y)})", line)
-    if trivial != (value <= 1):
+    if solution.trivial != trivial:
         raise CacheError("trivial flag contradicts the value", line)
-    return Solution(shift, x, y, value, trivial)
+    return solution
 
 
 def append_solutions(path: str, solutions: list[Solution]) -> None:

@@ -41,21 +41,22 @@ import enum
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator
 
-from .combinatorics import binomial
 from .errors import PreconditionError
 from .polynomials import (
     BiPoly,
     UniPoly,
     _gcd_degree_mod,
     _interpolate_mod,
+    _linear_product,
     _resultant_mod,
     bipoly_resultant,
     isolate_real_roots,
     unipoly_gcd,
 )
-from .ratios import Interval, ShiftPair
+from .ratios import Interval, ShiftPair, zeta_poly
 
 
 class Verdict(str, enum.Enum):
@@ -127,18 +128,21 @@ class Certificate:
 
 
 def build_curve(shift: ShiftPair) -> BiPoly:
-    """Expanded F(x,y); lattice zeros with x >= y, x-a >= y+b solve the equation."""
-    x = BiPoly.variable("x")
-    y = BiPoly.variable("y")
-    left = BiPoly.constant(1)
-    for r in range(shift.degree):
-        left = left * (x - y - r)
-    right = BiPoly.constant(1)
-    for p in range(shift.a):
-        right = right * (x - p)
-    for q in range(1, shift.b + 1):
-        right = right * (y + q)
-    return left - right
+    """Expanded F(x,y); lattice zeros with x >= y, x-a >= y+b solve the equation.
+
+    The terms are written out in closed form. With ff(u, a+b) = sum of
+    s_k u^k, the left side's x^i y^j term is s_(i+j) C(i+j, i) (-1)^j,
+    from the binomial expansion of (x-y)^k. The right side is the outer
+    product of the coefficients of ff(x, a) and of (y+1)...(y+b).
+    """
+    s = _linear_product((-r, 1) for r in range(shift.degree)).coeffs
+    terms = {(i, k - i): (-1) ** (k - i) * comb(k, i) * sk for k, sk in enumerate(s) for i in range(k + 1)}
+    right_x = _linear_product((-p, 1) for p in range(shift.a)).coeffs
+    right_y = _linear_product((q, 1) for q in range(1, shift.b + 1)).coeffs
+    for i, ci in enumerate(right_x):
+        for j, cj in enumerate(right_y):
+            terms[(i, j)] = terms.get((i, j), 0) - ci * cj
+    return BiPoly(terms)
 
 
 def affine_singular_check(f: BiPoly) -> EliminantData:
@@ -269,7 +273,7 @@ _QUAD_CANDIDATES = (
 
 
 def quad_factor_test(n: int, r: int) -> UniPoly | None:
-    """Real quadratic factor of x^n - (x+1)^r among the four candidates.
+    """Real quadratic factor of x^n - (x+1)^r, zeta_poly of the shift (r, n-r), among four candidates.
 
     Trial-divides by each candidate and keeps a hit only when its
     discriminant is positive: x^2+x+1 divides for many (n,r) but carries
@@ -279,7 +283,7 @@ def quad_factor_test(n: int, r: int) -> UniPoly | None:
     """
     if not (n > r >= 1):
         raise PreconditionError(f"quad_factor_test needs n > r >= 1, got n={n}, r={r}")
-    p = UniPoly.x_power(n) - UniPoly([binomial(r, i) for i in range(r + 1)])
+    p = zeta_poly(ShiftPair(r, n - r))
     for cand in _QUAD_CANDIDATES:
         try:
             p.exact_div(cand)

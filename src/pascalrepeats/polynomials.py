@@ -20,8 +20,12 @@ and two exact sign tests prove it. One signed primitive
 remainder sequence of (p, p') is both the Sturm chain and, through its
 last term gcd(p, p'), the squarefree part that bisection runs on.
 UniPoly.sign_at(u, w), the sign at an integer u over an integer w > 0,
-is the one evaluator. One square-and-multiply serves both polynomial
-types' powers, and one renderer their text. No floating point anywhere.
+is the one evaluator, and _linear_product expands a product of linear
+factors into its coefficients. BiPoly has no ring arithmetic: it holds
+its terms, and derivatives, homogeneous parts and coefficient columns
+are read off them; curves.build_curve writes F's terms out in closed
+form. One renderer serves both polynomial types' text. No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -37,20 +41,6 @@ Scalar = Union[int, Fraction]
 
 def _sgn(v) -> int:
     return (v > 0) - (v < 0)
-
-
-def _power(base, e: int, one):
-    """base**e by square-and-multiply, for UniPoly and BiPoly alike."""
-    if e < 0:
-        raise PreconditionError("negative polynomial power")
-    out = one
-    while e:
-        if e & 1:
-            out = out * base
-        e >>= 1
-        if e:
-            base = base * base
-    return out
 
 
 def _monomial(var: str, e: int) -> str:
@@ -86,14 +76,6 @@ class UniPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def constant(cls, c: int) -> "UniPoly":
-        return cls((c,))
-
-    @classmethod
-    def x_power(cls, e: int, c: int = 1) -> "UniPoly":
-        return cls((0,) * e + (c,))
 
     @property
     def degree(self) -> int:
@@ -145,7 +127,17 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "UniPoly":
-        return _power(self, e, UniPoly((1,)))
+        """self**e by square-and-multiply."""
+        if e < 0:
+            raise PreconditionError("negative polynomial power")
+        out, base = UniPoly((1,)), self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return out
 
     def __call__(self, v: Scalar) -> Scalar:
         acc: Scalar = 0
@@ -212,6 +204,14 @@ class UniPoly:
 def format_unipoly(p: UniPoly, var: str = "x") -> str:
     """Human-readable rendering, highest degree first."""
     return _render_terms((p.coeffs[e], _monomial(var, e)) for e in range(p.degree, -1, -1) if p.coeffs[e])
+
+
+def _linear_product(pairs: Iterable[tuple[int, int]]) -> UniPoly:
+    """The product of the linear polynomials u + v*t, ascending coefficients."""
+    out = [1]
+    for u, v in pairs:
+        out = [u * out[0]] + [u * out[i] + v * out[i - 1] for i in range(1, len(out))] + [v * out[-1]]
+    return UniPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -720,16 +720,6 @@ class BiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
 
-    @classmethod
-    def constant(cls, c: int) -> "BiPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def variable(cls, var: str) -> "BiPoly":
-        if var not in _VARS:
-            raise PreconditionError(f"unknown variable {var!r}")
-        return cls({(1, 0) if var == "x" else (0, 1): 1})
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -739,44 +729,6 @@ class BiPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other) -> "BiPoly":
-        if isinstance(other, int):
-            other = BiPoly.constant(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "BiPoly":
-        if isinstance(other, int):
-            other = BiPoly.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "BiPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, int):
-            return BiPoly({e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                e = (i1 + i2, j1 + j2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "BiPoly":
-        return _power(self, e, BiPoly.constant(1))
-
     @property
     def total_degree(self) -> int:
         return max((i + j for i, j in self.terms), default=-1)
@@ -784,9 +736,6 @@ class BiPoly:
     def degree_in(self, var: str) -> int:
         idx = _VARS.index(var)
         return max((e[idx] for e in self.terms), default=-1)
-
-    def coefficient(self, i: int, j: int) -> int:
-        return self.terms.get((i, j), 0)
 
     def partial(self, var: str) -> "BiPoly":
         """Formal partial derivative with respect to x or y."""
@@ -802,12 +751,6 @@ class BiPoly:
 
     def homogeneous_part(self, d: int) -> "BiPoly":
         return BiPoly({e: c for e, c in self.terms.items() if e[0] + e[1] == d})
-
-    def evaluate(self, x: Scalar, y: Scalar) -> Scalar:
-        acc: Scalar = 0
-        for (i, j), c in self.terms.items():
-            acc += c * x**i * y**j
-        return acc
 
     def coeffs_in(self, var: str) -> list[UniPoly]:
         """Coefficients as polynomials in the other variable, ascending in var."""

@@ -131,16 +131,6 @@ def bracket(x: int, y: int, shift: ShiftPair) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def successive_ratios(x: int, y: int, shift: ShiftPair) -> list[Fraction]:
-    """The a+b ratios r_i = (x-y-i+1)/(y-a+i), i = 1..a+b.
-
-    r_i is the ratio C(x-a, y-a+i) / C(x-a, y-a+i-1) along row x-a.
-    """
-    if x < y or y < shift.a:
-        raise PreconditionError(f"successive_ratios needs x >= y >= a, got x={x}, y={y}, a={shift.a}")
-    return [Fraction(x - y - i + 1, y - shift.a + i) for i in range(1, shift.degree + 1)]
-
-
 def ratio_identity_check(x: int, y: int, shift: ShiftPair) -> bool:
     """Exact integer test of the solution identity.
 
@@ -177,16 +167,3 @@ def row_expansion_check(n: int, k: int, r: int) -> bool:
     total = sum(binomial(r, s) * binomial(n - r, k - s) for s in range(r + 1))
     return total == binomial(n, k)
 
-
-def gap_compare(n: int, k: int, q: int) -> tuple[Fraction, Fraction, bool]:
-    """Compare the coefficient-ratio gap with the convergent gap bound.
-
-    Returns ((n+1)/((k+1)(k+2)), 3/(2q^2), gap > bound): the distance
-    between consecutive ratios in row n against the worst-case distance
-    from a continued-fraction convergent with denominator q.
-    """
-    if q < 1:
-        raise PreconditionError(f"gap_compare needs q >= 1, got {q}")
-    gap = Fraction(n + 1, (k + 1) * (k + 2))
-    bound = Fraction(3, 2 * q * q)
-    return gap, bound, gap > bound

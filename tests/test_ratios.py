@@ -4,18 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from pascalrepeats.combinatorics import binomial
 from pascalrepeats.errors import PreconditionError
 from pascalrepeats.ratios import (
     Interval,
     ShiftPair,
     bracket,
-    gap_compare,
     irrationality_check,
     isolate_zeta,
     ratio_identity_check,
     row_expansion_check,
-    successive_ratios,
     zeta_poly,
 )
 from pascalrepeats.search import equality_check
@@ -124,31 +121,6 @@ def test_bracket_requires_y_above_a():
         bracket(20, 2, ShiftPair(2, 1))
 
 
-def test_successive_ratios_telescope_to_binomial_quotient():
-    rng = random.Random(3001)
-    for _ in range(100):
-        a, b = rng.randrange(1, 4), rng.randrange(1, 4)
-        shift = ShiftPair(a, b)
-        y = rng.randrange(a, 40)
-        x = rng.randrange(y + a + b, y + 80)
-        rs = successive_ratios(x, y, shift)
-        assert len(rs) == a + b
-        prod = math.prod(rs)
-        assert prod == Fraction(binomial(x - a, y + b), binomial(x - a, y - a))
-
-
-def test_successive_ratios_values_at_first_family_solution():
-    rs = successive_ratios(15, 5, ShiftPair(1, 1))
-    assert rs == [Fraction(2), Fraction(3, 2)]
-
-
-def test_successive_ratios_domain():
-    with pytest.raises(PreconditionError):
-        successive_ratios(4, 5, ShiftPair(1, 1))
-    with pytest.raises(PreconditionError):
-        successive_ratios(9, 1, ShiftPair(2, 1))
-
-
 def test_ratio_identity_matches_equality_on_small_box():
     for a in (1, 2):
         for b in (1, 2):
@@ -189,15 +161,6 @@ def test_row_expansion_rejects_r_above_n():
         row_expansion_check(5, 2, 6)
 
 
-def test_gap_compare_formula_and_types():
-    gap, bound, exceeds = gap_compare(104, 39, 5)
-    assert gap == Fraction(105, 40 * 41)
-    assert bound == Fraction(3, 50)
-    assert exceeds is (gap > bound)
-    with pytest.raises(PreconditionError):
-        gap_compare(10, 3, 0)
-
-
 def test_family_bracket_gap_respects_the_convergent_cap():
     # at a family solution the bracket endpoints are consecutive
     # convergents of phi, so the row gap between them must stay under the
@@ -211,15 +174,5 @@ def test_family_bracket_gap_respects_the_convergent_cap():
         x, y = m.n + 1, m.k + 1
         lo, hi = bracket(x, y, ShiftPair(1, 1))
         assert hi - lo == Fraction(1, fibonacci(2 * i) * fibonacci(2 * i + 1))
-        gap, bound, exceeds = gap_compare(m.n, m.k, fibonacci(2 * i))
-        assert gap == hi - lo
-        assert not exceeds  # consecutive convergents cannot be spaced wider
+        assert hi - lo < Fraction(3, 2 * fibonacci(2 * i) ** 2)
 
-
-def test_gap_usually_beats_the_cap_away_from_small_denominators():
-    # generic deep positions: a bracket made of denominator-q rationals
-    # with q comparable to the column cannot contain two consecutive
-    # convergents, because the row gap dwarfs 3/(2q^2)
-    for n, k in [(100, 40), (714, 271), (5000, 1869)]:
-        gap, bound, exceeds = gap_compare(n, k, k + 1)
-        assert exceeds
