@@ -545,6 +545,26 @@ def test_cache_wrong_trivial_flag_is_rejected(tmp_path):
         read_solutions(str(path))
 
 
+def test_cache_record_checks_run_in_order(tmp_path):
+    # each record also fails a later check: keys, fields, the flag's type, the equation, the value, the flag
+    path = tmp_path / "cache.jsonl"
+    good = {"a": 1, "b": 1, "x": "15", "y": "5", "value": "3003", "trivial": False}
+    cases = [
+        ({"a": 1, "b": 1, "x": "15.5", "y": "5", "value": "3003"}, "record keys "),
+        ({**good, "x": "15.5", "trivial": "no"}, "malformed record fields"),
+        ({**good, "trivial": "no", "value": "1"}, "trivial field must be a boolean"),
+        ({**good, "x": "16", "value": "1", "trivial": True}, "C(16,5) != C(15,6): not a solution"),
+        ({**good, "value": "1", "trivial": True}, "stored value does not equal C(15,5)"),
+        ({**good, "trivial": True}, "trivial flag contradicts the value"),
+    ]
+    for record, message in cases:
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(CacheError) as exc:
+            read_solutions(str(path))
+        assert exc.value.line == 1
+        assert str(exc.value).startswith(f"line 1: {message}")
+
+
 def test_cache_unexpected_keys_are_rejected(tmp_path):
     path = tmp_path / "cache.jsonl"
     record = {"a": 1, "b": 1, "x": "15", "y": "5", "value": "3003"}

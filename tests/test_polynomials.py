@@ -136,6 +136,24 @@ def test_unipoly_power():
         assert (q**e)(7) == q(7) ** e
 
 
+def test_unipoly_power_rejects_a_negative_exponent():
+    with pytest.raises(PreconditionError, match="negative"):
+        UniPoly([1, 1]) ** -1
+
+
+def test_linear_product_is_the_product_of_its_factors():
+    # oracle: UniPoly multiplication of the factors u + v*t one at a time
+    rng = random.Random(2005)
+    assert polynomials._linear_product([]) == UniPoly([1])
+    for _ in range(60):
+        pairs = [(rng.randrange(-9, 10), rng.randrange(-9, 10)) for _ in range(rng.randrange(1, 8))]
+        expected = UniPoly([1])
+        for u, v in pairs:
+            expected = expected * UniPoly([u, v])
+        assert polynomials._linear_product(pairs) == expected
+        assert polynomials._linear_product(iter(pairs)) == expected
+
+
 def test_unipoly_sign_at_matches_fraction_evaluation():
     rng = random.Random(2002)
     for _ in range(200):
