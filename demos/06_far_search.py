@@ -12,9 +12,11 @@ Each shift's curve is also certified here. A smooth plane curve of
 degree d >= 3 has genus (d-1)(d-2)/2 >= 1, and by Siegel's theorem it
 has finitely many integral points. The theorem gives no bound on their
 size, though, so the list below is complete only up to y = 10^30: no
-computation here rules out a solution beyond it.
+computation here rules out a solution beyond it. The elapsed time goes
+to stderr, so stdout is the same on every run.
 """
 
+import sys
 import time
 
 from pascalrepeats import ShiftPair, certify, search
@@ -34,7 +36,7 @@ def main() -> None:
             for s in search(shift, Y_MAX):
                 trivial = " (trivial)" if s.trivial else ""
                 print(f"      C({s.x},{s.y}) = C({s.x - a},{s.y + shift.b}) = {s.value}{trivial}")
-    print(f"({time.perf_counter() - start:.1f} s for all 14 shifts)")
+    print(f"({time.perf_counter() - start:.1f} s for all 14 shifts)", file=sys.stderr)
     print()
     print("Complete only up to y = 10^30. By Siegel's theorem each curve of genus")
     print("at least 1 has finitely many integral points, but the theorem is")

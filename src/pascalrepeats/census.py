@@ -130,29 +130,14 @@ def _column_two(v: int) -> int:
     return 0 if n < 4 else 1 if n == 4 else 2
 
 
-# values a census scan may hold: with m_min 4 or less each column-2 value is a record, and
-# at the bound (t_max about 1.9e9) a CLI scan took 2.1 s on 2 CPUs and printed 6 MB; with
-# m_min 5 or more it reaches t_max of about 3.2e13 in 0.1 s
-_MAX_CENSUS_VALUES = 1 << 16
-
-
-def _census_values(t_max: int, m_min: int) -> int:
-    """An upper bound on the number of values scan_high_multiplicity(t_max, m_min) holds, t_max >= 2.
-
-    Column k >= 3 holds C(n,k) <= t_max only in rows 2k <= n <= r+k-1,
-    r = floor((k!*t_max)^(1/k)) (`_interior_occurrences`), at most r-k of
-    them, and only while C(2k,k) <= t_max. With m_min <= 4 the column-2
-    values C(n,2) <= t_max, fewer than sqrt(2*t_max) + 1, are held too.
-    The sum stops once it passes _MAX_CENSUS_VALUES.
-    """
-    count = math.isqrt(2 * t_max) + 1 if m_min <= 4 else 0
-    k, fact, central = 3, 6, 20  # k!, C(2k,k)
-    while central <= t_max and count <= _MAX_CENSUS_VALUES:
-        count += _kth_root(fact * t_max, k) - k
-        central = central * 2 * (2 * k + 1) // (k + 1)
-        k += 1
-        fact *= k
-    return count
+# the largest t_max a census scan accepts, where the former column-by-column estimate of
+# the values it holds (floor((k!*t_max)^(1/k)) - k for each column k >= 3 with
+# C(2k,k) <= t_max, plus isqrt(2*t_max) + 1 for column 2) first exceeded 65,536; the
+# estimate never decreases in t_max. With m_min 4 or less column 2 counts, and every C(n,2)
+# is a record: at the limit a CLI scan took 2.65-3.5 s on 2 CPUs for 65,454 records. With
+# m_min 5 or more column 2 does not count, and the limit took 0.15-0.19 s for 7 records.
+_MAX_SCAN_T_LOW_M = 1_938_714_180
+_MAX_SCAN_T = 31_500_106_239_178
 
 
 def scan_high_multiplicity(t_max: int, m_min: int) -> list[MultiplicityRecord]:
@@ -169,15 +154,17 @@ def scan_high_multiplicity(t_max: int, m_min: int) -> list[MultiplicityRecord]:
     least one lies in a column k >= 3 and the value is already in the
     tally. For m_min <= 4 every C(n,2) with n >= 5 qualifies on its own, and
     so does C(4,2) = 6 when m_min = 3; only then are the values of column 2
-    added to the candidates. A scan that could hold more than
-    _MAX_CENSUS_VALUES values is refused before the tally.
+    added to the candidates. Before the tally a scan refuses a t_max above
+    _MAX_SCAN_T_LOW_M (1,938,714,180) when m_min <= 4 and above
+    _MAX_SCAN_T (31,500,106,239,178) otherwise, so that it holds at most
+    65,536 values.
     """
     if t_max < 2:
         raise PreconditionError(f"scan_high_multiplicity needs t_max >= 2, got {t_max}")
     if m_min < 3:
         raise PreconditionError(f"scan_high_multiplicity needs m_min >= 3, got {m_min}")
-    if _census_values(t_max, m_min) > _MAX_CENSUS_VALUES:
-        raise PreconditionError(f"census scan would hold more than {_MAX_CENSUS_VALUES} values")
+    if t_max > (_MAX_SCAN_T_LOW_M if m_min <= 4 else _MAX_SCAN_T):
+        raise PreconditionError("census scan would hold more than 65536 values")
     tally: dict[int, int] = {}
     n = 6
     v = 20  # C(n,3)

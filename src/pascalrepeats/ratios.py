@@ -60,9 +60,6 @@ class Interval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, q: Fraction) -> bool:
-        return self.lo <= q <= self.hi
-
 
 @dataclass(frozen=True)
 class IrrationalityWitness:

