@@ -373,10 +373,15 @@ def test_census_scan_below_two_is_refused_by_the_scan(t_max):
     assert run_cli(["census", "--t-max", t_max, "--m-min", "4"]) == (1, "", err)
 
 
-@pytest.mark.parametrize("t_max, m_min", [(census_mod._MAX_SCAN_T_LOW_M, 4), (census_mod._MAX_SCAN_T, 5)])
-def test_census_value_bound_holds_every_value_the_scan_holds(t_max, m_min):
+@pytest.mark.parametrize(
+    "m_min, t_max",
+    [(m, t) for m in (3, 4, 5) for t in (2, 19, 20, 35, 3003, 10**4, 123456)]
+    + [(4, census_mod._MAX_SCAN_T_LOW_M), (5, census_mod._MAX_SCAN_T)],
+)
+def test_census_value_bound_holds_every_value_the_scan_holds(monkeypatch, m_min, t_max):
     # every C(n,k) <= t_max with 3 <= k <= n/2 (2 <= k with m_min <= 4), column by column; the
-    # values below a t_max are among those below a larger one, so the limit bounds every scan
+    # values below a t_max are among those below a larger one, so the limit bounds every scan;
+    # the scan's hits, read without the record pass, are among these values
     values = set()
     k = 2 if m_min <= 4 else 3
     while math.comb(2 * k, k) <= t_max:
@@ -386,6 +391,8 @@ def test_census_value_bound_holds_every_value_the_scan_holds(t_max, m_min):
             n += 1
         k += 1
     assert len(values) <= 65536
+    monkeypatch.setattr(census_mod, "multiplicity", lambda t: t)
+    assert set(census_mod.scan_high_multiplicity(t_max, m_min)) <= values
 
 
 def test_intersect_refuses_an_x_max_of_2_to_the_256_before_any_row(monkeypatch, capsys):
