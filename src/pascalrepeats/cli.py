@@ -13,9 +13,13 @@ argparse reports, an unparseable integer or rational included, and a
 decimal exponent beyond +-100000. Identical invocations produce
 byte-identical output; every search runs in one process, and its
 --workers value is checked but selects nothing. Any number that may
-exceed 64 bits is serialized as a decimal string, rendered and parsed
-through Decimal so that Python's int-to-string digit limit never
-applies.
+exceed 64 bits is serialized as a decimal string. Solutions, family
+members and zeta endpoints are rendered and parsed through Decimal so
+that Python's int-to-string limit of 4,300 digits never applies.
+Intersection points and census values are rendered by str(), which is
+safe only because their bounds keep them far below that limit: an
+intersection's x and y stay below 2^256 (78 digits), and a census value
+below 10^1000.
 
 build_parser is cached: the parser, with its eight subparsers, is built
 once per process and reused by every main call. A one-shot process,
@@ -49,6 +53,17 @@ from .search import Solution, _make_solution, equality_check, family_member, sea
 FORMATS = ("json", "csv", "text")
 _MAX_DECIMAL_EXPONENT = 100_000  # 1e-100000 is a 332,000-bit denominator
 _MAX_PLOT_SECTIONS = 1_000_000
+# zeta starts from the bracket [1, 2^(a+b)]: at (100,100) all three Newton tries, after 64, 128
+# and 192 halvings, fail, and each costs an O(d^2) Taylor shift (_shifted: 0.70 of 1.32 s). On
+# 2 CPUs at the default precision every a+b = 160 tried took 0.43-0.73 s, (80,80) the most; 200
+# took 1.8 s and 300 over 10 s. The time also grows with the precision's bits: (80,80) at 1e-1000
+# took 1.4 s, (20,20) at 1e-100000 45 s
+_MAX_ZETA_DEGREE = 160
+# a plot section isolates the real roots of a degree-(a+b) polynomial in x: on 2 CPUs one section
+# at y = 0 took 0.42-0.76 s at a+b = 40, 3.2 s at 50 and 47 s at 80. Its cost also grows with the
+# section count and with |y|, which no bound limits yet: (20,20) took 4.6 s at y = 1000 and 29 s
+# at y = 10^6
+_MAX_PLOT_DEGREE = 40
 # the exact eliminants of curve --certify --format json cost about 1.6 times more per degree:
 # degree 15 took 2.6-2.9 s on 2 CPUs, degree 16 4.2 s
 _MAX_CERTIFY_DEGREE = 15
@@ -280,6 +295,8 @@ def _no_csv(fmt: str, command: str) -> None:
 def _run_zeta(args: argparse.Namespace, out: TextIO) -> None:
     _no_csv(args.format, "zeta")
     shift = ShiftPair(args.a, args.b)
+    if shift.degree > _MAX_ZETA_DEGREE:
+        raise PreconditionError(f"zeta needs a+b <= {_MAX_ZETA_DEGREE}, got {shift.degree}")
     interval = isolate_zeta(shift, args.precision)
     decimal = _decimal_sig(interval.midpoint)
     if args.format == "json":
@@ -405,6 +422,8 @@ def _run_verify(args: argparse.Namespace, out: TextIO) -> None:
 
 def _run_plot(args: argparse.Namespace, out: TextIO) -> None:
     shift = ShiftPair(args.a, args.b)
+    if shift.degree > _MAX_PLOT_DEGREE:
+        raise PreconditionError(f"plot needs a+b <= {_MAX_PLOT_DEGREE}, got {shift.degree}")
     if args.y_step <= 0:
         raise PreconditionError("plot needs a positive --y-step")
     sections = (args.y_max - args.y_min) // args.y_step + 1
@@ -456,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser, default: str = "text") -> None:
         p.add_argument("--format", choices=FORMATS, default=default)
 
-    p = sub.add_parser("zeta", help="isolate the limiting ratio for a shift")
+    p = sub.add_parser("zeta", help=f"isolate the limiting ratio for a shift with a+b <= {_MAX_ZETA_DEGREE}")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument(
@@ -491,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_curve)
 
     p = sub.add_parser("census", help="multiplicity of one value or a high-multiplicity scan")
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--t", type=int, default=None, help="one value, below 10^1000")
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--m-min", type=int, default=None)
     add_format(p)
@@ -511,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(run=_run_verify)
 
-    p = sub.add_parser("plot", help="branch data of the curve as y,x rows")
+    p = sub.add_parser("plot", help=f"branch data of the curve for a+b <= {_MAX_PLOT_DEGREE} as y,x rows")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--y-min", type=int, required=True)

@@ -12,11 +12,9 @@ singular point forces the two eliminants Res_y(F,F_x) and Res_y(F,F_y)
 to share a root, and the leading y-coefficient of F is the constant
 (-1)^d, so leading-coefficient degeneracy cannot fake a root. For every
 shift with a+b <= 20 the gcd of the two is constant. Should a shift
-ever be inconclusive in y, eliminating x, with
-`bipoly_resultant(..., "x")`, is the check to add back, together with a
-test that reaches it. At infinity, the top form T = (x-y)^d - x^a y^b
-and the degree-(d-1) part F_(d-1) are read off F as its homogeneous
-parts of degree d and d-1.
+ever be inconclusive in y, eliminating x is the check to add, with a
+test that reaches it: F's x-leading coefficient is 1, and Res_x(F,G)
+is bipoly_resultant of F and G with x and y swapped. At infinity only F's top form T = (x-y)^d - x^a y^b is read.
 
 certify decides the affine verdict modulo the prime P = 2^61 - 1 first.
 With D = d(d-1), it evaluates F, F_x and F_y at x0 = 0..D mod P as
@@ -154,30 +152,25 @@ def affine_singular_check(f: BiPoly) -> EliminantData:
     nonconstant gcd only yields "inconclusive". Eliminating x instead
     could still prove such a curve smooth (module docstring).
     """
-    res_fx = bipoly_resultant(f, f.partial("x"), "y")
-    res_fy = bipoly_resultant(f, f.partial("y"), "y")
+    res_fx = bipoly_resultant(f, f.partial("x"))
+    res_fy = bipoly_resultant(f, f.partial("y"))
     return EliminantData(res_fx, res_fy, unipoly_gcd(res_fx, res_fy))
 
 
 def infinity_singular_check(f: BiPoly) -> Verdict:
     """Certify the projective closure of the curve F = f has no singular point on z = 0.
 
-    Homogenizing F and restricting the three partials to z = 0 leaves the
-    binary forms T_x, T_y and F_(d-1), all read off F: its top form
-    T = F_d, which is (x-y)^d - x^a y^b, and its degree-(d-1)
-    homogeneous part, where d is F's total degree. A singular point at
-    infinity is a common projective root of the three. The point [1:0] is
-    not on the curve at all, because T(1,0) = 1, so every candidate,
-    [0:1] included, lies in the y = 1 chart, where a constant gcd of the
-    three sections rules them all out. None of the three forms is zero:
-    T_x(1,0) = d, T_y(0,1) = (-1)^d * d, and the y^(d-1) coefficient of
-    F_(d-1) is (-1)^d * C(d,2), for every shift.
+    Homogenizing F and restricting its partials to z = 0 leaves T_x, T_y
+    and F_(d-1), where T = F_d = (x-y)^d - x^a y^b is F's top form, and a
+    singular point at infinity is a common root of the three. T_x and
+    T_y alone have none. T_x(1,0) = d, so a common root lies on y = 1,
+    where T_x + T_y = -x^(a-1) (a + b x): it is 0 or -a/b. But
+    T_x(0,1) = (-1)^(d-1) d - [a = 1] is nonzero, and T_x(-a/b,1) = 0
+    would need d^d = (-1)^b a^a b^b, while d^d = (a+b)^a (a+b)^b exceeds
+    a^a b^b. The one gcd below proves this for the shift at hand.
     """
-    d = f.total_degree
-    t = f.homogeneous_part(d)
-    forms = (t.partial("x"), t.partial("y"), f.homogeneous_part(d - 1))
-    tx, ty, fd = (_x_section(g, 1) for g in forms)
-    gcd = unipoly_gcd(unipoly_gcd(tx, ty), fd)
+    t = f.homogeneous_part(f.total_degree)
+    gcd = unipoly_gcd(_x_section(t.partial("x"), 1), _x_section(t.partial("y"), 1))
     return Verdict.YES if gcd.degree == 0 else Verdict.INCONCLUSIVE
 
 
@@ -197,7 +190,7 @@ def classify_finiteness(shift: ShiftPair) -> Finiteness:
 def _eliminants_mod(f: BiPoly) -> tuple[list[int], list[int]]:
     """Res_y(f,f_x) and Res_y(f,f_y) mod P, ascending, from their values at x0 = 0..d(d-1)."""
     d = f.total_degree
-    columns = [g.coeffs_in("y") for g in (f, f.partial("x"), f.partial("y"))]
+    columns = [g.coeffs_in() for g in (f, f.partial("x"), f.partial("y"))]
     res_fx, res_fy = [], []
     for x0 in range(d * (d - 1) + 1):
         fv, fxv, fyv = ([c(x0) for c in col] for col in columns)

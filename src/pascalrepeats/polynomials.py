@@ -2,7 +2,7 @@
 
 Univariate polynomials are dense coefficient tuples (index = degree);
 bivariate polynomials are sparse maps from exponent pairs to coefficients.
-The resultant, for bivariate elimination, is computed by a
+The resultant Res_y, which eliminates y, is computed by a
 fraction-free (subresultant) polynomial remainder sequence whose
 coefficients are univariate polynomials; its pseudo-remainder step is
 generic and also serves the integer Sturm chains. unipoly_gcd first
@@ -19,13 +19,16 @@ an integer Newton iteration names the cell the halving would end in,
 and two exact sign tests prove it. One signed primitive
 remainder sequence of (p, p') is both the Sturm chain and, through its
 last term gcd(p, p'), the squarefree part that bisection runs on.
-UniPoly.sign_at(u, w), the sign at an integer u over an integer w > 0,
-is the one evaluator, and _linear_product expands a product of linear
-factors into its coefficients. BiPoly has no ring arithmetic: it holds
-its terms, and derivatives, homogeneous parts and coefficient columns
-are read off them; curves.build_curve writes F's terms out in closed
-form. One renderer serves both polynomial types' text. No floating
-point anywhere.
+UniPoly.sign_at(u, w), the sign at u/w for integers u and w > 0, is
+root isolation's evaluator. UniPoly.__call__ gives the exact value where
+the value itself is used: F's coefficient columns at x0 in
+curves._eliminants_mod, zeta_poly at +-1 in irrationality_check, and a
+section at each integer x in lattice_points_in_box. _linear_product
+expands a product of linear factors into its coefficients. BiPoly has
+no ring arithmetic: it holds its terms, and derivatives, homogeneous
+parts and coefficient columns are read off them; curves.build_curve
+writes F's terms out in closed form. One renderer serves both
+polynomial types' text. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -752,16 +755,14 @@ class BiPoly:
     def homogeneous_part(self, d: int) -> "BiPoly":
         return BiPoly({e: c for e, c in self.terms.items() if e[0] + e[1] == d})
 
-    def coeffs_in(self, var: str) -> list[UniPoly]:
-        """Coefficients as polynomials in the other variable, ascending in var."""
-        idx = _VARS.index(var)
-        d = self.degree_in(var)
+    def coeffs_in(self) -> list[UniPoly]:
+        """Coefficients in y, as polynomials in x, ascending in y."""
+        d = self.degree_in("y")
         if d < 0:
             return []
         rows: list[dict[int, int]] = [{} for _ in range(d + 1)]
         for (i, j), c in self.terms.items():
-            main, other = (i, j) if idx == 0 else (j, i)
-            rows[main][other] = c
+            rows[j][i] = c
         out = []
         for row in rows:
             size = max(row) + 1 if row else 0
@@ -783,17 +784,12 @@ def format_bipoly(p: BiPoly) -> str:
     )
 
 
-def bipoly_resultant(p: BiPoly, q: BiPoly, eliminate: str) -> UniPoly:
-    """Resultant of p and q with respect to one variable.
+def bipoly_resultant(p: BiPoly, q: BiPoly) -> UniPoly:
+    """Res_y(p, q), a univariate polynomial in x.
 
-    Eliminating y yields a univariate polynomial in x and vice versa. Raises
-    ZeroPolynomialError when either input is zero. The sign convention is
-    the Sylvester determinant with p's rows first.
+    Raises ZeroPolynomialError when either input is zero. The sign
+    convention is the Sylvester determinant with p's rows first.
     """
-    if eliminate not in _VARS:
-        raise PreconditionError(f"unknown variable {eliminate!r}")
     if not p or not q:
         raise ZeroPolynomialError("resultant of a zero polynomial")
-    pc = p.coeffs_in(eliminate)
-    qc = q.coeffs_in(eliminate)
-    return _resultant_lists(pc, qc)
+    return _resultant_lists(p.coeffs_in(), q.coeffs_in())

@@ -10,6 +10,7 @@ import pytest
 from pascalrepeats import census as census_mod
 from pascalrepeats import cli as cli_mod
 from pascalrepeats import curves as curves_mod
+from pascalrepeats import ratios as ratios_mod
 from pascalrepeats.cli import (
     _decimal_fixed,
     _rational,
@@ -285,6 +286,27 @@ def test_curve_refuses_a_degree_beyond_the_bound_before_any_work(monkeypatch):
     for argv in (["--a", "80", "--b", "81"], ["--a", "1", "--b", "160", "--format", "json"]):
         assert run_cli(["curve", *argv]) == (1, "", "error: curve needs a+b <= 160, got 161\n")
     assert run_cli(["curve", "--a", "80", "--b", "80"]) == (1, "", "error: built a curve of degree 160\n")
+
+
+def test_zeta_refuses_a_degree_beyond_the_bound_before_any_work(monkeypatch):
+    def reached(shift):
+        raise PreconditionError(f"formed zeta_poly of degree {shift.degree}")
+
+    monkeypatch.setattr(ratios_mod, "zeta_poly", reached)
+    for argv in (["--a", "80", "--b", "81"], ["--a", "160", "--b", "1", "--format", "json"]):
+        assert run_cli(["zeta", *argv]) == (1, "", "error: zeta needs a+b <= 160, got 161\n")
+    assert run_cli(["zeta", "--a", "80", "--b", "80"]) == (1, "", "error: formed zeta_poly of degree 160\n")
+
+
+def test_plot_refuses_a_degree_beyond_the_bound_before_any_work(monkeypatch):
+    def reached(shift):
+        raise PreconditionError(f"built a curve of degree {shift.degree}")
+
+    monkeypatch.setattr(curves_mod, "build_curve", reached)
+    window = ["--y-min", "0", "--y-max", "0"]
+    for argv in (["--a", "20", "--b", "21"], ["--a", "1", "--b", "40", "--format", "json"]):
+        assert run_cli(["plot", *argv, *window]) == (1, "", "error: plot needs a+b <= 40, got 41\n")
+    assert run_cli(["plot", "--a", "20", "--b", "20", *window]) == (1, "", "error: built a curve of degree 40\n")
 
 
 def test_text_certificate_forms_no_exact_eliminant(monkeypatch):

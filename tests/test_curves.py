@@ -111,7 +111,7 @@ def test_leading_y_coefficient_is_unit():
         for b in range(1, 4):
             f = build_curve(ShiftPair(a, b))
             d = a + b
-            lead = f.coeffs_in("y")[d]
+            lead = f.coeffs_in()[d]
             assert lead == UniPoly([(-1) ** d])
 
 
@@ -156,17 +156,26 @@ def test_infinity_singular_check_smooth_cases():
         assert infinity_singular_check(build_curve(ShiftPair(a, b))) is Verdict.YES
 
 
-def test_forms_at_infinity_never_vanish_at_the_axes():
-    # the facts behind infinity_singular_check's single gcd over the y = 1 chart
-    for d in range(2, 13):
+def test_top_form_partials_share_no_root_at_infinity():
+    # the facts behind infinity_singular_check's one gcd: T_x(1,0) = d, so
+    # [1:0] is no common root, and on y = 1 the sum T_x + T_y is
+    # -x^(a-1) (a + b x) and gcd(T_x, T_y) is constant
+    def on_chart(g: BiPoly) -> UniPoly:
+        cs = [0] * (g.total_degree + 1)
+        for (i, _), c in g.terms.items():
+            cs[i] += c
+        return UniPoly(cs)
+
+    for d in range(2, 31):
         for a in range(1, d):
-            f = build_curve(ShiftPair(a, d - a))
+            b = d - a
+            f = build_curve(ShiftPair(a, b))
             t = f.homogeneous_part(d)
-            assert bipoly_at(t, 1, 0) == 1  # [1:0] is not on the curve
             assert bipoly_at(t.partial("x"), 1, 0) == d
-            assert bipoly_at(t.partial("y"), 0, 1) == (-1) ** d * d
-            f_low = f.homogeneous_part(d - 1)
-            assert f_low.terms[(0, d - 1)] == (-1) ** d * math.comb(d, 2)
+            tx, ty = on_chart(t.partial("x")), on_chart(t.partial("y"))
+            assert tx + ty == UniPoly([0] * (a - 1) + [-a, -b])
+            assert tx(0) != 0 and d**d != a**a * b**b
+            assert polynomials.unipoly_gcd(tx, ty).degree == 0
             assert infinity_singular_check(f) is Verdict.YES
 
 
@@ -185,7 +194,7 @@ def test_y_leading_coefficients_are_nonzero_constants():
             ]
             for g, degree, lead in leads:
                 assert g.degree_in("y") == degree
-                assert g.coeffs_in("y")[degree] == UniPoly([lead])
+                assert g.coeffs_in()[degree] == UniPoly([lead])
                 assert 0 < abs(lead) < (1 << 61) - 1
 
 

@@ -5,7 +5,9 @@ primitive remainder sequence only when that proof fails. The reference
 below is a primitive pseudo-remainder sequence with its own arithmetic,
 so no code of the package enters it. The certificates of every shift
 with a+b <= 8 must come out identical with the reference in place of
-unipoly_gcd, in both elimination directions. The same sweep checks
+unipoly_gcd, and the common factors of the eliminants in y and in x,
+the latter from the curve with x and y swapped, must be the reference's
+too. The same sweep checks
 certify's modular proof against the exact path: the eliminants it
 interpolates mod P are the exact ones reduced mod P, and the certificate
 and its whole JSON payload are those of the exact path.
@@ -24,6 +26,7 @@ from pascalrepeats import polynomials
 from pascalrepeats.curves import build_curve, certify
 from pascalrepeats.polynomials import UniPoly, bipoly_resultant, unipoly_gcd
 from pascalrepeats.ratios import ShiftPair
+from test_polynomials import swap_xy
 
 P = (1 << 61) - 1
 
@@ -138,8 +141,8 @@ def assert_certificate_matches_reference(a: int, b: int) -> None:
     shift = ShiftPair(a, b)
     f = build_curve(shift)
     fx, fy = f.partial("x"), f.partial("y")
-    for var in ("y", "x"):
-        res_fx, res_fy = bipoly_resultant(f, fx, var), bipoly_resultant(f, fy, var)
+    for var, (g, g_x, g_y) in (("y", (f, fx, fy)), ("x", map(swap_xy, (f, fx, fy)))):
+        res_fx, res_fy = bipoly_resultant(g, g_x), bipoly_resultant(g, g_y)
         assert unipoly_gcd(res_fx, res_fy) == reference(res_fx, res_fy), (a, b, var)
         if var == "y":
             reduced = tuple([c % P for c in r.coeffs] for r in (res_fx, res_fy))

@@ -46,9 +46,9 @@ def constant_lead_in_y(draw) -> BiPoly:
 @given(constant_lead_in_y(), constant_lead_in_y())
 @example(BiPoly({(0, 1): 1, (1, 0): 1}), BiPoly({(0, 2): -3, (2, 0): 1}))
 def test_resultant_mod_p_is_the_exact_eliminant_mod_p(f, g):
-    exact = bipoly_resultant(f, g, "y")
+    exact = bipoly_resultant(f, g)
     top = f.total_degree * g.total_degree  # Res_y has x-degree at most this
-    fc, gc = f.coeffs_in("y"), g.coeffs_in("y")
+    fc, gc = f.coeffs_in(), g.coeffs_in()
     values = [_resultant_mod([c(x0) for c in fc], [c(x0) for c in gc]) for x0 in range(top + 1)]
     assert values == [exact(x0) % P for x0 in range(top + 1)]
     assert UniPoly(_interpolate_mod(values)) == UniPoly(c % P for c in exact.coeffs)

@@ -59,7 +59,7 @@ def sylvester_resultant(p: UniPoly, q: UniPoly) -> int:
 
 def y_resultant(p: UniPoly, q: UniPoly) -> int:
     """Res(p, q) by bipoly_resultant, with p and q read as polynomials in y alone."""
-    r = bipoly_resultant(*(BiPoly({(0, j): c for j, c in enumerate(g.coeffs)}) for g in (p, q)), "y")
+    r = bipoly_resultant(*(BiPoly({(0, j): c for j, c in enumerate(g.coeffs)}) for g in (p, q)))
     assert r.degree <= 0
     return r(0)
 
@@ -76,6 +76,11 @@ def divides(d: UniPoly, p: UniPoly) -> bool:
 def bipoly_at(p: BiPoly, x, y):
     """p(x, y), summed over p's terms."""
     return sum(c * x**i * y**j for (i, j), c in p.terms.items())
+
+
+def swap_xy(p: BiPoly) -> BiPoly:
+    """p(y, x): eliminating y from swapped inputs eliminates x from the originals."""
+    return BiPoly({(j, i): c for (i, j), c in p.terms.items()})
 
 
 def random_unipoly(rng: random.Random, max_deg: int, zero_ok: bool = False) -> UniPoly:
@@ -469,14 +474,14 @@ def random_bipoly(rng: random.Random, max_deg: int) -> BiPoly:
 
 
 def test_bipoly_partial_derivative_is_the_derivative_of_each_section():
-    # p_x at y = t is the derivative of the section p(x, t), and p_y likewise
+    # p_y at x = t is the derivative of the section p(t, y), and p_x likewise with x and y swapped
     rng = random.Random(2041)
     for _ in range(40):
         p = random_bipoly(rng, 3)
-        for var in ("x", "y"):
+        for g, g_y in ((p, p.partial("y")), (swap_xy(p), swap_xy(p.partial("x")))):
             for t in range(-3, 4):
-                section = UniPoly([c(t) for c in p.coeffs_in(var)])
-                assert UniPoly([c(t) for c in p.partial(var).coeffs_in(var)]) == section.derivative()
+                section = UniPoly([c(t) for c in g.coeffs_in()])
+                assert UniPoly([c(t) for c in g_y.coeffs_in()]) == section.derivative()
 
 
 def test_bipoly_homogeneous_parts_sum_to_whole():
@@ -501,13 +506,10 @@ def test_bipoly_coeffs_in_reconstructs_polynomial():
     rng = random.Random(2043)
     for _ in range(40):
         p = random_bipoly(rng, 3)
-        for var in ("x", "y"):
-            slices = p.coeffs_in(var)
+        for g in (p, swap_xy(p)):
             vx, vy = rng.randrange(-6, 7), rng.randrange(-6, 7)
-            main = vx if var == "x" else vy
-            other = vy if var == "x" else vx
-            recon = sum(c(other) * main**j for j, c in enumerate(slices))
-            assert recon == bipoly_at(p, vx, vy)
+            recon = sum(c(vx) * vy**j for j, c in enumerate(g.coeffs_in()))
+            assert recon == bipoly_at(g, vx, vy)
 
 
 def test_format_bipoly_readable():
@@ -517,7 +519,7 @@ def test_format_bipoly_readable():
 
 
 def test_bipoly_resultant_eliminating_y_known_case():
-    r = bipoly_resultant(BiPoly({(0, 1): 1, (1, 0): -1}), BiPoly({(0, 1): 1, (1, 0): 1}), "y")
+    r = bipoly_resultant(BiPoly({(0, 1): 1, (1, 0): -1}), BiPoly({(0, 1): 1, (1, 0): 1}))
     assert r == UniPoly([0, 2])  # 2x with p-rows-first sign convention
 
 
@@ -528,10 +530,10 @@ def test_bipoly_resultant_specializes_correctly():
     for _ in range(25):
         f = BiPoly({(0, 3): 1, (1, 1): rng.randrange(-5, 6), (0, 0): rng.randrange(-5, 6)})
         g = BiPoly({(0, 2): 1, (2, 0): rng.randrange(-5, 6), (0, 1): rng.randrange(-5, 6)})
-        r = bipoly_resultant(f, g, "y")
+        r = bipoly_resultant(f, g)
         for x0 in range(-4, 5):
-            fs = UniPoly([c(x0) for c in f.coeffs_in("y")])
-            gs = UniPoly([c(x0) for c in g.coeffs_in("y")])
+            fs = UniPoly([c(x0) for c in f.coeffs_in()])
+            gs = UniPoly([c(x0) for c in g.coeffs_in()])
             assert r(x0) == sylvester_resultant(fs, gs)
 
 
@@ -548,12 +550,12 @@ _HIGH = BiPoly({(2, 3): 1, (0, 3): 1, (1, 0): 1})  # (x^2 + 1)*y^3 + x
 @example(_LOW, _HIGH)
 @example(_HIGH, _LOW)
 def test_bipoly_resultant_specialises_to_sylvester(f, g):
-    # Res_var(f, g) at t is the Sylvester determinant of f and g with the
-    # other variable set to t, wherever neither leading coefficient in var
-    # vanishes at t
-    for var in ("x", "y"):
-        r = bipoly_resultant(f, g, var)
-        fc, gc = f.coeffs_in(var), g.coeffs_in(var)
+    # Res_y(f, g) at t is the Sylvester determinant of f and g with x set
+    # to t, wherever neither leading coefficient in y vanishes at t; with
+    # x and y swapped, Res_x(f, g) likewise
+    for p, q in ((f, g), (swap_xy(f), swap_xy(g))):
+        r = bipoly_resultant(p, q)
+        fc, gc = p.coeffs_in(), q.coeffs_in()
         for t in range(-3, 4):
             if fc[-1](t) and gc[-1](t):
                 fs, gs = UniPoly([c(t) for c in fc]), UniPoly([c(t) for c in gc])
@@ -562,7 +564,7 @@ def test_bipoly_resultant_specialises_to_sylvester(f, g):
 
 def test_bipoly_resultant_rejects_zero_input():
     with pytest.raises(ZeroPolynomialError):
-        bipoly_resultant(BiPoly(), BiPoly({(0, 1): 1}), "y")
+        bipoly_resultant(BiPoly(), BiPoly({(0, 1): 1}))
 
 
 def test_bipoly_repr_and_json_compatibility():
