@@ -60,10 +60,13 @@ _MAX_PLOT_SECTIONS = 1_000_000
 # took 1.4 s, (20,20) at 1e-100000 45 s
 _MAX_ZETA_DEGREE = 160
 # a plot section isolates the real roots of a degree-(a+b) polynomial in x: on 2 CPUs one section
-# at y = 0 took 0.42-0.76 s at a+b = 40, 3.2 s at 50 and 47 s at 80. Its cost also grows with the
-# section count and with |y|, which no bound limits yet: (20,20) took 4.6 s at y = 1000 and 29 s
-# at y = 10^6
+# at y = 0 took 0.42-0.76 s at a+b = 40, 3.2 s at 50 and 47 s at 80
 _MAX_PLOT_DEGREE = 40
+# a section's cost also grows with its y = u/w, about as ((a+b)^2 * bits(max(|u|, w)))^2.5: on 2 CPUs
+# one section at (a+b)^2 * bits = 10,000 took 0.84-1.14 s, from (5,5) at 100 bits to (20,20) at 6;
+# (20,20) took 4.7 s at 10 bits and 22 s at 21 bits. Every section's |u| and w are at most
+# max(|y_min|, |y_max|, 1) times the denominator of --y-step
+_MAX_PLOT_WORK = 10_000
 # the exact eliminants of curve --certify --format json cost about 1.6 times more per degree:
 # degree 15 took 2.6-2.9 s on 2 CPUs, degree 16 4.2 s
 _MAX_CERTIFY_DEGREE = 15
@@ -75,6 +78,11 @@ _MAX_CURVE_DEGREE = 160
 # every shift with a+b <= 8 other than (1,1) took at most 0.8 s on 2 CPUs, to 2^384 2.4 s;
 # intersect runs the same blocks on rows below x_max/2
 _MAX_SEARCH_Y_BITS = 256
+# search's cost grows with a+b too, which sets the rows walked before the blocks (32 per unit of
+# a+b) and the size of each row's products: on 2 CPUs, with (a+b) * bits(y_max) = 2048, every
+# shift tried from (7,1) at 256 bits to (1,2047) at 1 took at most 0.8 s, (127,1) at 16 bits the
+# most; (67,1) took 3.6 s at 65 bits, (399,1) 28 s at 20, and (200000,1) 34.6 s at y_max = 1
+_MAX_SEARCH_WORK = 2048
 # member 6 has 220,628 bits, formed in about 20 ms and printed by _digits in 0.08 s on 2 CPUs;
 # member 7 has 1,512,263 bits, formed in 0.4 s but printed in about 3.8 s, and str(Decimal(v))
 # grows about quadratically, so each further member costs seconds more to print
@@ -147,7 +155,9 @@ def _decimal_sig(q: Fraction, digits: int = 15) -> str:
 def _decimal_fixed(q: Fraction, places: int = 12) -> str:
     """Fixed-point decimal rendering, exact rational rounding to even."""
     scale = 10**places
-    scaled = round(q * scale)
+    scaled, rem = divmod(q.numerator * scale, q.denominator)  # q * scale = scaled + rem/denominator
+    if 2 * rem > q.denominator or (2 * rem == q.denominator and scaled % 2):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
     mag = abs(scaled)
     return f"{sign}{mag // scale}.{mag % scale:0{places}d}"
@@ -320,12 +330,20 @@ def _solution_line(s: dict) -> str:
     return "x={x} y={y} value={value}".format_map(s) + (" (trivial)" if s["trivial"] else "")
 
 
+def _check_search_work(shift: ShiftPair, bound: int, name: str) -> None:
+    """Refuse a row bound whose bits, times a+b, exceed _MAX_SEARCH_WORK."""
+    bits = bound.bit_length()
+    if shift.degree * bits > _MAX_SEARCH_WORK:
+        raise PreconditionError(f"(a+b) * bits({name}) must be at most {_MAX_SEARCH_WORK}, got {shift.degree} * {bits}")
+
+
 def _run_search(args: argparse.Namespace, out: TextIO) -> None:
     shift = ShiftPair(args.a, args.b)
     if args.workers < 1:
         raise PreconditionError(f"search needs workers >= 1, got {args.workers}")
     if args.y_max >= 1 << _MAX_SEARCH_Y_BITS:
         raise PreconditionError(f"search --y-max must be below 2^{_MAX_SEARCH_Y_BITS}")
+    _check_search_work(shift, args.y_max, "y_max")
     solutions = search(shift, args.y_max)
     if args.cache is not None:
         append_solutions(args.cache, solutions)
@@ -407,6 +425,8 @@ def _run_intersect(args: argparse.Namespace, out: TextIO) -> None:
     s2 = ShiftPair(args.a2, args.b2)
     if args.x_max >= 1 << _MAX_SEARCH_Y_BITS:
         raise PreconditionError(f"intersect --x-max must be below 2^{_MAX_SEARCH_Y_BITS}")
+    for shift in (s1, s2):
+        _check_search_work(shift, args.x_max, "x_max")
     records = [{"x": str(x), "y": str(y)} for x, y in census_mod.intersect_curves(s1, s2, args.x_max)]
     _emit_records(records, args.format, out, ("x", "y"), "x={x} y={y}".format_map, "intersection point(s)")
 
@@ -429,6 +449,11 @@ def _run_plot(args: argparse.Namespace, out: TextIO) -> None:
     sections = (args.y_max - args.y_min) // args.y_step + 1
     if sections > _MAX_PLOT_SECTIONS:
         raise PreconditionError(f"plot would isolate {sections} sections, more than {_MAX_PLOT_SECTIONS}")
+    bits = (max(abs(args.y_min), abs(args.y_max), 1) * args.y_step.denominator).bit_length()
+    if shift.degree**2 * bits > _MAX_PLOT_WORK:
+        raise PreconditionError(
+            f"plot needs (a+b)^2 * bits(max |y| * step denominator) <= {_MAX_PLOT_WORK}, got {shift.degree}^2 * {bits}"
+        )
     ys = (args.y_min + i * args.y_step for i in range(sections))
     branches = curves_mod.real_branches(shift, ys, width=args.precision)
     # Rows are written as their section is isolated. The first section is
@@ -487,7 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="all solutions with y up to a bound")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--y-max", type=int, required=True, help=f"largest y, below 2^{_MAX_SEARCH_Y_BITS}")
+    p.add_argument(
+        "--y-max",
+        type=int,
+        required=True,
+        help=f"largest y, below 2^{_MAX_SEARCH_Y_BITS}, with (a+b) * bits(y_max) <= {_MAX_SEARCH_WORK}",
+    )
     p.add_argument(
         "--workers", type=int, default=1, help="accepted and checked (>= 1) but unused: every search runs in one process"
     )
@@ -521,7 +551,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b1", type=int, required=True)
     p.add_argument("--a2", type=int, required=True)
     p.add_argument("--b2", type=int, required=True)
-    p.add_argument("--x-max", type=int, required=True, help=f"largest x, below 2^{_MAX_SEARCH_Y_BITS}")
+    p.add_argument(
+        "--x-max",
+        type=int,
+        required=True,
+        help=f"largest x, below 2^{_MAX_SEARCH_Y_BITS}, with (a+b) * bits(x_max) <= {_MAX_SEARCH_WORK} for both",
+    )
     add_format(p)
     p.set_defaults(run=_run_intersect)
 
@@ -530,12 +565,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(run=_run_verify)
 
-    p = sub.add_parser("plot", help=f"branch data of the curve for a+b <= {_MAX_PLOT_DEGREE} as y,x rows")
+    p = sub.add_parser(
+        "plot",
+        help=f"branch data as y,x rows, for a+b <= {_MAX_PLOT_DEGREE} and (a+b)^2 * bits(|y|) <= {_MAX_PLOT_WORK}",
+    )
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--y-min", type=int, required=True)
     p.add_argument("--y-max", type=int, required=True)
-    p.add_argument("--y-step", type=_parse_fraction, default=Fraction(1))
+    p.add_argument(
+        "--y-step",
+        type=_parse_fraction,
+        default=Fraction(1),
+        help=f"with q its denominator, (a+b)^2 * bits(max(|y_min|, |y_max|, 1) * q) must be at most {_MAX_PLOT_WORK}",
+    )
     p.add_argument(
         "--precision", type=_parse_fraction, default=Fraction(1, 10**13), help="enclosure width, e.g. 1e-13"
     )

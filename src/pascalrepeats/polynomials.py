@@ -17,10 +17,12 @@ integer numerators over a common power-of-two denominator; past 64
 halvings, or at once from a hint such as a neighbouring section's root,
 an integer Newton iteration names the cell the halving would end in,
 and two exact sign tests prove it. One signed primitive
-remainder sequence of (p, p') is both the Sturm chain and, through its
-last term gcd(p, p'), the squarefree part that bisection runs on.
-UniPoly.sign_at(u, w), the sign at u/w for integers u and w > 0, is
-root isolation's evaluator. UniPoly.__call__ gives the exact value where
+remainder sequence of (p, p'), as integer lists, is both the Sturm chain
+and, through its last term gcd(p, p'), the squarefree part that
+bisection runs on. The walk holds its brackets in integers too, and
+_sign_at(coeffs, u, w), the sign at u/w for integers u and w > 0, reads
+the chain there and serves UniPoly.sign_at, bisection's evaluator.
+UniPoly.__call__ gives the exact value where
 the value itself is used: F's coefficient columns at x0 in
 curves._eliminants_mod, zeta_poly at +-1 in irrationality_check, and a
 section at each integer x in lattice_points_in_box. _linear_product
@@ -44,6 +46,16 @@ Scalar = Union[int, Fraction]
 
 def _sgn(v) -> int:
     return (v > 0) - (v < 0)
+
+
+def _sign_at(coeffs: Sequence[int], u: int, w: int) -> int:
+    """Sign at u/w, w > 0, of the polynomial with ascending coefficients coeffs, by integer Horner."""
+    acc = 0
+    vp = 1
+    for c in reversed(coeffs):
+        acc = acc * u + c * vp
+        vp *= w
+    return _sgn(acc)
 
 
 def _monomial(var: str, e: int) -> str:
@@ -155,12 +167,7 @@ class UniPoly:
         sign of self(u/w) for any positive w. A caller holding a Fraction q
         passes q.numerator and q.denominator.
         """
-        acc = 0
-        vp = 1
-        for c in reversed(self.coeffs):
-            acc = acc * u + c * vp
-            vp *= w
-        return _sgn(acc)
+        return _sign_at(self.coeffs, u, w)
 
     def derivative(self) -> "UniPoly":
         return UniPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -299,22 +306,24 @@ def _resultant_lists(pa: list[UniPoly], pb: list[UniPoly]) -> UniPoly:
             return sign * out
 
 
-def _signed_prs(a: UniPoly, b: UniPoly) -> Iterator[UniPoly]:
+def _signed_prs(a: Sequence[int], b: Sequence[int]) -> Iterator[Sequence[int]]:
     """a, b, then the primitive pseudo-remainders up to the last nonzero one.
 
-    Each term is primitive_part(prem(prev, last)) signed to be a positive
-    multiple of -rem(prev, last). prem is lc(last)^e * rem with
-    e = deg(prev) - deg(last) + 1, so the sign flips unless lc(last) < 0
-    and e is odd. Positive multiples leave every sign, hence every Sturm
-    sign variation, as in the textbook chain; the last term is a gcd.
+    Each term is prem(prev, last) divided by the gcd of its coefficients
+    and signed to be a positive multiple of -rem(prev, last). prem is
+    lc(last)^e * rem with e = deg(prev) - deg(last) + 1, so the sign flips
+    unless lc(last) < 0 and e is odd; one division by the negated gcd
+    makes both changes. Positive multiples leave every sign, hence every
+    Sturm sign variation, as in the textbook chain; the last term is a gcd.
     """
     yield a
     while b:
         yield b
-        r = UniPoly(_prem(list(a.coeffs), list(b.coeffs))).primitive_part()
-        if b.leading > 0 or (a.degree - b.degree) % 2:
-            r = -r
-        a, b = b, r
+        r = _prem(a, b)
+        g = math.gcd(*r)
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            g = -g
+        a, b = b, [c // g for c in r]
 
 
 _GCD_PRIME = (1 << 61) - 1  # a Mersenne prime
@@ -418,8 +427,9 @@ def unipoly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     a, b = p.primitive_part(), q.primitive_part()
     if a.degree < b.degree:
         a, b = b, a
-    for g in _signed_prs(a, b):
+    for last in _signed_prs(a.coeffs, b.coeffs):
         pass
+    g = UniPoly(last)
     if g.leading < 0:
         g = -g
     return g * c
@@ -436,19 +446,14 @@ def _sign_changes(signs: Iterable[int]) -> int:
     return sum(1 for s1, s2 in zip(nonzero, nonzero[1:]) if s1 != s2)
 
 
-def _variations(chain: list[UniPoly], v: Fraction) -> int:
-    """Sign changes along the chain's values at v, zeros skipped."""
-    return _sign_changes(q.sign_at(v.numerator, v.denominator) for q in chain)
+def _variations(chain: list[Sequence[int]], u: int, w: int) -> int:
+    """Sign changes along the chain's values at u/w, w > 0, zeros skipped."""
+    return _sign_changes(_sign_at(q, u, w) for q in chain)
 
 
-def _real_root_count(chain: list[UniPoly]) -> int:
-    """V(-inf) - V(+inf) of the chain, read from its leading coefficients and degrees.
-
-    Near +inf each term has the sign of its leading coefficient lc, near
-    -inf the sign of lc*(-1)^deg.
-    """
-    at_minus = _sign_changes(-_sgn(q.leading) if q.degree % 2 else _sgn(q.leading) for q in chain)
-    return at_minus - _sign_changes(_sgn(q.leading) for q in chain)
+def _variations_at_infinity(chain: list[Sequence[int]], side: int) -> int:
+    """V(side * inf) for side = +-1: near it each term has the sign of lc * side^deg."""
+    return _sign_changes(_sgn(q[-1]) * side ** (len(q) - 1) for q in chain)
 
 
 def root_bound(p: UniPoly) -> Fraction:
@@ -460,17 +465,6 @@ def root_bound(p: UniPoly) -> Fraction:
     if p.degree < 1:
         raise ZeroPolynomialError("root bound needs positive degree")
     return 1 + Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.leading))
-
-
-def _split_point(sf: UniPoly, lo: Fraction, hi: Fraction) -> Fraction:
-    # a point strictly inside (lo, hi) that is not a root, nearest the middle
-    den = 2
-    while True:
-        for j in sorted(range(1, den, 2), key=lambda j: abs(2 * j - den)):
-            m = lo + (hi - lo) * Fraction(j, den)
-            if sf.sign_at(m.numerator, m.denominator) != 0:
-                return m
-        den *= 2
 
 
 _SEED_HALVINGS = 64  # plain halvings before, and between, tries of the Newton cell
@@ -655,16 +649,24 @@ def isolate_real_roots(
     Sturm sequence of sf. So V(lo) - V(hi) of the chain counts the
     distinct roots in (lo, hi) even when p has repeated roots (Basu,
     Pollack and Roy, Algorithms in Real Algebraic Geometry, 2006,
-    Thm 2.50). Every point the chain is read at is a split point where
-    sf, hence pp, is nonzero. Bisection, split points and the root bound
-    use sf.
+    Thm 2.50). A constant last term means gcd(pp, pp') = 1: pp is
+    squarefree, and sf is pp itself, since pp/g = +-pp has the same roots
+    and no division need run. Bisection and the root bound use sf.
+
+    A bracket (u/w, v/w), integers with w > 0, comes with V(u/w). One with
+    several roots is split at the point nearest its middle among
+    (u + (v - u)*j/den)/w, j odd, for the least den = 2, 4, ... where pp
+    is nonzero; the halves, over w*den, are walked left first, the right
+    one with V there, from a stack, so that roots closer than 2^-1000 need
+    no recursion. The chain is read only at such split points.
 
     The walk starts on (-B, B), B = root_bound(sf), with the count
-    V(-inf) - V(+inf) read from the chain's leading coefficients and
-    degrees, which evaluates nothing. That is the count on (-B, B): by the
-    same theorem, V(-inf) - V(-B) and V(B) - V(+inf) count the distinct
-    roots of sf in (-inf, -B] and (B, +inf), and there are none, since
-    every real root of sf lies strictly inside (-B, B).
+    V(-inf) - V(+inf), and V(-inf) as the left reading, both read from
+    the chain's leading coefficients and degrees, which evaluates nothing.
+    That is the count on (-B, B): by the same theorem, V(-inf) - V(-B)
+    and V(B) - V(+inf) count the distinct roots of sf in (-inf, -B] and
+    (B, +inf), and there are none, since every real root of sf lies
+    strictly inside (-B, B).
 
     hints are guesses (u, w) at roots, each the rational u/w with w > 0.
     The walk does not read them: each bracket it hands to bisect_root
@@ -678,30 +680,31 @@ def isolate_real_roots(
     if p.degree < 1:
         return []
     pp = p.primitive_part()
-    chain = list(_signed_prs(pp, pp.derivative()))
-    sf = pp.exact_div(chain[-1].primitive_part())
+    chain = list(_signed_prs(pp.coeffs, pp.derivative().coeffs))
+    sf = pp if len(chain[-1]) == 1 else pp.exact_div(UniPoly(chain[-1]).primitive_part())
     bound = root_bound(sf)
     out: list[tuple[Fraction, Fraction]] = []
-
-    def inside(lo: Fraction, hi: Fraction) -> tuple[int, int] | None:
-        for hu, hw in hints:
-            if lo.numerator * hw < hu * lo.denominator and hu * hi.denominator < hi.numerator * hw:
-                return hu, hw
-        return None
-
-    def walk(lo: Fraction, hi: Fraction, nroots: int) -> None:
-        if nroots == 0:
-            return
+    v_minus = _variations_at_infinity(chain, -1)
+    n, d = bound.numerator, bound.denominator
+    stack = [(-n, n, d, v_minus - _variations_at_infinity(chain, 1), v_minus)]
+    while stack:
+        u, v, w, nroots, v_lo = stack.pop()
         if nroots == 1:
-            out.append(bisect_root(sf, lo, hi, width, inside(lo, hi)))
-            return
-        m = _split_point(sf, lo, hi)
-        left = _variations(chain, lo) - _variations(chain, m)
-        walk(lo, m, left)
-        walk(m, hi, nroots - left)
-
-    walk(-bound, bound, _real_root_count(chain))
-    return sorted(out)
+            hint = next(((hu, hw) for hu, hw in hints if u * hw < hu * w < v * hw), None)
+            out.append(bisect_root(sf, Fraction(u, w), Fraction(v, w), width, hint))
+        elif nroots > 1:
+            den = 2
+            while not any(
+                _sign_at(pp.coeffs, m := u * den + (v - u) * j, w * den)
+                for j in sorted(range(1, den, 2), key=lambda j: abs(2 * j - den))
+            ):
+                den *= 2
+            w *= den
+            v_m = _variations(chain, m, w)
+            left = v_lo - v_m
+            stack.append((m, v * den, w, nroots - left, v_m))
+            stack.append((u * den, m, w, left, v_lo))
+    return out
 
 
 # ---------------------------------------------------------------------------

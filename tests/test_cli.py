@@ -309,6 +309,59 @@ def test_plot_refuses_a_degree_beyond_the_bound_before_any_work(monkeypatch):
     assert run_cli(["plot", "--a", "20", "--b", "20", *window]) == (1, "", "error: built a curve of degree 40\n")
 
 
+def test_plot_refuses_a_section_height_beyond_the_work_bound_before_any_work(monkeypatch, capsys):
+    def reached(shift):
+        raise PreconditionError(f"built a curve of degree {shift.degree}")
+
+    monkeypatch.setattr(curves_mod, "build_curve", reached)
+    shift = ["plot", "--a", "20", "--b", "20"]
+    # (a+b)^2 * bits(max(|y_min|, |y_max|, 1) * step denominator): 1600 * 6 passes, 1600 * 7 does not
+    for window in (["0", "63", "1"], ["-63", "0", "1"], ["0", "1", "1/32"], ["0", "1", "0.03125"]):
+        argv = [*shift, "--y-min", window[0], "--y-max", window[1], "--y-step", window[2]]
+        assert run_cli(argv) == (1, "", "error: built a curve of degree 40\n"), window
+    refused = ((["0", "64", "1"], 7), (["-64", "0", "1"], 7), (["0", "1", "1/64"], 7), (["5", "5", "3/64"], 9))
+    for window, bits in refused:
+        argv = [*shift, "--y-min", window[0], "--y-max", window[1], "--y-step", window[2]]
+        message = f"error: plot needs (a+b)^2 * bits(max |y| * step denominator) <= 10000, got 40^2 * {bits}\n"
+        assert run_cli(argv) == (1, "", message), window
+    with pytest.raises(SystemExit):
+        main(["plot", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "(a+b)^2 * bits(max(|y_min|, |y_max|, 1) * q) must be at most 10000" in help_text
+
+
+def test_search_refuses_a_y_max_beyond_the_work_bound_before_any_row(monkeypatch, capsys):
+    def reached(shift, y_max):
+        raise PreconditionError(f"searched ({shift.a},{shift.b})")
+
+    monkeypatch.setattr(cli_mod, "search", reached)
+    # (a+b) * bits(y_max) <= 2048
+    for a, b, y_max in ((7, 1, (1 << 256) - 1), (34, 34, (1 << 30) - 1), (1, 2047, 1)):
+        assert run_cli(["search", "--a", str(a), "--b", str(b), "--y-max", str(y_max)]) == (
+            1, "", f"error: searched ({a},{b})\n"
+        )
+    refused = ((8, 1, (1 << 256) - 1, "9 * 256"), (34, 34, 1 << 30, "68 * 31"), (200000, 1, 1, "200001 * 1"))
+    for a, b, y_max, work in refused:
+        assert run_cli(["search", "--a", str(a), "--b", str(b), "--y-max", str(y_max)]) == (
+            1, "", f"error: (a+b) * bits(y_max) must be at most 2048, got {work}\n"
+        )
+    with pytest.raises(SystemExit):
+        main(["search", "--help"])
+    assert "with (a+b) * bits(y_max) <= 2048" in " ".join(capsys.readouterr().out.split())
+
+
+def test_intersect_refuses_an_x_max_beyond_either_shifts_work_bound_before_any_row(monkeypatch):
+    monkeypatch.setattr(cli_mod.census_mod, "intersect_curves", lambda s1, s2, x_max: [(x_max, 0)])
+    pair = ["intersect", "--a1", "63", "--b1", "3", "--a2", "64", "--b2", "4"]
+    code, out, _ = run_cli([*pair, "--x-max", str((1 << 30) - 1)])
+    assert (code, out) == (0, f"x={(1 << 30) - 1} y=0\n1 intersection point(s)\n")
+    # 66 * 31 passes for (63,3); 68 * 31 does not for (64,4)
+    message = "error: (a+b) * bits(x_max) must be at most 2048, got 68 * 31\n"
+    assert run_cli([*pair, "--x-max", str(1 << 30)]) == (1, "", message)
+    swapped = ["intersect", "--a1", "64", "--b1", "4", "--a2", "63", "--b2", "3", "--x-max", str(1 << 30)]
+    assert run_cli(swapped) == (1, "", message)
+
+
 def test_text_certificate_forms_no_exact_eliminant(monkeypatch):
     def exact(*args):
         raise AssertionError("formed an exact eliminant")
@@ -506,6 +559,20 @@ def test_decimal_fixed_rendering():
     assert _decimal_fixed(Fraction(-1, 3)) == "-0.333333333333"
     assert _decimal_fixed(Fraction(2)) == "2.000000000000"
     assert _decimal_fixed(Fraction(1, 8), places=3) == "0.125"
+
+
+TIE = Fraction(1, 2 * 10**12)  # half a unit in the twelfth place
+
+
+@pytest.mark.parametrize(
+    "q",
+    [Fraction(0), TIE, 3 * TIE, 5 * TIE, -TIE, -3 * TIE, -5 * TIE, 2 + 7 * TIE, -2 - 7 * TIE, Fraction(-1, 3),
+     Fraction(2, 3), Fraction(-7, 8), Fraction(10**30 + 1, 7), -TIE / 2, TIE / 2, Fraction(-5)],
+)
+def test_decimal_fixed_rounds_half_to_even_as_round_does(q):
+    scaled = round(q * 10**12)
+    sign = "-" if scaled < 0 else ""
+    assert _decimal_fixed(q) == f"{sign}{abs(scaled) // 10**12}.{abs(scaled) % 10**12:012d}"
 
 
 # ---------------------------------------------------------------------------

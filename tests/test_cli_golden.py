@@ -30,7 +30,14 @@ format were recorded before every list of records was written by one
 writer; they pin the empty text, the csv header alone, "[]" and the
 zero count. The plain curves of (40,40) in text and (13,27) in json were
 recorded while F was still formed by multiplying its linear factors,
-before build_curve wrote its terms out in closed form. A change that
+before build_curve wrote its terms out in closed form. The last six
+rows were recorded while the Sturm chains were still UniPolys and the
+walk split its brackets at Fractions: the plot of (3,2) on 0..300, two
+plots whose sections have several roots, and searches and an
+intersection whose blocks all lie below y = 2^20. The two refusals
+after them print nothing: a search whose (a+b) * bits(y_max) exceeds
+2048, and a plot whose (a+b)^2 * bits(max |y|) exceeds 10,000, each
+refused before any row or section. A change that
 alters any byte of output or any exit status fails here. "{cache}"
 stands for a solution cache that the search row with --cache writes,
 and that the verify rows read.
@@ -124,6 +131,14 @@ GOLDEN = [
     ("intersect --a1 1 --b1 2 --a2 1 --b2 3 --x-max 60 --format json", 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
     ("curve --a 40 --b 40", 0, "d7ac124548a032b2bb37c6f65977667a24b2b7af21d1f4a0f5241439a6d5b933"),
     ("curve --a 13 --b 27 --format json", 0, "96a34855e58a3ad8b696fe0fad87ebfe676e6b7d7d2371e920f6141f3bccf210"),
+    ("plot --a 3 --b 2 --y-min 0 --y-max 300", 0, "85e94c937a05f78f2f8b6936ba81791b0c8b89042f7b42952dd228dc0c6d117d"),
+    ("plot --a 6 --b 6 --y-min 0 --y-max 20", 0, "2b1aa0fd8f7460cad5f65205bc90f0bf4f2c4ea15f08d5c9692d0397b7fde55d"),
+    ("plot --a 1 --b 1 --y-min 0 --y-max 1 --y-step 1/200", 0, "64fa3243660120579948352571c10fdb308958b65d185e07249b0243160e61d5"),
+    ("search --a 2 --b 3 --y-max 15050", 0, "d56ff14338ef53c4253fd3f810eefd15b72bca8269e21983d960dd64b726468e"),
+    ("search --a 1 --b 1 --y-max 20000 --format json", 0, "e8836a712a709d2663c59544626aed2840086b202415eef3d33a3be41397de90"),
+    ("intersect --a1 63 --b1 3 --a2 64 --b2 4 --x-max 100000", 0, "06c76ae96a295a219072f66fac713c09346257ac0bdc79b4c0bf2c20c72ac04c"),
+    ("search --a 200000 --b 1 --y-max 1", 1, EMPTY),
+    ("plot --a 20 --b 20 --y-min 0 --y-max 1000000 --y-step 1000", 1, EMPTY),
 ]
 
 

@@ -406,6 +406,17 @@ def test_isolation_random_products_of_linear_factors():
             assert lo <= r <= hi
 
 
+def test_isolation_separates_roots_deeper_than_the_recursion_limit():
+    # 1/3, 1/3 + 2^-3000 and 3: about 3,000 splits separate the first two, each halving their bracket
+    close = Fraction(1, 3) + Fraction(1, 2**3000)
+    p = UniPoly([-1, 3]) * UniPoly([-close.numerator, close.denominator]) * UniPoly([-3, 1])
+    intervals = isolate_real_roots(p, Fraction(1, 2**3100))
+    assert len(intervals) == 3
+    for r, (lo, hi) in zip([Fraction(1, 3), close, Fraction(3)], intervals):
+        assert lo <= r <= hi and hi - lo <= Fraction(1, 2**3100)
+    assert intervals[0][1] <= intervals[1][0]
+
+
 real_linear_factors = st.lists(
     st.tuples(st.integers(-30, 30), st.integers(1, 8), st.integers(1, 3)), min_size=1, max_size=5
 )  # (q*x - p)^m as (p, q, m)
@@ -450,10 +461,11 @@ def test_sturm_count_from_leading_coefficients_equals_the_count_at_the_root_boun
         if p.degree < 1:
             continue
         pp = p.primitive_part()
-        chain = list(polynomials._signed_prs(pp, pp.derivative()))
-        bound = root_bound(pp.exact_div(chain[-1].primitive_part()))
-        count = polynomials._real_root_count(chain)
-        assert count == polynomials._variations(chain, -bound) - polynomials._variations(chain, bound), p.coeffs
+        chain = list(polynomials._signed_prs(pp.coeffs, pp.derivative().coeffs))
+        bound = root_bound(pp.exact_div(UniPoly(chain[-1]).primitive_part()))
+        count = polynomials._variations_at_infinity(chain, -1) - polynomials._variations_at_infinity(chain, 1)
+        n, d = bound.numerator, bound.denominator
+        assert count == polynomials._variations(chain, -n, d) - polynomials._variations(chain, n, d), p.coeffs
         assert random_factor or count == len(real_roots)
         cases += 1
     assert cases > 100

@@ -5,7 +5,10 @@ its Sturm chain (field remainders, Fraction Horner evaluation) and for
 its bisection (reduced Fraction midpoints). The integer kernel must
 return the same endpoints, bit for bit, from isolate_real_roots and
 isolate_zeta. The squarefree part comes from a gcd over Q here, so no
-integer remainder sequence of the package enters the reference.
+integer remainder sequence of the package enters the reference. The
+reference splits its brackets at reduced Fractions; the package holds
+them as integer numerators over one denominator, and divides by the
+chain's last term only when it is not a constant.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pascalrepeats import polynomials
 from pascalrepeats.polynomials import UniPoly, isolate_real_roots
 from pascalrepeats.ratios import ShiftPair, isolate_zeta, zeta_poly
 
@@ -192,3 +197,66 @@ def test_isolate_zeta_matches_fraction_reference(case):
     (a, b), eps = case
     iv = isolate_zeta(ShiftPair(a, b), eps)
     assert (iv.lo, iv.hi) == reference_zeta(ShiftPair(a, b), eps)
+
+
+def _linear(num: int, den: int) -> UniPoly:
+    return UniPoly([-num, den])  # den*x - num, the root num/den
+
+
+def _product(factors) -> UniPoly:
+    out = UniPoly([1])
+    for f in factors:
+        out = out * f
+    return out
+
+
+SHORTCUT_CASES = [
+    # squarefree: the chain ends in the constant 1, and sf is pp
+    (_product(_linear(k, 1) for k in (1, 2, 3)), [1]),
+    # squarefree with a complex pair: the chain ends in -1, and sf is pp, not -pp
+    (_linear(1, 1) * _linear(2, 1) * UniPoly([1, 0, 1]), [-1]),
+    (UniPoly([-5, 3, 0, 1]) * 6, [-1]),
+    # (x-1)^2 (x^2+1)^2 (x+3): a repeated real root and a repeated complex pair; the chain
+    # ends in gcd(pp, pp') = -(x-1)(x^2+1), and pp is divided by it
+    (_linear(1, 1) ** 2 * UniPoly([1, 0, 1]) ** 2 * _linear(-3, 1), [1, -1, 1, -1]),
+    # (3x-2)^3 (x^2+x+1)^2 (7x+1): the chain ends in -(3x-2)^2 (x^2+x+1)
+    (_linear(2, 3) ** 3 * UniPoly([1, 1, 1]) ** 2 * _linear(-1, 7), [-4, 8, -1, 3, -9]),
+]
+
+
+@pytest.mark.parametrize("p, last", SHORTCUT_CASES, ids=[f"chain ends in {last}" for _, last in SHORTCUT_CASES])
+def test_a_constant_last_term_skips_the_division_and_changes_no_enclosure(p, last, monkeypatch):
+    pp = p.primitive_part()
+    *_, end = polynomials._signed_prs(pp.coeffs, pp.derivative().coeffs)
+    assert list(end) == last
+    divisions = []
+    real = UniPoly.exact_div
+
+    def counting(self, other):
+        divisions.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(UniPoly, "exact_div", counting)
+    for width in (Fraction(1, 2), Fraction(1, 10**13), Fraction(1, 2**200)):
+        divisions.clear()
+        got = isolate_real_roots(p, width)
+        assert divisions == ([] if len(last) == 1 else [UniPoly(last).primitive_part()])
+        assert got == reference_isolate(p, width)
+
+
+CLOSE_ROOTS = [
+    # x and ten roots k/1000 beside it: 0 is the first split point's candidate, so den grows
+    UniPoly([0, 1]) * _product(_linear(k, 1000) for k in range(1, 11)),
+    # dyadic roots 1 + k/2^20, which split points can land on
+    _product(_linear(2**20 + k, 2**20) for k in range(8)),
+    # sqrt(2) between two rationals 10^-6 apart, and -sqrt(2)
+    UniPoly([-2, 0, 1]) * _linear(1414213, 10**6) * _linear(1414214, 10**6),
+    # a repeated cluster: (x - 1/3)^2 (x - 1/3 - 10^-9)^2 (x - 1/3 + 10^-9)
+    _linear(1, 3) ** 2 * _linear(10**9 + 3, 3 * 10**9) ** 2 * _linear(10**9 - 3, 3 * 10**9),
+]
+
+
+@pytest.mark.parametrize("p", CLOSE_ROOTS, ids=["k/1000", "dyadic", "sqrt 2", "repeated cluster"])
+def test_the_dyadic_walk_separates_close_rational_roots_as_the_fraction_walk(p):
+    for width in (Fraction(1, 2), Fraction(1, 10**13), Fraction(1, 10**40)):
+        assert isolate_real_roots(p, width) == reference_isolate(p, width)

@@ -17,6 +17,7 @@ import importlib
 import json
 import time
 from fractions import Fraction
+from math import perm
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,8 +25,10 @@ from hypothesis import strategies as st
 
 from pascalrepeats.cli import main
 from pascalrepeats.errors import PreconditionError
+from pascalrepeats.polynomials import UniPoly
 from pascalrepeats.ratios import ShiftPair
 from pascalrepeats.search import equality_check, search
+from test_bisect_reference import plain_halving
 
 search_mod = importlib.import_module("pascalrepeats.search")
 
@@ -259,3 +262,48 @@ def test_search_y_max_bound_refuses_before_any_row(monkeypatch, capsys):
     monkeypatch.setattr("pascalrepeats.cli.search", lambda *a: pytest.fail("searched"))
     assert main(["search", "--a", "2", "--b", "3", "--y-max", str(1 << 256)]) == 1
     assert capsys.readouterr() == ("", "error: search --y-max must be below 2^256\n")
+
+
+def _row_polynomial(y: int, shift: ShiftPair) -> UniPoly:
+    """The product form's left minus right side along row y, as a polynomial in x."""
+    left, right = UniPoly([1]), UniPoly([perm(y + shift.b, shift.b)])
+    for i in range(shift.degree):
+        left = left * UniPoly([-y - i, 1])
+    for i in range(shift.a):
+        right = right * UniPoly([-i, 1])
+    return left - right
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (1, 4), (6, 6), (63, 3)])
+def test_hinted_crossing_points_equal_plain_halving_on_the_block_rows(a, b):
+    # the three rows of every block from the production start to y = 2^20: there k <= 64 but in the
+    # last block, so without the midpoint hint bisect_root would only halve
+    shift = ShiftPair(a, b)
+    d = shift.degree
+    y0 = size = max(search_mod._TUBE_START, search_mod._TUBE_ROWS_PER_DEGREE * d)
+    while y0 <= 1 << 20:
+        y1 = min(y0 + size - 1, 1 << 20)
+        k = 2 * y1.bit_length() + search_mod._TUBE_GUARD_BITS
+        for y in (y0, (y0 + y1) // 2, y1):
+            m, equal = search_mod._row_crossing(y, shift, y + d)
+            if equal:
+                expected = m << k
+            else:
+                lo, _ = plain_halving(_row_polynomial(y, shift), Fraction(m - 1), Fraction(m), Fraction(1, 1 << k))
+                expected = (lo.numerator << k) // lo.denominator
+            assert search_mod._crossing_point(y, shift, y + d, k) == (m, expected), (y, k)
+        y0, size = y1 + 1, 2 * size
+
+
+def test_hinted_crossing_points_keep_a_search_to_15050_under_100_evaluations(monkeypatch):
+    # plain halving on every block row took 864 sign evaluations here
+    calls = []
+    real = UniPoly.sign_at
+
+    def counting(self, u, w=1):
+        calls.append(u)
+        return real(self, u, w)
+
+    monkeypatch.setattr(UniPoly, "sign_at", counting)
+    assert [(s.x, s.y) for s in search(ShiftPair(2, 3), 15050)] == [(5, 0)]
+    assert 0 < len(calls) <= 100
