@@ -4,12 +4,19 @@ N(t) counts the pairs (n,k) with C(n,k) = t. Every t >= 3 has the two
 edge occurrences (t,1) and (t,t-1). The interior occurrences (n,k) and
 (n,n-k), 2 <= k <= n/2, are found column by column: C(n,k) strictly
 increases in n for fixed k, so a column holds t at most once, and only
-columns with C(2k,k) <= t can hold it at all. Within a column an exact
-k-th root brackets n to at most k/2 candidates, and C(n,k) is stepped up
-the bracket from one `math.comb` (see `_interior_occurrences`).
+columns with C(2k,k) <= t can hold it at all. `multiplicity` steps each
+column up from a row where one exact `math.comb` is at most t, found by a
+float estimate of the row or else by an exact k-th root (see
+`_interior_occurrences`).
 
-`scan_high_multiplicity` tallies the columns k >= 3 row by row, which
-visits O(t_max^(1/3)) rows, and settles column 2 by arithmetic.
+`scan_high_multiplicity` never calls `multiplicity`: every position it
+visits is kept, so each value's record is known as it is met. It tallies
+the columns above one streamed column row by row, walks the streamed
+column in increasing n, settles column 2 by an integer square root where
+it is not the streamed column, and finishes the values met only in the
+tally in one pass. (The repeated values it finds are the collisions
+C(n,k) = C(m,l) studied by Blokhuis, Brouwer and de Weger, "Binomial
+collisions and near collisions", INTEGERS, 2017.)
 `intersect_curves` filters the solutions of one shift, found by the proved
 tube of `search`, by the equation of the other.
 """
@@ -65,123 +72,197 @@ def _kth_root(x: int, k: int) -> int:
         r = s
 
 
-def _interior_occurrences(t: int) -> list[tuple[int, int]]:
-    """Every (n,k) with C(n,k) = t and 2 <= k <= n-2.
+# a column's float start is tried while its row estimate is below 2^50, where the float's error
+# is a few rows at most (see _float_start)
+_MAX_SEED_LOG = 50 * math.log(2)
 
-    Column k is searched on a bracket of at most k/2 rows. For 2 <= k <= n,
-    k!*C(n,k) = n(n-1)...(n-k+1) is a product of k distinct factors in
-    [n-k+1, n] whose mean is n-(k-1)/2, so by the AM-GM inequality, strict
-    because the factors differ, (n-k+1)^k <= k!*C(n,k) < (n-(k-1)/2)^k. If
-    C(n,k) = t, let r be the integer floor((k!*t)^(1/k)): then
-    n > (k!*t)^(1/k) + (k-1)/2 >= r + (k-1)/2, so the integer n is at least
-    r + (k+1)//2; and n-k+1 is an integer at most (k!*t)^(1/k), so
-    n-k+1 <= r. With n >= 2k for the upper half of the row, n lies in
-    [max(2k, r + (k+1)//2), r+k-1]. One `math.comb` at the bottom of that
-    bracket, then C(n+1,k) = C(n,k)*(n+1)/(n+1-k) up the strictly
-    increasing column until C(n,k) >= t, settles it. The stepping ends by
-    row r+k, because k!*C(r+k,k) >= (r+1)^k > k!*t; the same bound with
-    C(2k,k) <= t gives 2k < r+k, so the bracket is never empty. The steps
-    are few: (k!*t)^(1/k) falls short of n-(k-1)/2 by only about
-    k^2/(24n), so for n well above k the first row is already the one.
-    k! and the central C(2k,k) that ends the column loop are carried from
-    column to column.
+
+def _float_start(t: int, log_t: float, k: int, central: int) -> tuple[int, int] | None:
+    """A start (n0, C(n0,k)) for column k with 2k <= n0 and C(n0,k) <= t, from a float; or None.
+
+    Takes log_t = ln t and central = C(2k,k) <= t. Every row with
+    C(n,k) >= t has n > (k!*t)^(1/k) + (k-1)/2 (see
+    `_interior_occurrences`). n0 is the floor of the float
+    exp((ln t + ln k!)/k) + (k-1)/2, tried only while that is below 2^50,
+    or 2k if it is not above 2k, where C(2k,k) is central. n0 is returned
+    only if its exact C(n0,k) <= t, so the float never decides an answer.
+    Its relative error, from ln t, lgamma and exp, is about 2^-48, so
+    below 2^50 it is a few rows off at most, and below 2^40 a hundredth
+    of a row. For most t, n0 is then the row just below the start of
+    `_bracket_start`: one step more, but no k-th root of k!*t.
+    """
+    e = (log_t + math.lgamma(k + 1)) / k
+    if e >= _MAX_SEED_LOG:
+        return None
+    n = int(math.exp(e) + (k - 1) / 2)
+    if n <= 2 * k:
+        return 2 * k, central
+    c = math.comb(n, k)
+    return (n, c) if c <= t else None
+
+
+def _bracket_start(t: int, k: int) -> tuple[int, int]:
+    """A start (n0, C(n0,k)) for column k, for C(2k,k) <= t, from an exact k-th root.
+
+    With r = floor((k!*t)^(1/k)) from `_kth_root`, every row with
+    C(n,k) >= t has n > r + (k-1)/2, so n >= r + (k+1)//2, and
+    n0 = max(2k, r + (k+1)//2) is at or below the least such row, which
+    is at most r+k, since k!*C(r+k,k) >= (r+1)^k > k!*t. C(n0,k) may
+    exceed t, when n0 is that least row and t is not in the column.
+    """
+    n = max(2 * k, _kth_root(math.factorial(k) * t, k) + (k + 1) // 2)
+    return n, math.comb(n, k)
+
+
+def _interior_occurrences(t: int) -> list[tuple[int, int]]:
+    """Every (n,k) with C(n,k) = t and 2 <= k <= n/2, in increasing k.
+
+    Column k is searched upward from a start row n0 >= 2k at or below
+    n*, the least row of the column with C(n*,k) >= t: C(n+1,k) =
+    C(n,k)*(n+1)/(n+1-k) is stepped up the strictly increasing column
+    until C(n,k) >= t, which is at n*, and t is in the column exactly when
+    C(n*,k) = t. Every such start gives the same answer; the start sets
+    only the number of steps. `_float_start` is used when it has a start,
+    which its exact C(n0,k) <= t puts at or below n*, else
+    `_bracket_start`, which the bound below puts there.
+
+    Both starts rest on one bound. For 2 <= k <= n, k!*C(n,k) =
+    n(n-1)...(n-k+1) is a product of k distinct factors in [n-k+1, n]
+    whose mean is n-(k-1)/2, so by the AM-GM inequality, strict because
+    the factors differ, (n-k+1)^k <= k!*C(n,k) < (n-(k-1)/2)^k. A row
+    with C(n,k) >= t thus has n > (k!*t)^(1/k) + (k-1)/2. The steps are
+    few: (k!*t)^(1/k) falls short of n-(k-1)/2 by only about k^2/(24n).
+    The central C(2k,k) that ends the column loop is carried from column
+    to column.
     """
     out = []
+    log_t = math.log(t)
     k = 2
-    fact = 2  # k!
     central = 6  # C(2k,k)
     while central <= t:
-        r = _kth_root(fact * t, k)
-        n = max(2 * k, r + (k + 1) // 2)
-        c = math.comb(n, k)
+        n, c = _float_start(t, log_t, k, central) or _bracket_start(t, k)
         while c < t:
             n += 1
             c = c * n // (n - k)
         if c == t:
             out.append((n, k))
-            if n != 2 * k:
-                out.append((n, n - k))
         central = central * 2 * (2 * k + 1) // (k + 1)
         k += 1
-        fact *= k
     return out
+
+
+def _record(t: int, interior: list[tuple[int, int]]) -> MultiplicityRecord:
+    """The record of t from its interior positions (n,k), 2 <= k <= n/2: those, their mirrors and the edges."""
+    ordered = tuple(sorted({(t, 1), (t, t - 1), *interior, *[(n, n - k) for n, k in interior]}))
+    return MultiplicityRecord(t, len(ordered), ordered)
 
 
 def multiplicity(t: int) -> MultiplicityRecord:
     """Exact N(t) with occurrence witnesses; t must be at least 2."""
     if t <= 1:
         raise PreconditionError(f"multiplicity needs t >= 2, got {t} (t=1 occurs infinitely often)")
-    occ = {(t, 1), (t, t - 1)}
-    occ.update(_interior_occurrences(t))
-    ordered = tuple(sorted(occ))
-    return MultiplicityRecord(t, len(ordered), ordered)
+    return _record(t, _interior_occurrences(t))
 
 
 def _column_two(v: int) -> int:
-    """Interior occurrences of v in column 2: (n,2) and (n,n-2) for C(n,2) = v, n >= 4.
-
-    C(n,2) = v means (2n-1)^2 = 8v+1, so at most one n qualifies; at n = 4
-    the two positions coincide.
-    """
+    """The row n >= 4 with C(n,2) = v, or 0 if there is none: C(n,2) = v means (2n-1)^2 = 8v+1."""
     s = math.isqrt(8 * v + 1)
-    if s * s != 8 * v + 1:
+    if s * s != 8 * v + 1 or s < 7:
         return 0
-    n = (s + 1) // 2
-    return 0 if n < 4 else 1 if n == 4 else 2
+    return (s + 1) // 2
 
 
-# the largest t_max a census scan accepts, where the former column-by-column estimate of
-# the values it holds (floor((k!*t_max)^(1/k)) - k for each column k >= 3 with
-# C(2k,k) <= t_max, plus isqrt(2*t_max) + 1 for column 2) first exceeded 65,536; the
-# estimate never decreases in t_max. With m_min 4 or less column 2 counts, and every C(n,2)
-# is a record: at the limit a CLI scan took 2.65-3.5 s on 2 CPUs for 65,454 records. With
-# m_min 5 or more column 2 does not count, and the limit took 0.15-0.19 s for 7 records.
-_MAX_SCAN_T_LOW_M = 1_938_714_180
-_MAX_SCAN_T = 31_500_106_239_178
+def _interior_count(interior: list[tuple[int, int]]) -> int:
+    """Interior occurrences of the positions (n,k), 2 <= k <= n/2: 2 each, 1 for a central n = 2k."""
+    return sum(1 if n == 2 * k else 2 for n, k in interior)
+
+
+def _held_entries(t_max: int, first: int) -> dict[int, list[tuple[int, int]]]:
+    """Every C(n,k) <= t_max with first <= k <= n/2, as value -> its positions (n,k), in increasing n.
+
+    Row n holds C(n,first) < ... < C(n,n//2), each from the one before by
+    C(n,k+1) = C(n,k)(n-k)/(k+1); the rows end where C(n,first) exceeds
+    t_max, so they number about (first! * t_max)^(1/first).
+    """
+    held: dict[int, list[tuple[int, int]]] = {}
+    n = 2 * first
+    v = math.comb(n, first)
+    while v <= t_max:
+        for k in range(first, n // 2 + 1):
+            if v > t_max:
+                break
+            held.setdefault(v, []).append((n, k))
+            v = v * (n - k) // (k + 1)
+        n += 1
+        v = math.comb(n, first)
+    return held
+
+
+# The largest t_max a census scan accepts. For m_min >= 5 the time grows with the streamed
+# column 3, about (6 * t_max)^(1/3) values, and the memory with the values held, about
+# (24 * t_max)^(1/4): at 10^16 the scan holds 29,685 values of columns k >= 4, and on 2 CPUs a
+# CLI scan took 0.41-0.58 s with a peak RSS of 25 MB for its 7 records (10^15: 0.34 s, 21 MB;
+# 10^17: 1.13 s, 30 MB). For m_min <= 4 every C(n,2) is a record, so the output sets the time:
+# at 2*10^9 the scan holds 3,240 values of columns k >= 3 and returns 66,476 records (m_min 3;
+# 66,461 for 4), and a CLI scan took 0.87-1.11 s in text or csv and 2.5-2.7 s in json, at a
+# peak RSS of 70 MB.
+_MAX_SCAN_T_LOW_M = 2 * 10**9
+_MAX_SCAN_T = 10**16
 
 
 def scan_high_multiplicity(t_max: int, m_min: int) -> list[MultiplicityRecord]:
-    """All t <= t_max with N(t) >= m_min, ascending.
+    """All t <= t_max with N(t) >= m_min, ascending, each with its positions.
 
-    A value with i interior occurrences has multiplicity i + 2. The
-    interior entries C(n,k) <= t_max with 3 <= k <= n/2 are tallied row by
-    row with C(n,k+1) = C(n,k)(n-k)/(k+1); since C(n,3) <= t_max these rows
-    number O(t_max^(1/3)). Column 2 is settled by arithmetic instead:
-    C(n,2) strictly increases in n, so column 2 holds a value at most once
-    and adds at most 2 interior occurrences (1 at n = 4, where (4,2) is its
-    own mirror), which `_column_two` finds by an integer square root.
-    For m_min >= 5 a value needs at least 3 interior occurrences, so at
-    least one lies in a column k >= 3 and the value is already in the
-    tally. For m_min <= 4 every C(n,2) with n >= 5 qualifies on its own, and
-    so does C(4,2) = 6 when m_min = 3; only then are the values of column 2
-    added to the candidates. Before the tally a scan refuses a t_max above
-    _MAX_SCAN_T_LOW_M (1,938,714,180) when m_min <= 4 and above
-    _MAX_SCAN_T (31,500,106,239,178) otherwise, so that it holds at most
-    65,536 values.
+    A value with i interior occurrences has N(t) = i + 2, and each column
+    k >= 2 holds a value at most once, adding 2 interior occurrences (1 at
+    the central n = 2k). Every position is kept as it is visited, so no
+    column is searched twice.
+    - m_min >= 5: a hit has 3 or more interior occurrences, so it lies in
+      two columns, one of them k >= 3. The columns k >= 4 are held, value
+      -> positions, by `_held_entries`. Column 3 is streamed in
+      increasing n: each C(n,3) takes its held positions out and settles
+      column 2 by `_column_two`; a C(n,3) in neither has N(t) <= 4 and
+      is passed over. The held values left, which column 3 does not hold,
+      settle column 2 in one pass at the end.
+    - m_min <= 4: every C(n,2) with n >= 5 is a hit on its own, and so is
+      C(4,2) = 6 when m_min = 3. The columns k >= 3 are held, column 2 is
+      streamed, each C(n,2) taking its held positions out, and the held
+      values left are the hits outside column 2.
+    The hits are sorted by t and each record is formed from its
+    positions, their mirrors and the two edges. Before the tally a scan
+    refuses a t_max above _MAX_SCAN_T_LOW_M (2*10^9) when m_min <= 4 and
+    above _MAX_SCAN_T (10^16) otherwise.
     """
     if t_max < 2:
         raise PreconditionError(f"scan_high_multiplicity needs t_max >= 2, got {t_max}")
     if m_min < 3:
         raise PreconditionError(f"scan_high_multiplicity needs m_min >= 3, got {m_min}")
-    if t_max > (_MAX_SCAN_T_LOW_M if m_min <= 4 else _MAX_SCAN_T):
-        raise PreconditionError("census scan would hold more than 65536 values")
-    tally: dict[int, int] = {}
-    n = 6
-    v = 20  # C(n,3)
+    low = m_min <= 4
+    if t_max > (_MAX_SCAN_T_LOW_M if low else _MAX_SCAN_T):
+        bound = "m_min <= 4 needs t_max <= 2*10^9" if low else "m_min >= 5 needs t_max <= 10^16"
+        raise PreconditionError(f"census scan with {bound}")
+    s = 2 if low else 3  # the streamed column
+    held = _held_entries(t_max, s + 1)
+    hits = []
+    n = 2 * s
+    v = math.comb(n, s)
     while v <= t_max:
-        for k in range(3, n // 2 + 1):
-            if v > t_max:
-                break
-            tally[v] = tally.get(v, 0) + (1 if n == 2 * k else 2)
-            v = v * (n - k) // (k + 1)
+        interior = held.pop(v, [])
+        if not low and (m := _column_two(v)):
+            interior.append((m, 2))
+        if interior or low:  # alone in the triangle's interior, a C(n,3) has N(t) <= 4
+            interior.append((n, s))
+            if _interior_count(interior) + 2 >= m_min:
+                hits.append((v, interior))
         n += 1
-        v = n * (n - 1) * (n - 2) // 6
-    values = set(tally)
-    if m_min <= 4:
-        # every C(n,2) <= t_max with n >= 4, i.e. (2n-1)^2 <= 8*t_max + 1
-        values.update(n * (n - 1) // 2 for n in range(4, (math.isqrt(8 * t_max + 1) + 1) // 2 + 1))
-    hits = sorted(t for t in values if tally.get(t, 0) + _column_two(t) + 2 >= m_min)
-    return [multiplicity(t) for t in hits]
+        v = v * n // (n - s)
+    for v, interior in held.items():
+        if not low and (m := _column_two(v)):
+            interior.append((m, 2))
+        if _interior_count(interior) + 2 >= m_min:
+            hits.append((v, interior))
+    hits.sort()
+    return [_record(t, interior) for t, interior in hits]
 
 
 def intersect_curves(s1: ShiftPair, s2: ShiftPair, x_max: int) -> list[tuple[int, int]]:

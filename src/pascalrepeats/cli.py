@@ -2,15 +2,17 @@
 
 Subcommands: zeta, search, family, curve, census, intersect, verify,
 plot. Each subparser binds its own handler with set_defaults(run=...),
-and the handler reads the parsed argparse namespace directly. Output
-goes to standard output in json, csv, or text form; diagnostics go to
-standard error. A handler builds its output once, as the JSON objects it
-prints, and every list of them leaves through one writer, _emit_records:
-json as a streamed array, csv by named columns, text one line per
-record; plot's text is its csv. Exit status is 0 on success; 1 on a
-domain or cache error, with one "error:" line; 2 on a usage error, which
-argparse reports, an unparseable integer or rational included, and a
-decimal exponent beyond +-100000. Identical invocations produce
+and the handler reads the parsed argparse namespace directly and is
+given both streams. Output goes to standard output in json, csv, or
+text form; diagnostics go to standard error, among them a line for each
+record of a verified cache that repeats an earlier one. A handler
+builds its output once, as the JSON objects it prints, and every list
+of them leaves through one writer, _emit_records: json as a streamed
+array, csv by named columns, text one line per record; plot's text is
+its csv. Exit status is 0 on success; 1 on a domain or cache error,
+with one "error:" line; 2 on a usage error, which argparse reports, an
+unparseable integer or rational included, and a decimal exponent beyond
++-100000. Identical invocations produce
 byte-identical output; every search runs in one process, and its
 --workers value is checked but selects nothing. Any number that may
 exceed 64 bits is serialized as a decimal string. Solutions, family
@@ -41,7 +43,7 @@ import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import census as census_mod
 from . import curves as curves_mod
@@ -88,8 +90,8 @@ _MAX_SEARCH_WORK = 2048
 # grows about quadratically, so each further member costs seconds more to print
 _MAX_FAMILY_INDEX = 6
 # census --t walks every column k with C(2k,k) <= t, each from a t-sized math.comb: on 2 CPUs
-# a t of 1,000 digits took 0.59 s, 2,000 digits 3.25 s, 3,000 digits 11.0 s and 4,299 digits
-# (the most argparse's int reads) 25.3 s
+# a t of 1,000 digits took 0.29 s, 2,000 digits 2.05 s, 3,000 digits 5.9 s and 4,299 digits
+# (the most argparse's int reads) 15.7 s
 _MAX_CENSUS_T = 10**1000
 
 
@@ -169,6 +171,7 @@ def _decimal_fixed(q: Fraction, places: int = 12) -> str:
 
 
 _SOLUTION_KEYS = ("a", "b", "x", "y", "value", "trivial")
+_SOLUTION_KEY_SET = frozenset(_SOLUTION_KEYS)
 
 
 def solution_to_dict(s: Solution) -> dict:
@@ -185,12 +188,11 @@ def solution_to_dict(s: Solution) -> dict:
 def _solution_from_dict(record: object, line: int) -> Solution:
     if not isinstance(record, dict):
         raise CacheError("record is not a JSON object", line)
-    expected = set(_SOLUTION_KEYS)
-    if set(record) != expected:
-        raise CacheError(f"record keys {sorted(record)} != {sorted(expected)}", line)
+    if record.keys() != _SOLUTION_KEY_SET:
+        raise CacheError(f"record keys {sorted(record)} != {sorted(_SOLUTION_KEY_SET)}", line)
     try:
         shift = ShiftPair(record["a"], record["b"])
-        x, y, value = (_parse_int(record[k]) for k in ("x", "y", "value"))
+        x, y, value = _parse_int(record["x"]), _parse_int(record["y"]), _parse_int(record["value"])
         trivial = record["trivial"]
     except (PreconditionError, ValueError, TypeError) as exc:
         raise CacheError(f"malformed record fields: {exc}", line) from exc
@@ -225,8 +227,12 @@ def append_solutions(path: str, solutions: list[Solution]) -> None:
         fh.write(text.encode("utf-8"))
 
 
-def read_solutions(path: str) -> list[Solution]:
-    out = []
+def read_solutions(path: str) -> Iterator[tuple[int, Solution]]:
+    """Each record of a solution cache with its line number, checked as it is read.
+
+    A record that fails a check raises CacheError with its line number
+    when it is reached; the records before it have been yielded.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -239,8 +245,7 @@ def read_solutions(path: str) -> list[Solution]:
             except ValueError as exc:
                 # e.g. a bare JSON integer beyond the int-to-string limit
                 raise CacheError(f"invalid JSON: {exc}", line_no) from exc
-            out.append(_solution_from_dict(record, line_no))
-    return out
+            yield line_no, _solution_from_dict(record, line_no)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +307,7 @@ def _no_csv(fmt: str, command: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_zeta(args: argparse.Namespace, out: TextIO) -> None:
+def _run_zeta(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     _no_csv(args.format, "zeta")
     shift = ShiftPair(args.a, args.b)
     if shift.degree > _MAX_ZETA_DEGREE:
@@ -337,7 +342,7 @@ def _check_search_work(shift: ShiftPair, bound: int, name: str) -> None:
         raise PreconditionError(f"(a+b) * bits({name}) must be at most {_MAX_SEARCH_WORK}, got {shift.degree} * {bits}")
 
 
-def _run_search(args: argparse.Namespace, out: TextIO) -> None:
+def _run_search(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     shift = ShiftPair(args.a, args.b)
     if args.workers < 1:
         raise PreconditionError(f"search needs workers >= 1, got {args.workers}")
@@ -351,7 +356,7 @@ def _run_search(args: argparse.Namespace, out: TextIO) -> None:
     _emit_records(records, args.format, out, _SOLUTION_KEYS, _solution_line, "solution(s)")
 
 
-def _run_family(args: argparse.Namespace, out: TextIO) -> None:
+def _run_family(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     if args.i_max < 1:
         raise PreconditionError("family needs --i-max >= 1")
     if args.i_max > _MAX_FAMILY_INDEX:
@@ -361,7 +366,7 @@ def _run_family(args: argparse.Namespace, out: TextIO) -> None:
     _emit_records(records, args.format, out, ("i", "n", "k", "value"), "i={i} n={n} k={k} value={value}".format_map)
 
 
-def _run_curve(args: argparse.Namespace, out: TextIO) -> None:
+def _run_curve(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     _no_csv(args.format, "curve")
     shift = ShiftPair(args.a, args.b)
     if args.certify and shift.degree > _MAX_CERTIFY_DEGREE:
@@ -401,7 +406,7 @@ def _census_line(r: dict) -> str:
     return f"t={r['t']} count={r['count']} occurrences: {occurrences}"
 
 
-def _run_census(args: argparse.Namespace, out: TextIO) -> None:
+def _run_census(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     single = args.t is not None
     ranged = args.t_max is not None or args.m_min is not None
     if single == ranged:
@@ -416,11 +421,11 @@ def _run_census(args: argparse.Namespace, out: TextIO) -> None:
     else:
         if args.t_max is None or args.m_min is None:
             raise PreconditionError("census scan needs both --t-max and --m-min")
-        records = [r.to_json_dict() for r in census_mod.scan_high_multiplicity(args.t_max, args.m_min)]
+        records = (r.to_json_dict() for r in census_mod.scan_high_multiplicity(args.t_max, args.m_min))
     _emit_records(records, args.format, out, ("t", "count"), _census_line)
 
 
-def _run_intersect(args: argparse.Namespace, out: TextIO) -> None:
+def _run_intersect(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     s1 = ShiftPair(args.a1, args.b1)
     s2 = ShiftPair(args.a2, args.b2)
     if args.x_max >= 1 << _MAX_SEARCH_Y_BITS:
@@ -431,16 +436,22 @@ def _run_intersect(args: argparse.Namespace, out: TextIO) -> None:
     _emit_records(records, args.format, out, ("x", "y"), "x={x} y={y}".format_map, "intersection point(s)")
 
 
-def _run_verify(args: argparse.Namespace, out: TextIO) -> None:
+def _run_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     _no_csv(args.format, "verify")
-    solutions = read_solutions(args.cache)
+    first_line: dict[tuple[int, int, int, int], int] = {}
+    verified = 0
+    for line, s in read_solutions(args.cache):
+        first = first_line.setdefault((s.shift.a, s.shift.b, s.x, s.y), line)
+        if first != line:
+            err.write(f"duplicate: line {line} repeats the record of line {first}\n")
+        verified += 1
     if args.format == "json":
-        _emit_json({"verified": len(solutions)}, out)
+        _emit_json({"verified": verified}, out)
     else:
-        out.write(f"ok: {len(solutions)} record(s) verified\n")
+        out.write(f"ok: {verified} record(s) verified\n")
 
 
-def _run_plot(args: argparse.Namespace, out: TextIO) -> None:
+def _run_plot(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     shift = ShiftPair(args.a, args.b)
     if shift.degree > _MAX_PLOT_DEGREE:
         raise PreconditionError(f"plot needs a+b <= {_MAX_PLOT_DEGREE}, got {shift.degree}")
@@ -476,7 +487,7 @@ def dispatch(args: argparse.Namespace, out: TextIO | None = None, err: TextIO | 
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args.run(args, out)
+        args.run(args, out, err)
     except (PreconditionError, ZeroPolynomialError, CacheError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 1
@@ -541,8 +552,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="multiplicity of one value or a high-multiplicity scan")
     p.add_argument("--t", type=int, default=None, help="one value, below 10^1000")
-    p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--m-min", type=int, default=None)
+    p.add_argument(
+        "--t-max",
+        type=int,
+        default=None,
+        help="largest value scanned: at most 10^16, or 2*10^9 when --m-min is 4 or less",
+    )
+    p.add_argument(
+        "--m-min",
+        type=int,
+        default=None,
+        help="least N(t) reported, at least 3; at 4 or less every C(n,2) is a record, hence the lower --t-max bound",
+    )
     add_format(p)
     p.set_defaults(run=_run_census)
 

@@ -157,7 +157,7 @@ def candidate_window(y: int, shift: ShiftPair, zeta: Interval) -> tuple[int, int
     tests/test_traced_names.py) names it, and tracing fails on a name the
     package no longer defines. Delete it together with the unused
     `search --workers`, which the benchmark's search_pool op passes, once
-    the benchmark names neither (ROADMAP item 2).
+    the benchmark names neither (ROADMAP item 3).
     """
     if y <= shift.a:
         raise PreconditionError(f"candidate_window needs y > a, got y={y}, a={shift.a}")

@@ -1,14 +1,18 @@
 import importlib
 import json
 import math
+import random
 from collections import defaultdict
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pascalrepeats import census as census_mod
 from pascalrepeats.census import (
     MultiplicityRecord,
+    _bracket_start,
+    _float_start,
     _kth_root,
     intersect_curves,
     multiplicity,
@@ -151,6 +155,31 @@ def test_scan_equals_tally_oracle_for_every_threshold(repeats_to_2e5, m_min):
         assert got == want, (t_max, m_min)
 
 
+@pytest.mark.parametrize("m_min", range(3, 9))
+def test_scan_records_are_the_multiplicity_records(repeats_to_2e5, m_min):
+    # the scan forms each record from the positions it visited; multiplicity searches every column
+    for t_max in (2, 5, 6, 19, 20, 21, 35, 120, 3003, 3004, 24310, 10**5, 2 * 10**5):
+        want = [rec for rec in repeats_to_2e5 if rec[0] <= t_max and rec[1] >= m_min]
+        got = scan_high_multiplicity(t_max, m_min)
+        assert [(r.t, r.count, r.occurrences) for r in got] == want, (t_max, m_min)
+        assert got == [multiplicity(t) for t, _, _ in want], (t_max, m_min)
+
+
+def test_scan_never_searches_a_column(monkeypatch):
+    def search(t):
+        pytest.fail(f"searched the columns for {t}")
+
+    monkeypatch.setattr(census_mod, "multiplicity", search)
+    monkeypatch.setattr(census_mod, "_interior_occurrences", search)
+    repeats = [120, 210, 1540, 3003, 7140, 11628, 24310]  # every t <= 3*10^10 with N(t) >= 5
+    for m_min in range(3, 9):
+        if m_min <= 4:
+            assert len(scan_high_multiplicity(10**6, m_min)) > 1413  # every C(n,2) <= 10^6, n >= 5
+        else:
+            got = [r.t for r in scan_high_multiplicity(3 * 10**10, m_min)]
+            assert got == (repeats if m_min <= 6 else [3003])
+
+
 def column_search_occurrences(t: int) -> tuple[tuple[int, int], ...]:
     """Oracle for N(t): every column k with C(2k,k) <= t searched over all n >= 2k.
 
@@ -195,6 +224,66 @@ def test_kth_root_on_powers_and_their_neighbours():
             assert _kth_root(r**k, k) == r
             assert _kth_root(r**k - 1, k) == r - 1
             assert _kth_root(r**k + 1, k) == r
+
+
+# the values known to occur six or more times, 3003 eight times
+KNOWN_REPEATS = [120, 210, 1540, 3003, 7140, 11628, 24310, 61218182743304701891431482520]
+
+
+def least_row(t: int, k: int, start: tuple[int, int]) -> int:
+    """The least row n of column k with C(n,k) >= t, stepped up from start = (n0, C(n0,k))."""
+    n, c = start
+    while c < t:
+        n += 1
+        c = c * n // (n - k)
+    return n
+
+
+def seed_box() -> list[int]:
+    """t from 2 to 1,000 digits, C(n,k) and C(n,k) +- 1 for large k, and the known repeats."""
+    rng = random.Random(26)
+    box = list(range(2, 300))
+    digits = (3, 5, 9, 14, 20, 30, 45, 68, 100, 150, 230, 350, 520, 780, 1000)
+    box += [rng.randrange(10 ** (d - 1), 10**d) for d in digits]
+    for n, k in [(n, k) for n in (60, 200, 800) for k in (n // 8, n // 3, n // 2)] + [(3400, 1200)]:
+        box += [math.comb(n, k) + d for d in (-1, 0, 1)]
+    return box + KNOWN_REPEATS
+
+
+def test_float_start_agrees_with_the_bracket_on_a_declared_box():
+    # every column of t below 10^300, and about 60 spread over the columns of a larger t, the
+    # first ones and the last ones among them, cover the starts near 2^50, where the float is
+    # least precise, and those at the centrals
+    fallbacks = low_columns = 0
+    for t in seed_box():
+        log_t = math.log(t)
+        columns = []  # (k, C(2k,k)) for each column k >= 2 with C(2k,k) <= t
+        k, central = 2, 6
+        while central <= t:
+            columns.append((k, central))
+            central = central * 2 * (2 * k + 1) // (k + 1)
+            k += 1
+        if t >= 10**300:
+            columns = sorted(set(columns[:20] + columns[-20:] + columns[:: len(columns) // 20]))
+        for k, central in columns:
+            want = least_row(t, k, _bracket_start(t, k))
+            start = _float_start(t, log_t, k, central)
+            if start is not None:
+                n0, c0 = start
+                assert 2 * k <= n0 <= want and c0 == math.comb(n0, k) <= t, (t, k)
+                assert least_row(t, k, start) == want, (t, k)
+            if want < 2**40:
+                low_columns += 1
+                fallbacks += start is None
+    # below 2^40 the float is within a hundredth of a row, so the bracket is almost never needed
+    assert fallbacks <= low_columns // 100, (fallbacks, low_columns)
+
+
+def test_multiplicity_without_float_starts_is_the_same(monkeypatch):
+    box = [t for t in seed_box() if t < 10**100]
+    want = [multiplicity(t) for t in box]
+    monkeypatch.setattr(census_mod, "_float_start", lambda t, log_t, k, central: None)
+    assert [multiplicity(t) for t in box] == want
 
 
 def test_scan_domain():

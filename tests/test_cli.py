@@ -419,18 +419,72 @@ def test_census_modes_and_validation():
     assert code == 1 and "error:" in err
 
 
+LOW_M_LIMIT = "error: census scan with m_min <= 4 needs t_max <= 2*10^9\n"
+HIGH_M_LIMIT = "error: census scan with m_min >= 5 needs t_max <= 10^16\n"
+
+
 def test_census_scan_refuses_more_values_than_the_bound_before_the_tally():
     # a tally to 10^24 would visit about 10^8 rows, so returning at once shows that none ran
-    for t_max, m_min in ((1938714181, 4), (1938714181, 3), (31500106239179, 6), (10**24, 8)):
-        code, out, err = run_cli(["census", "--t-max", str(t_max), "--m-min", str(m_min)])
-        assert (code, out, err) == (1, "", "error: census scan would hold more than 65536 values\n")
+    for t_max, m_min, err in ((2 * 10**9 + 1, 4, LOW_M_LIMIT), (2 * 10**9 + 1, 3, LOW_M_LIMIT),
+                              (10**16 + 1, 6, HIGH_M_LIMIT), (10**24, 8, HIGH_M_LIMIT), (10**24, 3, LOW_M_LIMIT)):
+        assert run_cli(["census", "--t-max", str(t_max), "--m-min", str(m_min)]) == (1, "", err)
 
 
-@pytest.mark.parametrize("m_min, records", [(3, 65469), (4, 65454)])
-def test_census_scan_at_the_low_m_limit_passes_the_bound(monkeypatch, m_min, records):
-    # the record pass, one multiplicity per hit, takes seconds here; the hits are what it would read
-    monkeypatch.setattr(census_mod, "multiplicity", lambda t: t)
-    assert len(census_mod.scan_high_multiplicity(1_938_714_180, m_min)) == records
+def test_census_help_states_the_scan_limits(capsys):
+    with pytest.raises(SystemExit):
+        main(["census", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "largest value scanned: at most 10^16, or 2*10^9 when --m-min is 4 or less" in text
+    assert "at 4 or less every C(n,2) is a record, hence the lower --t-max bound" in text
+
+
+class TallyStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("m_min", range(3, 9))
+def test_census_scan_refuses_past_its_limit_before_the_tally_and_tallies_at_it(monkeypatch, m_min):
+    def tally(t_max, first):
+        raise TallyStarted(t_max, first)
+
+    monkeypatch.setattr(census_mod, "_held_entries", tally)
+    limit, err, first = (2 * 10**9, LOW_M_LIMIT, 3) if m_min <= 4 else (10**16, HIGH_M_LIMIT, 4)
+    for t_max in (limit + 1, 10 * limit, 10**4000):
+        assert run_cli(["census", "--t-max", str(t_max), "--m-min", str(m_min)]) == (1, "", err)
+    with pytest.raises(TallyStarted) as started:
+        census_mod.scan_high_multiplicity(limit, m_min)
+    assert started.value.args == (limit, first)
+
+
+@pytest.mark.parametrize(
+    "m_min, records, below_former_limit", [(3, 66476, 65469), (4, 66461, 65454)], ids=["3-65469", "4-65454"]
+)
+def test_census_scan_at_the_low_m_limit_passes_the_bound(m_min, records, below_former_limit):
+    # every C(n,2) <= t_max is a record, so the scan at the limit is the largest with m_min <= 4;
+    # below_former_limit counts the records up to the former limit of 1,938,714,180
+    limit = census_mod._MAX_SCAN_T_LOW_M
+    got = census_mod.scan_high_multiplicity(limit, m_min)
+    assert (len(got), sum(r.t <= 1_938_714_180 for r in got)) == (records, below_former_limit)
+    assert all(a.t < b.t for a, b in zip(got, got[1:])) and got[-1].t <= limit
+    assert all(r.count == len(r.occurrences) >= m_min for r in got)
+    # each interior position below the limit is in exactly one record, 2 per column holding a
+    # value and 1 at a central n = 2k, except that m_min 4 leaves out the centrals found nowhere else
+    positions = 0
+    k = 2
+    while math.comb(2 * k, k) <= limit:
+        lo, hi = 2 * k, 4 * k
+        while math.comb(hi, k) <= limit:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:  # the last row of column k with C(n,k) <= limit is in [lo, hi)
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if math.comb(mid, k) <= limit else (lo, mid)
+        positions += 2 * (lo - 2 * k) + 1
+        if m_min == 4 and census_mod.multiplicity(math.comb(2 * k, k)).count == 3:
+            positions -= 1
+        k += 1
+    assert sum(r.count - 2 for r in got) == positions
+    for r in got[::331]:
+        assert all(math.comb(n, k) == r.t for n, k in r.occurrences)
 
 
 def test_census_t_of_a_thousand_digits_is_refused_before_any_column(monkeypatch):
@@ -453,21 +507,30 @@ def test_census_scan_below_two_is_refused_by_the_scan(t_max):
     [(m, t) for m in (3, 4, 5) for t in (2, 19, 20, 35, 3003, 10**4, 123456)]
     + [(4, census_mod._MAX_SCAN_T_LOW_M), (5, census_mod._MAX_SCAN_T)],
 )
-def test_census_value_bound_holds_every_value_the_scan_holds(monkeypatch, m_min, t_max):
-    # every C(n,k) <= t_max with 3 <= k <= n/2 (2 <= k with m_min <= 4), column by column; the
-    # values below a t_max are among those below a larger one, so the limit bounds every scan;
-    # the scan's hits, read without the record pass, are among these values
-    values = set()
-    k = 2 if m_min <= 4 else 3
+def test_census_value_bound_holds_every_value_the_scan_holds(m_min, t_max):
+    # every C(n,k) <= t_max with first <= k <= n/2, column by column, is what the scan holds:
+    # first = 3 with m_min <= 4, where column 2 is streamed, and 4 otherwise, where column 3 is;
+    # the values below a t_max are among those below a larger one, so the counts at the limits
+    # bound every scan
+    first = 3 if m_min <= 4 else 4
+    positions: dict[int, list[tuple[int, int]]] = {}
+    k = first
     while math.comb(2 * k, k) <= t_max:
         n = 2 * k
-        while math.comb(n, k) <= t_max:
-            values.add(math.comb(n, k))
+        while (v := math.comb(n, k)) <= t_max:
+            positions.setdefault(v, []).append((n, k))
             n += 1
         k += 1
-    assert len(values) <= 65536
-    monkeypatch.setattr(census_mod, "multiplicity", lambda t: t)
-    assert set(census_mod.scan_high_multiplicity(t_max, m_min)) <= values
+    held = census_mod._held_entries(t_max, first)
+    assert {v: sorted(p) for v, p in held.items()} == {v: sorted(p) for v, p in positions.items()}
+    assert len(held) <= (3240 if m_min <= 4 else 29685)
+    if t_max < 10**6:
+        # the records are among the values of columns k >= 2, with their positions
+        values = set(positions)
+        values.update(n * (n - 1) // 2 for n in range(4, math.isqrt(2 * t_max) + 2) if n * (n - 1) // 2 <= t_max)
+        for r in census_mod.scan_high_multiplicity(t_max, m_min):
+            assert r.t in values
+            assert set(positions.get(r.t, ())) <= set(r.occurrences)
 
 
 def test_intersect_refuses_an_x_max_of_2_to_the_256_before_any_row(monkeypatch, capsys):
@@ -580,14 +643,19 @@ def test_decimal_fixed_rounds_half_to_even_as_round_does(q):
 # ---------------------------------------------------------------------------
 
 
+def cached(path) -> list:
+    """The solutions of a cache file, each checked as read_solutions reaches it."""
+    return [s for _, s in read_solutions(str(path))]
+
+
 def test_cache_roundtrip_reproduces_solutions(tmp_path):
     path = tmp_path / "cache.jsonl"
     sols = search(ShiftPair(1, 1), 50)
     append_solutions(str(path), sols)
-    assert read_solutions(str(path)) == sols
+    assert cached(path) == sols
     # appending again doubles the records, all still verifiable
     append_solutions(str(path), sols)
-    assert read_solutions(str(path)) == sols + sols
+    assert cached(path) == sols + sols
 
 
 def test_cache_append_starts_on_a_fresh_line(tmp_path):
@@ -596,7 +664,7 @@ def test_cache_append_starts_on_a_fresh_line(tmp_path):
     append_solutions(str(path), sols)
     path.write_text(path.read_text().rstrip("\n"))  # a last record without its newline
     append_solutions(str(path), sols)
-    assert read_solutions(str(path)) == sols + sols
+    assert cached(path) == sols + sols
     # nothing to append leaves the file as it is, final newline or not
     path.write_text(path.read_text().rstrip("\n"))
     before = path.read_bytes()
@@ -607,7 +675,7 @@ def test_cache_append_starts_on_a_fresh_line(tmp_path):
 def test_cache_empty_file_is_empty_set(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert read_solutions(str(path)) == []
+    assert cached(path) == []
 
 
 def test_cache_blank_lines_are_skipped(tmp_path):
@@ -615,7 +683,7 @@ def test_cache_blank_lines_are_skipped(tmp_path):
     sols = search(ShiftPair(1, 1), 20)
     append_solutions(str(path), sols)
     path.write_text(path.read_text() + "\n\n")
-    assert read_solutions(str(path)) == sols
+    assert cached(path) == sols
 
 
 def test_cache_invalid_json_reports_line_number(tmp_path):
@@ -625,7 +693,7 @@ def test_cache_invalid_json_reports_line_number(tmp_path):
     lines[1] = "{not json"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CacheError) as exc:
-        read_solutions(str(path))
+        cached(path)
     assert str(exc.value).startswith("line 2:")
     assert exc.value.line == 2
 
@@ -635,7 +703,7 @@ def test_cache_nonsolution_record_is_rejected(tmp_path):
     record = {"a": 1, "b": 1, "x": "16", "y": "5", "value": "4368", "trivial": False}
     path.write_text(json.dumps(record) + "\n")
     with pytest.raises(CacheError) as exc:
-        read_solutions(str(path))
+        cached(path)
     assert exc.value.line == 1
     assert "not a solution" in str(exc.value)
 
@@ -645,7 +713,7 @@ def test_cache_wrong_value_is_rejected(tmp_path):
     record = {"a": 1, "b": 1, "x": "15", "y": "5", "value": "3004", "trivial": False}
     path.write_text(json.dumps(record) + "\n")
     with pytest.raises(CacheError, match="value"):
-        read_solutions(str(path))
+        cached(path)
 
 
 def test_cache_wrong_trivial_flag_is_rejected(tmp_path):
@@ -653,7 +721,7 @@ def test_cache_wrong_trivial_flag_is_rejected(tmp_path):
     record = {"a": 1, "b": 1, "x": "15", "y": "5", "value": "3003", "trivial": True}
     path.write_text(json.dumps(record) + "\n")
     with pytest.raises(CacheError, match="trivial"):
-        read_solutions(str(path))
+        cached(path)
 
 
 def test_cache_record_checks_run_in_order(tmp_path):
@@ -671,7 +739,7 @@ def test_cache_record_checks_run_in_order(tmp_path):
     for record, message in cases:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(CacheError) as exc:
-            read_solutions(str(path))
+            cached(path)
         assert exc.value.line == 1
         assert str(exc.value).startswith(f"line 1: {message}")
 
@@ -681,7 +749,7 @@ def test_cache_unexpected_keys_are_rejected(tmp_path):
     record = {"a": 1, "b": 1, "x": "15", "y": "5", "value": "3003"}
     path.write_text(json.dumps(record) + "\n")
     with pytest.raises(CacheError, match="keys"):
-        read_solutions(str(path))
+        cached(path)
 
 
 def _verify_one_record(tmp_path, record: dict) -> tuple[int, str, str]:
@@ -749,6 +817,41 @@ def test_verify_missing_file_is_an_error(tmp_path):
     code, _, err = run_cli(["verify", "--cache", str(tmp_path / "nope.jsonl")])
     assert code == 1
     assert "error:" in err
+
+
+def test_read_solutions_checks_each_record_before_reading_the_next(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    append_solutions(str(path), search(ShiftPair(1, 1), 20))
+    path.write_text(path.read_text() + "{not json\n")
+    records = read_solutions(str(path))
+    line, first = next(records)
+    assert (line, first.shift, first.x, first.y) == (1, ShiftPair(1, 1), 2, 0)
+    with pytest.raises(CacheError) as exc:
+        list(records)
+    assert exc.value.line == len(path.read_text().splitlines())
+
+
+def test_verify_reports_each_duplicate_record_on_stderr(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    sols = search(ShiftPair(1, 1), 60)
+    append_solutions(str(path), sols + sols[:1])
+    append_solutions(str(path), sols)
+    code, out, err = run_cli(["verify", "--cache", str(path)])
+    assert (code, out) == (0, "ok: 7 record(s) verified\n")
+    assert err == (
+        "duplicate: line 4 repeats the record of line 1\n"
+        "duplicate: line 5 repeats the record of line 1\n"
+        "duplicate: line 6 repeats the record of line 2\n"
+        "duplicate: line 7 repeats the record of line 3\n"
+    )
+    code, out, _ = run_cli(["verify", "--cache", str(path), "--format", "json"])
+    assert (code, json.loads(out)) == (0, {"verified": 7})
+    # a record that fails its checks still ends the command with exit 1, after the duplicates before it
+    path.write_text(path.read_text() + "{not json\n")
+    code, out, err = run_cli(["verify", "--cache", str(path)])
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("error: line 8: invalid JSON")
+    assert err.count("duplicate:") == 4
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +944,7 @@ def test_verify_integer_fields_stay_exact(digit_limit, tmp_path):
     for field, text in [("value", "3003.0"), ("x", "1.5e1"), ("x", "15.5"), ("x", "1e3"), ("x", over_limit + ".5")]:
         path.write_text(json.dumps({**good, field: text}) + "\n")
         with pytest.raises(CacheError, match="malformed") as exc:
-            read_solutions(str(path))
+            cached(path)
         assert exc.value.line == 1
     # an over-limit integer string parses exactly and then fails the equation
     path.write_text(json.dumps({**good, "x": over_limit, "y": "0", "value": "1"}) + "\n")

@@ -23,9 +23,10 @@ curve is built. The intersection to x_max = 2^256 - 1 was recorded
 when intersect first ran the proved blocks of search; it prints what
 the row to x_max = 100 prints, and an x_max of 2^256 is refused before
 any row. A curve of degree above 160 is refused before it is built.
-The census scan to 31,500,106,239,178 holds at most 65,536 values and
-was recorded before scans were bounded; one more is refused before the
-tally. The empty census scan and the empty intersection in every
+The census scan to 31,500,106,239,178 was recorded before scans were
+bounded, when each record was found again by multiplicity; one more than
+the scan's limit, 10^16 since the scan keeps its positions, is refused
+before the tally. The empty census scan and the empty intersection in every
 format were recorded before every list of records was written by one
 writer; they pin the empty text, the csv header alone, "[]" and the
 zero count. The plain curves of (40,40) in text and (13,27) in json were
@@ -122,7 +123,7 @@ GOLDEN = [
     ("intersect --a1 1 --b1 1 --a2 1 --b2 3 --x-max 115792089237316195423570985008687907853269984665640564039457584007913129639936", 1, EMPTY),
     ("curve --a 80 --b 81", 1, EMPTY),
     ("census --t-max 31500106239178 --m-min 6", 0, "decf0b8cad6b5a3e1e7887d77d248a0e01884fc8943daaf93032a84a725eeda9"),
-    ("census --t-max 31500106239179 --m-min 6", 1, EMPTY),
+    ("census --t-max 10000000000000001 --m-min 6", 1, EMPTY),
     ("census --t-max 100 --m-min 6", 0, EMPTY),
     ("census --t-max 100 --m-min 6 --format csv", 0, "7bf627c6333a6b7707432a1b25200d6eba6f77fad597c629d3fa0885a3747acd"),
     ("census --t-max 100 --m-min 6 --format json", 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
