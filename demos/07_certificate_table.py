@@ -6,8 +6,8 @@ verdict is proved modulo the prime 2^61 - 1: the two eliminants
 Res_y(F,F_x) and Res_y(F,F_y) are interpolated from their values at
 d(d-1)+1 points, and full degree with a constant gcd mod the prime
 proves that they share no root over the integers. Any other outcome
-would hand the verdict to the exact eliminants. A smooth plane curve of
-degree d has genus (d-1)(d-2)/2.
+would print the verdict inconclusive. A smooth plane curve of degree d
+has genus (d-1)(d-2)/2.
 
 No finiteness column is printed. The library's finiteness label still
 comes from the shape of the shift (a != b, or (1,1)), not from these

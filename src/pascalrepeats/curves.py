@@ -10,33 +10,30 @@ function of F alone, reading the degree d = a+b as F's total degree.
 Nonsingularity in the affine plane is certified by eliminating y: a
 singular point forces the two eliminants Res_y(F,F_x) and Res_y(F,F_y)
 to share a root, and the leading y-coefficient of F is the constant
-(-1)^d, so leading-coefficient degeneracy cannot fake a root. For every
-shift with a+b <= 20 the gcd of the two is constant. Should a shift
-ever be inconclusive in y, eliminating x is the check to add, with a
-test that reaches it: F's x-leading coefficient is 1, and Res_x(F,G)
-is bipoly_resultant of F and G with x and y swapped. At infinity only F's top form T = (x-y)^d - x^a y^b is read.
+(-1)^d, so leading-coefficient degeneracy cannot fake a root. At
+infinity only F's top form T = (x-y)^d - x^a y^b is read.
 
-certify decides the affine verdict modulo the prime P = 2^61 - 1 first.
-With D = d(d-1), it evaluates F, F_x and F_y at x0 = 0..D mod P as
-polynomials in y, takes both resultants in y over GF(P) at each point
-and interpolates the two eliminants mod P. Full degree D and a constant
-gcd mod P prove the YES that the exact path prints (the argument is in
-certify's docstring). Otherwise affine_singular_check runs on exact
-integers. The exact eliminants are formed only when a Certificate's
-eliminants are read, which JSON output does, from the F the Certificate
-keeps. Their gcd is proved constant by unipoly_gcd modulo the same P:
-when P divides neither leading coefficient, the gcd over Z keeps its
-degree mod P and divides the gcd mod P, so a constant gcd mod P is a
-constant gcd over Z. Otherwise the exact remainder sequence decides,
-with the same result. A nonconstant eliminant gcd is reported as
-inconclusive, never as a proven singularity. Nonsingular degree-d curves
-get genus (d-1)(d-2)/2 and are irreducible outright.
+certify decides the affine verdict modulo the prime P = 2^61 - 1, on
+one path. With D = d(d-1), it evaluates F, F_x and F_y at x0 = 0..D mod
+P as polynomials in y, takes both resultants in y over GF(P) at each
+point and interpolates the two eliminants mod P. Full degree D and a
+constant gcd mod P prove YES (the argument is in certify's docstring);
+any other outcome is inconclusive, never a proven singularity. No shift
+with a+b <= 20 is inconclusive; should one ever be, a second prime, or
+eliminating x (F's x-leading coefficient is 1), is the check to add.
+Nonsingular degree-d curves get genus (d-1)(d-2)/2 and are irreducible
+outright.
+
+affine_singular_check forms the exact eliminants over Z and their gcd.
+A Certificate's JSON form calls it, from the F the Certificate keeps,
+to print them as evidence; certify itself never does. Their gcd is
+proved constant by unipoly_gcd modulo the same P, with the exact
+remainder sequence as its fallback.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -76,15 +73,14 @@ class EliminantData:
     res_fy: UniPoly
     common_factor: UniPoly
 
-    @property
-    def verdict(self) -> Verdict:
-        """YES exactly when the gcd is constant."""
-        return Verdict.YES if self.common_factor.degree == 0 else Verdict.INCONCLUSIVE
-
 
 @dataclass(frozen=True)
 class Certificate:
-    """Per-curve record: singularity verdicts, genus, finiteness class, and the curve F they read."""
+    """Per-curve record: singularity verdicts, genus, finiteness class, and the curve F they read.
+
+    to_json_dict adds the exact eliminants of F as evidence, forming them
+    with affine_singular_check on each call.
+    """
 
     shift: ShiftPair
     curve: BiPoly = field(repr=False, compare=False)
@@ -95,16 +91,11 @@ class Certificate:
     irreducible: bool | None
     finiteness: Finiteness
 
-    @functools.cached_property
-    def eliminants(self) -> EliminantData:
-        """The exact eliminants of affine_singular_check, formed on first read."""
-        return affine_singular_check(self.curve)
-
     def to_json_dict(self) -> dict:
         def poly_strings(p: UniPoly) -> list[str]:
             return [str(c) for c in p.coeffs]
 
-        e = self.eliminants
+        e = affine_singular_check(self.curve)
         return {
             "a": self.shift.a,
             "b": self.shift.b,
@@ -148,9 +139,9 @@ def affine_singular_check(f: BiPoly) -> EliminantData:
 
     A common solution with y-coordinate y0 makes both Res_y(F,F_x) and
     Res_y(F,F_y) vanish at the x-coordinate, so a constant gcd of the two
-    eliminants rules every candidate out; the converse does not hold, so a
-    nonconstant gcd only yields "inconclusive". Eliminating x instead
-    could still prove such a curve smooth (module docstring).
+    eliminants rules every candidate out; the converse does not hold.
+    certify proves the same gcd constant modulo P without forming these;
+    the exact ones are the JSON evidence and the tests' reference.
     """
     res_fx = bipoly_resultant(f, f.partial("x"))
     res_fy = bipoly_resultant(f, f.partial("y"))
@@ -210,8 +201,8 @@ def certify(shift: ShiftPair) -> Certificate:
     """Full certificate: singularity checks, genus when they pass, class.
 
     F is formed once, and every check below reads it. The affine
-    verdict is first proved modulo P = 2^61 - 1, and no verdict can
-    differ from the exact path's. Let d = a+b, D = d(d-1).
+    verdict is YES when it is proved modulo P = 2^61 - 1 and INCONCLUSIVE
+    otherwise. Let d = a+b, D = d(d-1).
     As polynomials in y, F has degree d and leading coefficient (-1)^d,
     F_y has degree d-1 and leading coefficient (-1)^d * d, and F_x has
     degree d-1 and leading coefficient (-1)^(d-1) * d - [a = 1] (the -1
@@ -223,11 +214,9 @@ def certify(shift: ShiftPair) -> Certificate:
     both eliminants mod P have degree exactly D, P divides neither
     integer leading coefficient, and unipoly_gcd's argument applies: the
     integer gcd keeps its degree mod P and divides the gcd mod P, so a
-    constant gcd mod P makes the gcd over Z constant, which is the YES
-    that affine_singular_check prints. In every other case
-    affine_singular_check decides on the exact eliminants. Those are
-    formed only when the certificate's eliminants are read (JSON output
-    reads them), from the F that the certificate keeps.
+    constant gcd mod P makes the gcd over Z constant, and no affine
+    point is singular. A degree drop or a nonconstant gcd mod P proves
+    nothing, and the verdict is INCONCLUSIVE.
 
     Genus uses the plane-curve formula (d-1)(d-2)/2, valid only for a
     nonsingular curve, so it is present exactly when both verdicts are
@@ -235,14 +224,13 @@ def certify(shift: ShiftPair) -> Certificate:
     and a meeting point would be singular).
     """
     f = build_curve(shift)
-    affine = None if _affine_nonsingular_mod_p(f) else affine_singular_check(f)
-    verdict = Verdict.YES if affine is None else affine.verdict
+    verdict = Verdict.YES if _affine_nonsingular_mod_p(f) else Verdict.INCONCLUSIVE
     infinity = infinity_singular_check(f)
     d = f.total_degree
     nonsingular = verdict is Verdict.YES and infinity is Verdict.YES
     genus = (d - 1) * (d - 2) // 2 if nonsingular else None
     irreducible = True if nonsingular else None
-    cert = Certificate(
+    return Certificate(
         shift=shift,
         curve=f,
         degree=d,
@@ -252,9 +240,6 @@ def certify(shift: ShiftPair) -> Certificate:
         irreducible=irreducible,
         finiteness=classify_finiteness(shift),
     )
-    if affine is not None:
-        object.__setattr__(cert, "eliminants", affine)  # fills the cached property
-    return cert
 
 
 _QUAD_CANDIDATES = (

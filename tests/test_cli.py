@@ -374,6 +374,23 @@ def test_text_certificate_forms_no_exact_eliminant(monkeypatch):
         run_cli(["curve", "--a", "4", "--b", "5", "--certify", "--format", "json"])
 
 
+def test_only_a_json_certificate_forms_the_exact_eliminants(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(curves_mod, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("affine_singular_check", "bipoly_resultant"):
+        monkeypatch.setattr(curves_mod, name, counted(name))
+    for a, b in [(a, d - a) for d in range(2, 9) for a in range(1, d)]:
+        code, _, err = run_cli(["curve", "--a", str(a), "--b", str(b), "--certify"])
+        assert (code, err, calls) == (0, "", []), (a, b)
+    code, _, err = run_cli(["curve", "--a", "2", "--b", "3", "--certify", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert calls.count("affine_singular_check") == 1
+
+
 @pytest.mark.parametrize("a,b", [(2, 2), (3, 6)])
 def test_certified_curve_forms_no_top_form_and_no_shape_label(a, b, monkeypatch):
     argv = ["curve", "--a", str(a), "--b", str(b), "--certify", "--format"]

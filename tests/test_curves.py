@@ -139,7 +139,6 @@ def test_partial_top_coefficients_in_y():
 def test_affine_singular_check_smooth_cases():
     for a, b in [(1, 1), (2, 2), (1, 2), (3, 1)]:
         report = affine_singular_check(build_curve(ShiftPair(a, b)))
-        assert report.verdict is Verdict.YES
         assert report.common_factor.degree == 0
 
 

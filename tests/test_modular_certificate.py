@@ -4,9 +4,9 @@ The kernel's resultant over GF(P) must agree with bipoly_resultant
 reduced mod P, and with the Sylvester determinant of test_polynomials,
 sign included, and its interpolation at 0..n-1 must give back a
 polynomial from its values. A modular proof that fails, by a degree
-drop or a nonconstant gcd mod P, must hand the verdict to
-affine_singular_check and give the same certificate. A proved
-certificate forms the exact eliminants only when they are read, from
+drop or a nonconstant gcd mod P, must leave the affine verdict
+inconclusive without calling affine_singular_check. certify forms no
+exact eliminant; each JSON form of a certificate forms them once, from
 the curve it certified.
 """
 
@@ -88,19 +88,21 @@ def exact_checks(monkeypatch):
     return runs
 
 
-def test_proved_certificate_forms_the_exact_eliminants_once_when_read(exact_checks):
+def test_certify_forms_no_eliminant_and_each_json_form_forms_them_once(exact_checks):
     shift = ShiftPair(2, 3)
     cert = certify(shift)
     assert cert.affine_nonsingular is curves.Verdict.YES and exact_checks == []
     payload = cert.to_json_dict()
     assert exact_checks == [build_curve(shift)]
     assert exact_checks[0] is cert.curve
-    assert cert.to_json_dict() == payload and len(exact_checks) == 1
+    assert cert.to_json_dict() == payload and len(exact_checks) == 2
+    assert exact_checks[1] is cert.curve
+    exact = curves.affine_singular_check(cert.curve)
     assert payload["eliminants"] == [
         {
             "eliminated": "y",
-            "res_fx": [str(c) for c in cert.eliminants.res_fx.coeffs],
-            "res_fy": [str(c) for c in cert.eliminants.res_fy.coeffs],
+            "res_fx": [str(c) for c in exact.res_fx.coeffs],
+            "res_fy": [str(c) for c in exact.res_fy.coeffs],
             "common_factor": ["1"],
         }
     ]
@@ -116,14 +118,13 @@ def _common_factor(real):
 
 @pytest.mark.parametrize("name,forced", [("_interpolate_mod", _drop_degree), ("_gcd_degree_mod", _common_factor)])
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (4, 1)])
-def test_failed_modular_proof_falls_back_to_the_exact_check(a, b, name, forced, exact_checks, monkeypatch):
+def test_failed_modular_proof_is_inconclusive(a, b, name, forced, exact_checks, monkeypatch):
     shift = ShiftPair(a, b)
     proved = certify(shift)
-    payload = proved.to_json_dict()
-    exact_checks.clear()
     monkeypatch.setattr(curves, name, forced(getattr(curves, name)))
-    fallback = certify(shift)
-    assert exact_checks == [build_curve(shift)]
-    assert exact_checks[0] is fallback.curve
-    assert fallback == proved and fallback.to_json_dict() == payload
-    assert len(exact_checks) == 1  # the JSON read the report the fallback formed
+    failed = certify(shift)
+    assert exact_checks == []
+    assert failed.affine_nonsingular is curves.Verdict.INCONCLUSIVE
+    assert failed.genus is None and failed.irreducible is None
+    assert failed.infinity_nonsingular is proved.infinity_nonsingular is curves.Verdict.YES
+    assert failed.finiteness is proved.finiteness
