@@ -3,15 +3,16 @@
 unipoly_gcd proves a constant gcd modulo P = 2^61 - 1 and runs its
 primitive remainder sequence only when that proof fails. The reference
 below is a primitive pseudo-remainder sequence with its own arithmetic,
-so no code of the package enters it. The JSON certificates of every
-shift with a+b <= 8 must come out identical with the reference in place of
+so no code of the package enters it. The certificates of every shift
+with a+b <= 8 must come out identical with the reference in place of
 unipoly_gcd, and the common factors of the eliminants in y and in x,
 the latter from the curve with x and y swapped, must be the reference's
 too. The same sweep checks
 certify's modular proof against the exact path: the eliminants it
 interpolates mod P are the exact ones reduced mod P, its verdict is YES
 exactly when the reference gcd of the exact eliminants is constant, and
-the JSON payload is the same with the reference in place of unipoly_gcd.
+the certificate, infinity verdict included, and its whole JSON payload
+are the same with the reference in place of unipoly_gcd.
 """
 
 from __future__ import annotations
@@ -155,7 +156,8 @@ def assert_certificate_matches_reference(a: int, b: int) -> None:
     real_gcd = curves.unipoly_gcd
     curves.unipoly_gcd = reference
     try:
-        assert proved.to_json_dict() == fast, (a, b)
+        exact = certify(shift)
+        assert exact == proved and exact.to_json_dict() == fast, (a, b)
     finally:
         curves.unipoly_gcd = real_gcd
 
