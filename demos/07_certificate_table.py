@@ -2,12 +2,13 @@
 
 For each shift (a,b) the curve F(x,y) = 0 of degree d = a+b is checked
 for singular points, in the affine plane and at infinity. The affine
-verdict is proved modulo the prime 2^61 - 1: the two eliminants
-Res_y(F,F_x) and Res_y(F,F_y) are interpolated from their values at
-d(d-1)+1 points, and full degree with a constant gcd mod the prime
-proves that they share no root over the integers. Any other outcome
-would print the verdict inconclusive. A smooth plane curve of degree d
-has genus (d-1)(d-2)/2.
+verdict is proved modulo the prime 2^30 - 35, or 2^30 - 41 should that
+proof fail; primes below 2^30 keep every residue in one digit of a
+Python int. The two eliminants Res_y(F,F_x) and Res_y(F,F_y) are
+interpolated from their values at d(d-1)+1 points, and full degree with
+a constant gcd mod the prime proves that they share no root over the
+integers. A proof that failed at both primes would print the verdict
+inconclusive. A smooth plane curve of degree d has genus (d-1)(d-2)/2.
 
 No finiteness column is printed. The library's finiteness label still
 comes from the shape of the shift (a != b, or (1,1)), not from these

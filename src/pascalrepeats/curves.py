@@ -13,21 +13,23 @@ to share a root, and the leading y-coefficient of F is the constant
 (-1)^d, so leading-coefficient degeneracy cannot fake a root. At
 infinity only F's top form T = (x-y)^d - x^a y^b is read.
 
-certify decides the affine verdict modulo the prime P = 2^61 - 1, on
-one path. With D = d(d-1), it evaluates F, F_x and F_y at x0 = 0..D mod
-P as polynomials in y, takes both resultants in y over GF(P) at each
-point and interpolates the two eliminants mod P. Full degree D and a
-constant gcd mod P prove YES (the argument is in certify's docstring);
-any other outcome is inconclusive, never a proven singularity. No shift
-with a+b <= 20 is inconclusive; should one ever be, a second prime, or
-eliminating x (F's x-leading coefficient is 1), is the check to add.
-Nonsingular degree-d curves get genus (d-1)(d-2)/2 and are irreducible
-outright.
+certify decides the affine verdict modulo a prime p, on one path, for
+p = 2^30 - 35 and, only if that proof fails, p = 2^30 - 41: the two
+largest primes below 2^30, so that every residue is one digit of a
+CPython int. With D = d(d-1), it evaluates F, F_x and F_y at
+x0 = 0..D mod p as polynomials in y, takes both resultants in y over
+GF(p) at each point and interpolates the two eliminants mod p. Full
+degree D and a constant gcd mod p prove YES (the argument is in
+certify's docstring); a proof that fails at both primes is
+inconclusive, never a proven singularity. Every shift with a+b <= 20
+is proved at the first prime; should both ever fail, eliminating x
+(F's x-leading coefficient is 1) is the check to add. Nonsingular
+degree-d curves get genus (d-1)(d-2)/2 and are irreducible outright.
 
 affine_singular_check forms the exact eliminants over Z and their gcd.
 A Certificate's JSON form calls it, from the F the Certificate keeps,
 to print them as evidence; certify itself never does. Their gcd is
-proved constant by unipoly_gcd modulo the same P, with the exact
+proved constant by unipoly_gcd modulo 2^30 - 35, with the exact
 remainder sequence as its fallback.
 """
 
@@ -41,6 +43,7 @@ from typing import Iterable, Iterator
 
 from .errors import PreconditionError
 from .polynomials import (
+    _PRIMES,
     BiPoly,
     UniPoly,
     _gcd_degree_mod,
@@ -140,7 +143,7 @@ def affine_singular_check(f: BiPoly) -> EliminantData:
     A common solution with y-coordinate y0 makes both Res_y(F,F_x) and
     Res_y(F,F_y) vanish at the x-coordinate, so a constant gcd of the two
     eliminants rules every candidate out; the converse does not hold.
-    certify proves the same gcd constant modulo P without forming these;
+    certify proves the same gcd constant modulo a prime without forming these;
     the exact ones are the JSON evidence and the tests' reference.
     """
     res_fx = bipoly_resultant(f, f.partial("x"))
@@ -178,45 +181,58 @@ def classify_finiteness(shift: ShiftPair) -> Finiteness:
     return Finiteness.OPEN
 
 
-def _eliminants_mod(f: BiPoly) -> tuple[list[int], list[int]]:
-    """Res_y(f,f_x) and Res_y(f,f_y) mod P, ascending, from their values at x0 = 0..d(d-1)."""
+def _eliminants_mod(f: BiPoly, p: int) -> tuple[list[int], list[int]]:
+    """Res_y(f,f_x) and Res_y(f,f_y) mod p, ascending, from their values at x0 = 0..d(d-1)."""
     d = f.total_degree
     columns = [g.coeffs_in() for g in (f, f.partial("x"), f.partial("y"))]
     res_fx, res_fy = [], []
     for x0 in range(d * (d - 1) + 1):
         fv, fxv, fyv = ([c(x0) for c in col] for col in columns)
-        res_fx.append(_resultant_mod(fv, fxv))
-        res_fy.append(_resultant_mod(fv, fyv))
-    return _interpolate_mod(res_fx), _interpolate_mod(res_fy)
+        res_fx.append(_resultant_mod(fv, fxv, p))
+        res_fy.append(_resultant_mod(fv, fyv, p))
+    return _interpolate_mod(res_fx, p), _interpolate_mod(res_fy, p)
 
 
-def _affine_nonsingular_mod_p(f: BiPoly) -> bool:
-    """True when both eliminants mod P have degree d(d-1) and a constant gcd mod P."""
+def _affine_nonsingular_mod_p(f: BiPoly, p: int) -> bool:
+    """True when certify's proof holds mod the prime p: both eliminants of degree d(d-1), with a constant gcd.
+
+    False, before any eliminant is formed, when the proof's preconditions
+    fail: the d(d-1)+1 evaluation points must be distinct mod p, and F,
+    F_x and F_y must each have a constant y-leading coefficient that p
+    does not divide.
+    """
     d = f.total_degree
-    res_fx, res_fy = _eliminants_mod(f)
-    return len(res_fx) == len(res_fy) == d * (d - 1) + 1 and _gcd_degree_mod(UniPoly(res_fx), UniPoly(res_fy)) == 0
+    top = d * (d - 1)
+    leads = [g.coeffs_in()[-1] for g in (f, f.partial("x"), f.partial("y"))]
+    if top >= p or any(c.degree != 0 or c.leading % p == 0 for c in leads):
+        return False
+    res_fx, res_fy = _eliminants_mod(f, p)
+    return len(res_fx) == len(res_fy) == top + 1 and _gcd_degree_mod(UniPoly(res_fx), UniPoly(res_fy), p) == 0
 
 
 def certify(shift: ShiftPair) -> Certificate:
     """Full certificate: singularity checks, genus when they pass, class.
 
     F is formed once, and every check below reads it. The affine
-    verdict is YES when it is proved modulo P = 2^61 - 1 and INCONCLUSIVE
-    otherwise. Let d = a+b, D = d(d-1).
+    verdict is YES when it is proved modulo p = 2^30 - 35 or, if that
+    proof fails, modulo p = 2^30 - 41, and INCONCLUSIVE when both fail.
+    Let d = a+b, D = d(d-1).
     As polynomials in y, F has degree d and leading coefficient (-1)^d,
     F_y has degree d-1 and leading coefficient (-1)^d * d, and F_x has
     degree d-1 and leading coefficient (-1)^(d-1) * d - [a = 1] (the -1
-    is x*y^b's, for a = 1). All three are nonzero constants that P does
-    not divide, so Res_y commutes with reduction mod P and with
-    evaluation at any x0: the resultant over GF(P) of the sections at x0
-    is the eliminant mod P at x0. Res_y of total degrees d and d-1 has
-    x-degree at most D, so its values at x0 = 0..D determine it. When
-    both eliminants mod P have degree exactly D, P divides neither
-    integer leading coefficient, and unipoly_gcd's argument applies: the
-    integer gcd keeps its degree mod P and divides the gcd mod P, so a
-    constant gcd mod P makes the gcd over Z constant, and no affine
-    point is singular. A degree drop or a nonconstant gcd mod P proves
-    nothing, and the verdict is INCONCLUSIVE.
+    is x*y^b's, for a = 1). When all three are constants that p does
+    not divide, which _affine_nonsingular_mod_p checks, Res_y commutes
+    with reduction mod p and with evaluation at any x0: the resultant
+    over GF(p) of the sections at x0 is the eliminant mod p at x0.
+    Res_y of total degrees d and d-1 has x-degree at most D, so its
+    values at the D+1 points x0 = 0..D, distinct mod p when D < p (also
+    checked), determine it. When both eliminants mod p have degree
+    exactly D, p divides neither integer leading coefficient, and
+    unipoly_gcd's argument applies: the integer gcd keeps its degree
+    mod p and divides the gcd mod p, so a constant gcd mod p makes the
+    gcd over Z constant, and no affine point is singular. A failed
+    precondition, a degree drop or a nonconstant gcd mod p proves
+    nothing at that prime.
 
     Genus uses the plane-curve formula (d-1)(d-2)/2, valid only for a
     nonsingular curve, so it is present exactly when both verdicts are
@@ -224,7 +240,7 @@ def certify(shift: ShiftPair) -> Certificate:
     and a meeting point would be singular).
     """
     f = build_curve(shift)
-    verdict = Verdict.YES if _affine_nonsingular_mod_p(f) else Verdict.INCONCLUSIVE
+    verdict = Verdict.YES if any(_affine_nonsingular_mod_p(f, p) for p in _PRIMES) else Verdict.INCONCLUSIVE
     infinity = infinity_singular_check(f)
     d = f.total_degree
     nonsingular = verdict is Verdict.YES and infinity is Verdict.YES

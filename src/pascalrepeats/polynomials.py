@@ -5,13 +5,17 @@ bivariate polynomials are sparse maps from exponent pairs to coefficients.
 The resultant Res_y, which eliminates y, is computed by a
 fraction-free (subresultant) polynomial remainder sequence whose
 coefficients are univariate polynomials; its pseudo-remainder step is
-generic and also serves the integer Sturm chains. unipoly_gcd first
-proves a constant gcd modulo the prime 2^61 - 1 when it can, and runs
-its exact remainder sequence only when that fails. Over GF(2^61 - 1),
-one remainder step serves the gcd degree and a resultant by Euclid with
-the Sylvester sign convention, and Newton's forward differences
+generic and also serves the integer Sturm chains. The modular kernel
+runs over GF(m) for a prime m passed in, one of _PRIMES = (2^30 - 35,
+2^30 - 41), the two largest primes below 2^30: every residue then fits
+in one 30-bit digit of a CPython int, which keeps products and
+reductions on the interpreter's single-digit paths. unipoly_gcd first
+proves a constant gcd modulo 2^30 - 35 when it can, and runs its exact
+remainder sequence only when that fails. Over GF(m), one remainder
+step serves the gcd degree and a resultant by Euclid with the
+Sylvester sign convention, and Newton's forward differences
 interpolate a polynomial from its values at 0..n-1; curves.certify
-builds its modular eliminants from the two.
+builds its modular eliminants from the two, at either prime.
 Real roots are isolated by Sturm sign variations and bisection on
 integer numerators over a common power-of-two denominator; past 64
 halvings, or at once from a hint such as a neighbouring section's root,
@@ -326,12 +330,14 @@ def _signed_prs(a: Sequence[int], b: Sequence[int]) -> Iterator[Sequence[int]]:
         a, b = b, [c // g for c in r]
 
 
-_GCD_PRIME = (1 << 61) - 1  # a Mersenne prime
+# The two largest primes below 2^30: every residue is one 30-bit digit of a
+# CPython int, so products of residues and their reductions take the
+# interpreter's single-digit paths.
+_PRIMES = ((1 << 30) - 35, (1 << 30) - 41)
 
 
-def _rem_mod(a: list[int], b: list[int]) -> list[int]:
-    """a mod b over GF(m), m = _GCD_PRIME, in place on a; b's last element is nonzero mod m."""
-    m = _GCD_PRIME
+def _rem_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    """a mod b over GF(m), m prime, in place on a; b's last element is nonzero mod m."""
     inv = pow(b[-1], -1, m)
     low = b[:-1]
     db = len(low)
@@ -343,18 +349,17 @@ def _rem_mod(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _gcd_degree_mod(p: UniPoly, q: UniPoly) -> int:
-    """Degree of gcd(p mod m, q mod m) over GF(m), m = _GCD_PRIME, by Euclid; -1 if both vanish."""
-    m = _GCD_PRIME
+def _gcd_degree_mod(p: UniPoly, q: UniPoly, m: int) -> int:
+    """Degree of gcd(p mod m, q mod m) over GF(m), m prime, by Euclid; -1 if both vanish."""
     a = _trim([c % m for c in p.coeffs])
     b = _trim([c % m for c in q.coeffs])
     while b:
-        a, b = b, _rem_mod(a, b)
+        a, b = b, _rem_mod(a, b, m)
     return len(a) - 1
 
 
-def _resultant_mod(a: list[int], b: list[int]) -> int:
-    """Res(a, b) mod m, m = _GCD_PRIME, for coefficient lists whose last elements are nonzero mod m.
+def _resultant_mod(a: list[int], b: list[int], m: int) -> int:
+    """Res(a, b) mod m, m prime, for coefficient lists whose last elements are nonzero mod m.
 
     Euclid over GF(m) with the Sylvester sign convention of
     _resultant_lists. With r = a mod b, Res(a, b) = (-1)^(deg a * deg b)
@@ -362,13 +367,12 @@ def _resultant_mod(a: list[int], b: list[int]) -> int:
     and r agree at every root of b. Res(b, 0) = 0 when deg b >= 1, and
     Res(a, c) = c^(deg a) for a constant c.
     """
-    m = _GCD_PRIME
     a = [c % m for c in a]
     b = [c % m for c in b]
     out = 1
     while len(b) > 1:
         da, db = len(a) - 1, len(b) - 1
-        r = _rem_mod(a, b)
+        r = _rem_mod(a, b, m)
         if not r:
             return 0
         if da * db % 2:
@@ -378,14 +382,13 @@ def _resultant_mod(a: list[int], b: list[int]) -> int:
     return out * pow(b[0], len(a) - 1, m) % m
 
 
-def _interpolate_mod(values: list[int]) -> list[int]:
-    """Coefficients mod m, m = _GCD_PRIME, ascending, of the polynomial of degree < n through (i, values[i]).
+def _interpolate_mod(values: list[int], m: int) -> list[int]:
+    """Coefficients mod m, m prime, ascending, of the polynomial of degree < n through (i, values[i]).
 
     Newton's forward-difference form: with n = len(values) <= m, the
     polynomial is the sum over k of (Delta^k v)(0) / k! * x(x-1)...(x-k+1),
     one inverse per order k, expanded by Horner in the falling basis.
     """
-    m = _GCD_PRIME
     c = [v % m for v in values]
     n = len(c)
     for k in range(1, n):
@@ -405,8 +408,10 @@ def _interpolate_mod(values: list[int]) -> list[int]:
 def unipoly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Greatest common divisor in Z[x], positive leading coefficient.
 
-    A constant gcd is proved modulo the prime P = 2^61 - 1 when P divides
-    neither leading coefficient. The gcd g over Z divides p, so lc(g)
+    A constant gcd is proved modulo the prime P = 2^30 - 35, the first of
+    _PRIMES, when P divides neither leading coefficient (W. S. Brown, "On
+    Euclid's algorithm and the computation of polynomial greatest common
+    divisors", JACM 18, 1971). The gcd g over Z divides p, so lc(g)
     divides lc(p) and P does not divide lc(g): g mod P keeps the degree of
     g. And g mod P divides both p mod P and q mod P, hence their gcd over
     GF(P). So deg g <= deg gcd(p mod P, q mod P), and a constant gcd mod P
@@ -422,7 +427,8 @@ def unipoly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     if not q:
         return p if p.leading > 0 else -p
     c = math.gcd(p.content(), q.content())
-    if p.leading % _GCD_PRIME and q.leading % _GCD_PRIME and _gcd_degree_mod(p, q) == 0:
+    m = _PRIMES[0]
+    if p.leading % m and q.leading % m and _gcd_degree_mod(p, q, m) == 0:
         return UniPoly((c,))
     a, b = p.primitive_part(), q.primitive_part()
     if a.degree < b.degree:

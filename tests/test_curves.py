@@ -181,8 +181,8 @@ def test_top_form_partials_share_no_root_at_infinity():
 def test_y_leading_coefficients_are_nonzero_constants():
     # the facts behind certify's modular proof: as polynomials in y, F, F_x
     # and F_y keep their degrees d, d-1, d-1 at every x, with constant
-    # leading coefficients that 2^61 - 1 does not divide; for a = 1 the
-    # x*y^b block adds -1 to F_x's
+    # leading coefficients that neither of the package's primes divides;
+    # for a = 1 the x*y^b block adds -1 to F_x's
     for d in range(2, 13):
         for a in range(1, d):
             f = build_curve(ShiftPair(a, d - a))
@@ -194,7 +194,7 @@ def test_y_leading_coefficients_are_nonzero_constants():
             for g, degree, lead in leads:
                 assert g.degree_in("y") == degree
                 assert g.coeffs_in()[degree] == UniPoly([lead])
-                assert 0 < abs(lead) < (1 << 61) - 1
+                assert 0 < abs(lead) < min(polynomials._PRIMES)
 
 
 def test_classify_finiteness_labels():

@@ -1,6 +1,6 @@
 """unipoly_gcd's modular shortcut against an exact remainder-sequence reference.
 
-unipoly_gcd proves a constant gcd modulo P = 2^61 - 1 and runs its
+unipoly_gcd proves a constant gcd modulo P = 2^30 - 35 and runs its
 primitive remainder sequence only when that proof fails. The reference
 below is a primitive pseudo-remainder sequence with its own arithmetic,
 so no code of the package enters it. The certificates of every shift
@@ -9,7 +9,8 @@ unipoly_gcd, and the common factors of the eliminants in y and in x,
 the latter from the curve with x and y swapped, must be the reference's
 too. The same sweep checks
 certify's modular proof against the exact path: the eliminants it
-interpolates mod P are the exact ones reduced mod P, its verdict is YES
+interpolates mod either prime are the exact ones reduced mod that
+prime, its verdict is YES
 exactly when the reference gcd of the exact eliminants is constant, and
 the certificate, infinity verdict included, and its whole JSON payload
 are the same with the reference in place of unipoly_gcd.
@@ -26,11 +27,11 @@ from hypothesis import strategies as st
 from pascalrepeats import curves
 from pascalrepeats import polynomials
 from pascalrepeats.curves import build_curve, certify
-from pascalrepeats.polynomials import UniPoly, bipoly_resultant, unipoly_gcd
+from pascalrepeats.polynomials import _PRIMES, UniPoly, bipoly_resultant, unipoly_gcd
 from pascalrepeats.ratios import ShiftPair
 from test_polynomials import swap_xy
 
-P = (1 << 61) - 1
+P = _PRIMES[0]  # unipoly_gcd's modulus
 
 
 def _trim(p: list[int]) -> list[int]:
@@ -147,8 +148,9 @@ def assert_certificate_matches_reference(a: int, b: int) -> None:
         res_fx, res_fy = bipoly_resultant(g, g_x), bipoly_resultant(g, g_y)
         assert unipoly_gcd(res_fx, res_fy) == reference(res_fx, res_fy), (a, b, var)
         if var == "y":
-            reduced = tuple([c % P for c in r.coeffs] for r in (res_fx, res_fy))
-            assert curves._eliminants_mod(f) == reduced, (a, b)
+            for p in _PRIMES:
+                reduced = tuple([c % p for c in r.coeffs] for r in (res_fx, res_fy))
+                assert curves._eliminants_mod(f, p) == reduced, (a, b, p)
             smooth = reference(res_fx, res_fy).degree == 0
     proved = certify(shift)
     assert (proved.affine_nonsingular is curves.Verdict.YES) == smooth, (a, b)
