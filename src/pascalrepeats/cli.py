@@ -38,6 +38,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -49,18 +50,23 @@ from . import census as census_mod
 from . import curves as curves_mod
 from .errors import CacheError, PreconditionError, ZeroPolynomialError
 from .polynomials import format_bipoly
-from .ratios import ShiftPair, isolate_zeta
+from .ratios import Interval, ShiftPair, isolate_zeta
 from .search import Solution, _make_solution, equality_check, family_member, search
 
 FORMATS = ("json", "csv", "text")
 _MAX_DECIMAL_EXPONENT = 100_000  # 1e-100000 is a 332,000-bit denominator
-_MAX_PLOT_SECTIONS = 1_000_000
 # zeta starts from the bracket [1, 2^(a+b)]: at (100,100) all three Newton tries, after 64, 128
 # and 192 halvings, fail, and each costs an O(d^2) Taylor shift (_shifted: 0.70 of 1.32 s). On
 # 2 CPUs at the default precision every a+b = 160 tried took 0.43-0.73 s, (80,80) the most; 200
 # took 1.8 s and 300 over 10 s. The time also grows with the precision's bits: (80,80) at 1e-1000
 # took 1.4 s, (20,20) at 1e-100000 45 s
 _MAX_ZETA_DEGREE = 160
+# past the degree, zeta's time grows with a+b times the bits of 1/precision, the level of its
+# Newton cell. On 2 CPUs isolate_zeta took 0.59 s for (1,1) at 1e-100000 (2 * 332,193; the CLI
+# 1.6 s with the 100,000-digit output), and at (a+b) * bits = 1,000,000 0.38-0.76 s for (2,2),
+# (3,3), (20,20) and (50,50), 1.5 s for (160,1) and 1.9 s for (80,80); (20,20) at 1e-20000
+# (2.7 million) took 2.7 s, (40,40) there 13 s and (80,80) at 2^-33220 16 s
+_MAX_ZETA_WORK = 1_000_000
 # a plot section isolates the real roots of a degree-(a+b) polynomial in x: on 2 CPUs one section
 # at y = 0 took 0.42-0.76 s at a+b = 40, 3.2 s at 50 and 47 s at 80
 _MAX_PLOT_DEGREE = 40
@@ -69,6 +75,16 @@ _MAX_PLOT_DEGREE = 40
 # (20,20) took 4.7 s at 10 bits and 22 s at 21 bits. Every section's |u| and w are at most
 # max(|y_min|, |y_max|, 1) times the denominator of --y-step
 _MAX_PLOT_WORK = 10_000
+# a whole plot is bounded by its estimated time, the section count times a section's estimate in
+# microseconds, 200 + d^4/8 + (W/40)^2.5 + (d*p/256)^2 with d = a+b, W the work above and p the
+# bits of 1/precision. Each term is fitted from above to times measured on 2 CPUs: 200 us is a
+# section of (1,1) or (3,2) at the default precision, rows written (77-175 us); d^4/8 the sections
+# at small |y|, which have the most roots ((6,6) 1.6 ms, (10,10) 9 ms, (20,20) 0.4-0.7 s); W the
+# height, as above; p the Newton cells, per continued section of (1,1) 57 ms at 2^-33220, (6,6)
+# 0.2 s, and a section of (20,20) 2.2 s at 2^-10000. At 2 s the estimate admits the benchmark's
+# (3,2) on 0..300 (0.11 s estimated, 0.023 s taken) and at most about 9,900 sections of any
+# plot, where 100,000 of (1,1) took 17 s before sections were continued in integers
+_MAX_PLOT_MICROSECONDS = 2_000_000
 # the exact eliminants of curve --certify --format json cost about 1.6 times more per degree:
 # degree 15 took 2.6-2.9 s on 2 CPUs, degree 16 4.2 s
 _MAX_CERTIFY_DEGREE = 15
@@ -156,9 +172,14 @@ def _decimal_sig(q: Fraction, digits: int = 15) -> str:
 
 def _decimal_fixed(q: Fraction, places: int = 12) -> str:
     """Fixed-point decimal rendering, exact rational rounding to even."""
+    return _fixed_point(q.numerator, q.denominator, places)
+
+
+def _fixed_point(n: int, d: int, places: int = 12) -> str:
+    """_decimal_fixed of n/d for d > 0, in integers; the rounding reads the value alone, so n/d need not be reduced."""
     scale = 10**places
-    scaled, rem = divmod(q.numerator * scale, q.denominator)  # q * scale = scaled + rem/denominator
-    if 2 * rem > q.denominator or (2 * rem == q.denominator and scaled % 2):
+    scaled, rem = divmod(n * scale, d)  # n/d * scale = scaled + rem/d
+    if 2 * rem > d or (2 * rem == d and scaled % 2):
         scaled += 1
     sign = "-" if scaled < 0 else ""
     mag = abs(scaled)
@@ -307,11 +328,21 @@ def _no_csv(fmt: str, command: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _inverse_bits(q: Fraction) -> int:
+    """bits(1/q), the bit length of ceil(1/q), for q > 0; 0 otherwise, left for the command to refuse."""
+    return (-(-q.denominator // q.numerator)).bit_length() if q > 0 else 0
+
+
 def _run_zeta(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     _no_csv(args.format, "zeta")
     shift = ShiftPair(args.a, args.b)
     if shift.degree > _MAX_ZETA_DEGREE:
         raise PreconditionError(f"zeta needs a+b <= {_MAX_ZETA_DEGREE}, got {shift.degree}")
+    bits = _inverse_bits(args.precision)
+    if shift.degree * bits > _MAX_ZETA_WORK:
+        raise PreconditionError(
+            f"zeta needs (a+b) * bits(1/precision) <= {_MAX_ZETA_WORK}, got {shift.degree} * {bits}"
+        )
     interval = isolate_zeta(shift, args.precision)
     decimal = _decimal_sig(interval.midpoint)
     if args.format == "json":
@@ -458,14 +489,19 @@ def _run_plot(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     if args.y_step <= 0:
         raise PreconditionError("plot needs a positive --y-step")
     sections = (args.y_max - args.y_min) // args.y_step + 1
-    if sections > _MAX_PLOT_SECTIONS:
-        raise PreconditionError(f"plot would isolate {sections} sections, more than {_MAX_PLOT_SECTIONS}")
     bits = (max(abs(args.y_min), abs(args.y_max), 1) * args.y_step.denominator).bit_length()
     if shift.degree**2 * bits > _MAX_PLOT_WORK:
         raise PreconditionError(
             f"plot needs (a+b)^2 * bits(max |y| * step denominator) <= {_MAX_PLOT_WORK}, got {shift.degree}^2 * {bits}"
         )
-    ys = (args.y_min + i * args.y_step for i in range(sections))
+    per_section = _section_microseconds(shift.degree, shift.degree**2 * bits, _inverse_bits(args.precision))
+    if sections * per_section > _MAX_PLOT_MICROSECONDS:
+        raise PreconditionError(
+            f"plot's estimated time, {sections} section(s) at {per_section} us each,"
+            f" is more than {_MAX_PLOT_MICROSECONDS} us"
+        )
+    step_n, step_d = args.y_step.numerator, args.y_step.denominator
+    ys = (Fraction(args.y_min * step_d + i * step_n, step_d) for i in range(sections))
     branches = curves_mod.real_branches(shift, ys, width=args.precision)
     # Rows are written as their section is isolated. The first section is
     # isolated before anything is written, so that a nonpositive width
@@ -473,9 +509,22 @@ def _run_plot(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     # one can fail.
     first = next(branches, None)
     sections = branches if first is None else itertools.chain([first], branches)
-    records = ({"y": _decimal_fixed(y0), "x": _decimal_fixed(e.midpoint)} for y0, encs in sections for e in encs)
     # text and csv coincide: plot data is CSV by nature
-    _emit_records(records, "csv" if args.format == "text" else args.format, out, ("y", "x"))
+    _emit_records(_plot_rows(sections), "csv" if args.format == "text" else args.format, out, ("y", "x"))
+
+
+def _section_microseconds(d: int, work: int, p: int) -> int:
+    """A plot section's estimated time in microseconds: 200 + d^4/8 + (work/40)^2.5 + (d*p/256)^2, in integers."""
+    return 200 + d**4 // 8 + math.isqrt(work**5 // 40**5) + (d * p) ** 2 // 2**16
+
+
+def _plot_rows(sections: Iterable[tuple[Fraction, list[Interval]]]) -> Iterator[dict]:
+    """One {"y", "x"} record per enclosure, x its midpoint (lo + hi)/2 rendered from the ends' integers."""
+    for y0, enclosures in sections:
+        y = _decimal_fixed(y0)
+        for e in enclosures:
+            (ln, ld), (hn, hd) = (e.lo.numerator, e.lo.denominator), (e.hi.numerator, e.hi.denominator)
+            yield {"y": y, "x": _fixed_point(ln * hd + hn * ld, 2 * ld * hd)}
 
 
 def dispatch(args: argparse.Namespace, out: TextIO | None = None, err: TextIO | None = None) -> int:
@@ -515,7 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument(
-        "--precision", type=_parse_fraction, default=Fraction(1, 10**12), help="enclosure width, e.g. 1e-12"
+        "--precision",
+        type=_parse_fraction,
+        default=Fraction(1, 10**12),
+        help=f"enclosure width, e.g. 1e-12, with (a+b) * bits(1/precision) at most {_MAX_ZETA_WORK}",
     )
     add_format(p)
     p.set_defaults(run=_run_zeta)
@@ -589,6 +641,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "plot",
         help=f"branch data as y,x rows, for a+b <= {_MAX_PLOT_DEGREE} and (a+b)^2 * bits(|y|) <= {_MAX_PLOT_WORK}",
+        description=(
+            f"Branch data as y,x rows. A plot is refused before any section is isolated when its estimated"
+            f" time, sections * (200 + d^4/8 + (W/40)^2.5 + (d*p/256)^2) microseconds, is more than"
+            f" {_MAX_PLOT_MICROSECONDS // 10**6} s; d is a+b, W is (a+b)^2 * bits(max(|y_min|, |y_max|, 1) * q)"
+            f" as under --y-step, and p is bits(1/precision)."
+        ),
     )
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
@@ -601,7 +659,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"with q its denominator, (a+b)^2 * bits(max(|y_min|, |y_max|, 1) * q) must be at most {_MAX_PLOT_WORK}",
     )
     p.add_argument(
-        "--precision", type=_parse_fraction, default=Fraction(1, 10**13), help="enclosure width, e.g. 1e-13"
+        "--precision",
+        type=_parse_fraction,
+        default=Fraction(1, 10**13),
+        help="enclosure width, e.g. 1e-13; its bits p = bits(1/precision) enter the time estimate",
     )
     add_format(p, default="csv")
     p.set_defaults(run=_run_plot)

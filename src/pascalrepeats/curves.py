@@ -31,11 +31,21 @@ A Certificate's JSON form calls it, from the F the Certificate keeps,
 to print them as evidence; certify itself never does. Their gcd is
 proved constant by unipoly_gcd modulo 2^30 - 35, with the exact
 remainder sequence as its fallback.
+
+Sections F(x, y0) are built from F's coefficient columns in y, formed
+once per curve by _x_columns: for y0 = u/w the section is
+w^deg_y * F(x, u/w), each coefficient in x one integer dot product of
+its column with the powers u^j w^(deg_y - j). real_branches isolates
+them one by one, continuing each from the sections before it on
+integer pairs, and lattice_points_in_box evaluates them at integer x;
+infinity_singular_check builds the sections of T's partials at y = 1
+the same way.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -164,7 +174,7 @@ def infinity_singular_check(f: BiPoly) -> Verdict:
     a^a b^b. The one gcd below proves this for the shift at hand.
     """
     t = f.homogeneous_part(f.total_degree)
-    gcd = unipoly_gcd(_x_section(t.partial("x"), 1), _x_section(t.partial("y"), 1))
+    gcd = unipoly_gcd(*(_x_section(_x_columns(t.partial(v)), 1) for v in ("x", "y")))
     return Verdict.YES if gcd.degree == 0 else Verdict.INCONCLUSIVE
 
 
@@ -289,33 +299,57 @@ def quad_factor_test(n: int, r: int) -> UniPoly | None:
     return None
 
 
-def _x_section(curve: BiPoly, u: int, w: int = 1) -> UniPoly:
-    """w^deg_y * curve(x, u/w) for w > 0: the section at y = u/w in integers."""
+def _x_columns(curve: BiPoly) -> list[list[int]]:
+    """curve's coefficient of x^i for i = 0..deg_x, each an ascending list in y of length deg_y + 1."""
     dy = curve.degree_in("y")
-    out = [0] * (curve.degree_in("x") + 1)
+    columns = [[0] * (dy + 1) for _ in range(curve.degree_in("x") + 1)]
     for (i, j), c in curve.terms.items():
-        out[i] += c * u**j * w**(dy - j)
-    return UniPoly(out)
+        columns[i][j] = c
+    return columns
 
 
-def _continued(before: list[tuple[Fraction, list[tuple[int, int]]]], y0: Fraction) -> list[tuple[int, int]]:
-    """Guesses (u, w) at the roots of the section at y0 from the sections before it.
+def _x_section(columns: list[list[int]], u: int, w: int = 1) -> UniPoly:
+    """w^deg_y * curve(x, u/w) for w > 0, from _x_columns(curve): the section at y = u/w in integers.
 
-    before holds the last one or two sections as (y, roots), each root
-    the left end of its enclosure as (numerator, denominator). With two
-    sections of equal root count, the i-th root is extrapolated linearly
-    in y through the i-th roots of both: r2 + (r2 - r1)(y0 - y2)/(y2 - y1),
-    over the product of the denominators. Otherwise the last section's
-    roots are the guesses; the first section has none.
+    The powers u^j w^(deg_y - j) are formed once per section, as running
+    products, and each coefficient in x is one dot product of its column
+    with them.
+    """
+    powers = [1]
+    for _ in columns[0][1:]:
+        powers.append(powers[-1] * u)
+    if w != 1:
+        wp = w
+        for j in range(len(powers) - 2, -1, -1):
+            powers[j] *= wp
+            wp *= w
+    return UniPoly([sum(map(operator.mul, column, powers)) for column in columns])
+
+
+def _continued(before: list[tuple[int, int, list[tuple[int, int]]]], yn: int, yd: int) -> list[tuple[int, int]]:
+    """Guesses (u, w) at the roots of the section at y0 = yn/yd, yd > 0, from the sections before it.
+
+    before holds the last one or two sections as (numerator, denominator,
+    roots) of their y, each root the left end of its enclosure as
+    (numerator, denominator). With two sections of equal root count, the
+    i-th root is extrapolated linearly in y through the i-th roots of
+    both: r2 + (r2 - r1) * s with s = (y0 - y2)/(y2 - y1), over the product
+    of the denominators. s is taken in integers, as sn/sd with sd > 0 and
+    neither reduced; the hints are then not in lowest terms, but every
+    use of a hint compares its value, so they act as the reduced ones
+    would. Otherwise the last section's roots are the guesses; the first
+    section has none.
     """
     if not before:
         return []
-    y2, r2 = before[-1]
-    y1, r1 = before[0]
-    if len(r1) != len(r2) or y1 == y2:
+    y2n, y2d, r2 = before[-1]
+    y1n, y1d, r1 = before[0]
+    sd = (y2n * y1d - y1n * y2d) * yd  # (y2 - y1) * y1d * y2d * yd
+    if len(r1) != len(r2) or sd == 0:
         return r2
-    s = (y0 - y2) / (y2 - y1)
-    sn, sd = s.numerator, s.denominator
+    sn = (yn * y2d - y2n * yd) * y1d  # (y0 - y2) * y1d * y2d * yd
+    if sd < 0:
+        sn, sd = -sn, -sd
     return [(n2 * d1 * sd + (n2 * d1 - n1 * d2) * sn, d1 * d2 * sd) for (n1, d1), (n2, d2) in zip(r1, r2)]
 
 
@@ -332,20 +366,27 @@ def real_branches(
     rational roots may come back as zero-width intervals. At most a+b
     branches per y.
 
+    F's coefficient columns in y are formed once, and each section
+    yd^deg_y * F(x, yn/yd) is built from them in integers (_x_section)
+    and isolated by one call of isolate_real_roots. Between the sections
+    only integers travel: y0 as its numerator and denominator, and each
+    root as the numerator and denominator of its enclosure's left end.
+
     Sections are continued: along a branch the roots of neighbouring
     sections move smoothly, so each section's roots are extrapolated from
     the two sections before it (see _continued) and handed to
     isolate_real_roots as hints. A hint only picks the cell that Newton
     tries first; the Sturm count and every enclosure are what the section
-    gives alone.
+    gives alone, which is also why hints that are not in lowest terms
+    leave every byte as it is.
     """
-    f = build_curve(shift)
-    before: list[tuple[Fraction, list[tuple[int, int]]]] = []
+    columns = _x_columns(build_curve(shift))
+    before: list[tuple[int, int, list[tuple[int, int]]]] = []
     for y0 in y_values:
         y0 = Fraction(y0)
-        section = _x_section(f, y0.numerator, y0.denominator)
-        enclosures = isolate_real_roots(section, width, _continued(before, y0))
-        before = before[-1:] + [(y0, [(lo.numerator, lo.denominator) for lo, _ in enclosures])]
+        yn, yd = y0.numerator, y0.denominator
+        enclosures = isolate_real_roots(_x_section(columns, yn, yd), width, _continued(before, yn, yd))
+        before = before[-1:] + [(yn, yd, [(lo.numerator, lo.denominator) for lo, _ in enclosures])]
         yield y0, [Interval(lo, hi) for lo, hi in enclosures]
 
 
@@ -359,12 +400,12 @@ def lattice_points_in_box(
     Includes points outside the Pascal-triangle domain (negative or
     inverted coordinates); an empty box yields an empty list.
     """
-    f = build_curve(shift)
+    columns = _x_columns(build_curve(shift))
     x_lo, x_hi = x_range
     y_lo, y_hi = y_range
     out = []
     for y in range(y_lo, y_hi + 1):
-        section = _x_section(f, y)
+        section = _x_section(columns, y)
         for x in range(x_lo, x_hi + 1):
             if section(x) == 0:
                 out.append((x, y))

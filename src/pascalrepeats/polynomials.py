@@ -23,7 +23,12 @@ an integer Newton iteration names the cell the halving would end in,
 and two exact sign tests prove it. One signed primitive
 remainder sequence of (p, p'), as integer lists, is both the Sturm chain
 and, through its last term gcd(p, p'), the squarefree part that
-bisection runs on. The walk holds its brackets in integers too, and
+bisection runs on. V(-inf) and V(+inf) are read in one pass over the
+chain's leading terms. The walk holds its brackets in integers too, and
+hands each one-root bracket and the width, as numerators and
+denominators, to _bisect, the integer core of bisection; bisect_root is
+the Fraction entry point for callers that hold Fractions. None of these
+integers need be in lowest terms: every test compares values.
 _sign_at(coeffs, u, w), the sign at u/w for integers u and w > 0, reads
 the chain there and serves UniPoly.sign_at, bisection's evaluator.
 UniPoly.__call__ gives the exact value where
@@ -457,20 +462,34 @@ def _variations(chain: list[Sequence[int]], u: int, w: int) -> int:
     return _sign_changes(_sign_at(q, u, w) for q in chain)
 
 
-def _variations_at_infinity(chain: list[Sequence[int]], side: int) -> int:
-    """V(side * inf) for side = +-1: near it each term has the sign of lc * side^deg."""
-    return _sign_changes(_sgn(q[-1]) * side ** (len(q) - 1) for q in chain)
+def _variations_at_infinity(chain: list[Sequence[int]]) -> tuple[int, int]:
+    """(V(-inf), V(+inf)) in one pass over the chain's leading terms.
+
+    Near +inf each term has the sign of its leading coefficient, near -inf
+    that sign times (-1)^deg; deg = len - 1 is odd when len is even. No
+    term is zero there, so no sign is skipped.
+    """
+    v_minus = v_plus = 0
+    for i, q in enumerate(chain):
+        plus = q[-1] > 0
+        minus = plus ^ (len(q) % 2 == 0)
+        if i:
+            v_plus += plus ^ last_plus
+            v_minus += minus ^ last_minus
+        last_plus, last_minus = plus, minus
+    return v_minus, v_plus
 
 
 def root_bound(p: UniPoly) -> Fraction:
     """Cauchy bound: every real root lies strictly inside (-M, M).
 
     M = 1 + max |c_i / lead|; the leading coefficient is common to every
-    term, so one Fraction of the largest |c_i| is the same value.
+    term, so M is the one Fraction (|lead| + max |c_i|)/|lead|.
     """
     if p.degree < 1:
         raise ZeroPolynomialError("root bound needs positive degree")
-    return 1 + Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.leading))
+    lead = abs(p.leading)
+    return Fraction(lead + max(map(abs, p.coeffs[:-1])), lead)
 
 
 _SEED_HALVINGS = 64  # plain halvings before, and between, tries of the Newton cell
@@ -534,8 +553,8 @@ def _newton_index(sf: UniPoly, u: int, d: int, w: int, k: int, start: tuple[int,
 
 def _newton_cell(
     sf: UniPoly, u: int, d: int, w: int, k: int, slo: int, start: tuple[int, int] | None = None
-) -> tuple[Fraction, Fraction] | None:
-    """The level-k cell of the bracket [u, u+d]/w that bisection would return, or None.
+) -> tuple[int, int, int] | None:
+    """The level-k cell of the bracket [u, u+d]/w that bisection would return, as (left, right, den), or None.
 
     The cells are [u*2^k + j*d, u*2^k + (j+1)*d]/(w*2^k), 0 <= j < 2^k.
     sf has the sign slo left of its root in the bracket and -slo right of
@@ -553,23 +572,62 @@ def _newton_cell(
         left = base + j * d
         s = sf.sign_at(left, den)
         if s == 0:
-            return Fraction(left, den), Fraction(left, den)
+            return left, left, den
         if s != slo:
             j -= 1
             continue
         s = sf.sign_at(left + d, den)
         if s == 0:
-            return Fraction(left + d, den), Fraction(left + d, den)
+            return left + d, left + d, den
         if s == slo:
             j += 1
             continue
-        return Fraction(left, den), Fraction(left + d, den)
+        return left, left + d, den
     return None
 
 
 def _halvings(span: int, unit: int) -> int:
     """The least k with span <= unit * 2^k: the halvings bisect_root still has to make."""
     return (-(-span // unit) - 1).bit_length()
+
+
+def _bisect(
+    sf: UniPoly, u: int, v: int, w: int, wn: int, wd: int, hint: tuple[int, int] | None = None
+) -> tuple[int, int, int]:
+    """bisect_root in integers: [u/w, v/w], w > 0, to width wn/wd, as (lo numerator, hi numerator, denominator).
+
+    Every test below compares values: the bracket's span against the
+    width as (v - u)*wd against wn*w, signs at u/w, and the hint's place
+    in the bracket by cross-multiplication. So u, v, w, wn/wd and the hint
+    need not be in lowest terms, and a common factor leaves the level-k
+    grid, and the enclosure's value, as it is.
+    """
+    span = (v - u) * wd  # (v - u)/w > wn/wd  <=>  span > wn * w
+    slo = sf.sign_at(u, w)
+    if hint is not None and span > wn * w:
+        hu, hw = hint
+        t = (hu * w - u * hw, (v - u) * hw)  # the hint as a fraction of the bracket
+        if 0 < t[0] < t[1]:
+            cell = _newton_cell(sf, u, v - u, w, _halvings(span, wn * w), slo, t)
+            if cell is not None:
+                return cell
+    newton_at = w << _SEED_HALVINGS
+    while span > wn * w:
+        if w == newton_at:
+            cell = _newton_cell(sf, u, v - u, w, _halvings(span, wn * w), slo)
+            if cell is not None:
+                return cell
+            newton_at <<= _SEED_HALVINGS
+        m = u + v
+        w *= 2
+        sm = sf.sign_at(m, w)
+        if sm == 0:
+            return m, m, w  # landed exactly on a rational root
+        if sm == slo:
+            u, v = m, 2 * v
+        else:
+            u, v = 2 * u, m
+    return u, v, w
 
 
 def bisect_root(
@@ -579,10 +637,12 @@ def bisect_root(
 
     Neither end is a root, and sf changes sign at r (r is simple in every
     caller). Keeps the half whose ends differ in sign; a midpoint that is
-    itself a root comes back as [m, m]. The ends are integer numerators
-    u, v over one denominator w that doubles at each halving, so v - u
-    stays fixed and no Fraction is built until the return. The caller
-    checks that width is positive.
+    itself a root comes back as [m, m]. This is the Fraction entry point:
+    it puts lo and hi over one denominator w and hands the integers to
+    _bisect, whose ends are integer numerators u, v over a w that doubles
+    at each halving, so v - u stays fixed and no Fraction is built until
+    the return. isolate_real_roots calls _bisect directly with the
+    integers of its walk. The caller checks that width is positive.
 
     What the halving returns is fixed in advance, which lets a Newton
     cell skip it. Let k be the number of halvings it makes, the least with
@@ -596,7 +656,9 @@ def bisect_root(
     two exact sign_at tests or finds r on the grid; both give what the
     halving would. If the tests fail after a few moves of the index,
     halving goes on from the last proved bracket, and the cell is tried
-    again 64 halvings later.
+    again 64 halvings later. k and the grid depend on the values of the
+    ends and the width alone, so an unreduced bracket returns the same
+    enclosure.
 
     A hint (hu, hw), the rational hu/hw with hw > 0, is a guess at r, such
     as the root of a neighbouring section. When it lies strictly inside
@@ -609,32 +671,8 @@ def bisect_root(
     """
     w = math.lcm(lo.denominator, hi.denominator)
     u, v = lo.numerator * (w // lo.denominator), hi.numerator * (w // hi.denominator)
-    span = (v - u) * width.denominator  # (hi - lo) > width  <=>  span > width.numerator * w
-    slo = sf.sign_at(u, w)
-    if hint is not None and span > width.numerator * w:
-        hu, hw = hint
-        t = (hu * w - u * hw, (v - u) * hw)  # the hint as a fraction of the bracket
-        if 0 < t[0] < t[1]:
-            cell = _newton_cell(sf, u, v - u, w, _halvings(span, width.numerator * w), slo, t)
-            if cell is not None:
-                return cell
-    newton_at = w << _SEED_HALVINGS
-    while span > width.numerator * w:
-        if w == newton_at:
-            cell = _newton_cell(sf, u, v - u, w, _halvings(span, width.numerator * w), slo)
-            if cell is not None:
-                return cell
-            newton_at <<= _SEED_HALVINGS
-        m = u + v
-        w *= 2
-        sm = sf.sign_at(m, w)
-        if sm == 0:
-            return Fraction(m, w), Fraction(m, w)  # landed exactly on a rational root
-        if sm == slo:
-            u, v = m, 2 * v
-        else:
-            u, v = 2 * u, m
-    return Fraction(u, w), Fraction(v, w)
+    a, b, den = _bisect(sf, u, v, w, width.numerator, width.denominator, hint)
+    return Fraction(a, den), Fraction(b, den)
 
 
 def isolate_real_roots(
@@ -667,17 +705,23 @@ def isolate_real_roots(
     no recursion. The chain is read only at such split points.
 
     The walk starts on (-B, B), B = root_bound(sf), with the count
-    V(-inf) - V(+inf), and V(-inf) as the left reading, both read from
-    the chain's leading coefficients and degrees, which evaluates nothing.
+    V(-inf) - V(+inf), and V(-inf) as the left reading, both read in one
+    pass over the chain's leading coefficients and degrees, which
+    evaluates nothing.
     That is the count on (-B, B): by the same theorem, V(-inf) - V(-B)
     and V(B) - V(+inf) count the distinct roots of sf in (-inf, -B] and
     (B, +inf), and there are none, since every real root of sf lies
     strictly inside (-B, B).
 
     hints are guesses (u, w) at roots, each the rational u/w with w > 0.
-    The walk does not read them: each bracket it hands to bisect_root
-    with one root gets the first hint strictly inside it, if any, and
-    bisect_root returns the same enclosure with or without it.
+    The walk does not read them: each bracket with one root goes to
+    _bisect, bisect_root's integer core, as the walk's own integers u, v
+    and w and the width's numerator and denominator, with the first hint
+    strictly inside it, if any, and comes back with the same enclosure
+    with or without it. Only the two ends of each enclosure become
+    Fractions. None of these integers need be in lowest terms, nor the
+    hints: every test on them compares values, so a common factor
+    changes no enclosure.
     """
     if not p:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
@@ -690,14 +734,16 @@ def isolate_real_roots(
     sf = pp if len(chain[-1]) == 1 else pp.exact_div(UniPoly(chain[-1]).primitive_part())
     bound = root_bound(sf)
     out: list[tuple[Fraction, Fraction]] = []
-    v_minus = _variations_at_infinity(chain, -1)
+    v_minus, v_plus = _variations_at_infinity(chain)
     n, d = bound.numerator, bound.denominator
-    stack = [(-n, n, d, v_minus - _variations_at_infinity(chain, 1), v_minus)]
+    wn, wd = width.numerator, width.denominator
+    stack = [(-n, n, d, v_minus - v_plus, v_minus)]
     while stack:
         u, v, w, nroots, v_lo = stack.pop()
         if nroots == 1:
             hint = next(((hu, hw) for hu, hw in hints if u * hw < hu * w < v * hw), None)
-            out.append(bisect_root(sf, Fraction(u, w), Fraction(v, w), width, hint))
+            lo, hi, den = _bisect(sf, u, v, w, wn, wd, hint)
+            out.append((Fraction(lo, den), Fraction(hi, den)))
         elif nroots > 1:
             den = 2
             while not any(

@@ -12,6 +12,12 @@ With a hint (u, w), a guess u/w at the root, bisect_root starts Newton
 from the hint on the whole bracket before any halving; it must still
 return what plain halving does, whatever the hint: at the root, on a
 grid root, next to an end, outside the bracket, or far off.
+
+isolate_real_roots calls _bisect, bisect_root's integer core, with its
+walk's own integers, which need not be in lowest terms. So the core is
+also run on brackets whose u, v and w share a factor, with the width's
+numerator and denominator and the hint's scaled by others: it must
+still return plain halving's endpoints.
 """
 
 from __future__ import annotations
@@ -235,3 +241,41 @@ def test_a_good_hint_proves_its_cell_without_halving(case, monkeypatch):
     assert bisect_root(p, lo, hi, width, (root.numerator, root.denominator)) == expected
     # the sign at lo, then the cell tests, all on the one level-k grid: no halving ran
     assert len(calls) <= 1 + 2 * polynomials._CELL_TRIES and len(set(calls[1:])) == 1
+
+
+def _scaled_core(p: UniPoly, lo: Fraction, hi: Fraction, width: Fraction, hint, c: int, e: int, h: int):
+    """polynomials._bisect on [lo, hi] with u, v and w all multiplied by c, the width's
+    numerator and denominator by e and the hint's by h, back as two Fractions."""
+    w = math.lcm(lo.denominator, hi.denominator)
+    u, v = lo.numerator * (w // lo.denominator), hi.numerator * (w // hi.denominator)
+    scaled = None if hint is None else (hint[0] * h, hint[1] * h)
+    a, b, den = polynomials._bisect(p, u * c, v * c, w * c, width.numerator * e, width.denominator * e, scaled)
+    return Fraction(a, den), Fraction(b, den)
+
+
+factors = st.integers(1, 10**6) | st.sampled_from([3, 2**64, 3**41, 10**20])
+
+
+@settings(max_examples=30, deadline=None)
+@given(zeta_cases(), factors, factors, factors)
+@example((zeta_poly(ShiftPair(2, 10)), Fraction(1), Fraction(2**12), Fraction(1, 10**300)), 7, 10**20, 3)
+def test_integer_core_on_unreduced_brackets_matches_plain_halving(case, c, e, h):
+    # the walk hands _bisect its own integers, which need not be in lowest terms
+    p, lo, hi, width = case
+    expected = plain_halving(p, lo, hi, width)
+    root = plain_halving(p, lo, hi, (hi - lo) / 2**100)[0]
+    assert _scaled_core(p, lo, hi, width, None, c, e, h) == expected
+    for hint in _hints(lo, hi, root):
+        assert _scaled_core(p, lo, hi, width, hint, c, e, h) == expected, hint
+
+
+@settings(max_examples=30, deadline=None)
+@given(rooted_rational_cases(), factors, factors, factors)
+@example((UniPoly([-3, 2**70]), Fraction(0), Fraction(1), Fraction(1, 2**200), Fraction(3, 2**70)), 6, 1, 2**64)
+@example((UniPoly([-1, 3]), Fraction(0), Fraction(1), Fraction(1, 2**3000), Fraction(1, 3)), 2**64, 3, 5)
+def test_integer_core_on_unreduced_rational_brackets_matches_plain_halving(case, c, e, h):
+    p, lo, hi, width, root = case
+    expected = plain_halving(p, lo, hi, width)
+    assert _scaled_core(p, lo, hi, width, None, c, e, h) == expected
+    for hint in _hints(lo, hi, root):
+        assert _scaled_core(p, lo, hi, width, hint, c, e, h) == expected, hint

@@ -155,13 +155,16 @@ def test_decimal_exponent_at_the_bound_is_accepted():
 
 
 @pytest.mark.parametrize(
-    "step,sections", [("1e-6", 1_000_001), ("1/1000000", 1_000_001), ("1e-9", 1_000_000_001)]
+    "step,sections,per_section",
+    [("1e-6", 1_000_001, 207), ("1/1000000", 1_000_001, 207), ("1e-9", 1_000_000_001, 217)],
 )
-def test_plot_refuses_more_than_a_million_sections_before_any_work(step, sections, monkeypatch):
+def test_plot_refuses_more_than_a_million_sections_before_any_work(step, sections, per_section, monkeypatch):
+    # every section is estimated at 200 us or more, so the time estimate alone refuses them
     monkeypatch.setattr(curves_mod, "real_branches", lambda *a, **k: pytest.fail("isolated a section"))
     code, out, err = run_cli(["plot", "--a", "1", "--b", "1", "--y-min", "0", "--y-max", "1", "--y-step", step])
     assert (code, out) == (1, "")
-    assert err == f"error: plot would isolate {sections} sections, more than 1000000\n"
+    estimate = f"{sections} section(s) at {per_section} us each"
+    assert err == f"error: plot's estimated time, {estimate}, is more than 2000000 us\n"
 
 
 @pytest.mark.parametrize(
@@ -315,8 +318,9 @@ def test_plot_refuses_a_section_height_beyond_the_work_bound_before_any_work(mon
 
     monkeypatch.setattr(curves_mod, "build_curve", reached)
     shift = ["plot", "--a", "20", "--b", "20"]
-    # (a+b)^2 * bits(max(|y_min|, |y_max|, 1) * step denominator): 1600 * 6 passes, 1600 * 7 does not
-    for window in (["0", "63", "1"], ["-63", "0", "1"], ["0", "1", "1/32"], ["0", "1", "0.03125"]):
+    # (a+b)^2 * bits(max(|y_min|, |y_max|, 1) * step denominator): 1600 * 6 passes, 1600 * 7 does not;
+    # one section each, as at 1600 * 6 two sections pass the time estimate no more
+    for window in (["63", "63", "1"], ["-63", "-63", "1"], ["1", "1", "1/32"], ["1", "1", "0.03125"]):
         argv = [*shift, "--y-min", window[0], "--y-max", window[1], "--y-step", window[2]]
         assert run_cli(argv) == (1, "", "error: built a curve of degree 40\n"), window
     refused = ((["0", "64", "1"], 7), (["-64", "0", "1"], 7), (["0", "1", "1/64"], 7), (["5", "5", "3/64"], 9))
@@ -328,6 +332,73 @@ def test_plot_refuses_a_section_height_beyond_the_work_bound_before_any_work(mon
         main(["plot", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert "(a+b)^2 * bits(max(|y_min|, |y_max|, 1) * q) must be at most 10000" in help_text
+
+
+def test_plot_refuses_a_plot_beyond_its_time_estimate_before_any_section(monkeypatch, capsys):
+    def isolated(*args, **kwargs):
+        pytest.fail("isolated a section")
+
+    monkeypatch.setattr(curves_mod, "real_branches", isolated)
+    # (1,1) on y = 0..N: a section's estimate is 200 + 2^4/8 + isqrt((4 * bits(N)/40)^5) + (2 * 44/256)^2 us
+    refused = [
+        (["--y-min", "0", "--y-max", "9803"], 9804, 204),
+        (["--y-min", "0", "--y-max", "1", "--y-step", "1/99999"], 100000, 205),
+        (["--y-min", "0", "--y-max", "999999"], 1000000, 207),
+        (["--y-min", "5", "--y-max", "5", "--precision", "1e-100000"], 1, 6735565),
+    ]
+    for window, sections, per_section in refused:
+        assert run_cli(["plot", "--a", "1", "--b", "1", *window]) == (
+            1,
+            "",
+            f"error: plot's estimated time, {sections} section(s) at {per_section} us each, is more than 2000000 us\n",
+        ), window
+    assert run_cli(["plot", "--a", "20", "--b", "20", "--y-min", "62", "--y-max", "63"]) == (
+        1, "", "error: plot's estimated time, 2 section(s) at 1212582 us each, is more than 2000000 us\n"
+    )
+    assert cli_mod._section_microseconds(2, 4 * 14, 44) == 204  # y = 0..9803: bits 14
+
+    monkeypatch.setattr(curves_mod, "real_branches", lambda shift, ys, width: iter([]))
+    for window in (["0", "9802", "1"], ["-3", "3", "1/1000"], ["63", "63", "1"]):
+        argv = ["--y-min", window[0], "--y-max", window[1], "--y-step", window[2]]
+        shift = ["--a", "20", "--b", "20"] if window[0] == "63" else ["--a", "1", "--b", "1"]
+        assert run_cli(["plot", *shift, *argv]) == (0, "y,x\n", ""), window
+    with pytest.raises(SystemExit):
+        main(["plot", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "sections * (200 + d^4/8 + (W/40)^2.5 + (d*p/256)^2) microseconds, is more than 2 s" in help_text
+
+
+def test_zeta_refuses_a_precision_beyond_the_work_bound_before_isolating(monkeypatch, capsys):
+    def isolated(shift, eps):
+        raise PreconditionError(f"isolated zeta of ({shift.a},{shift.b})")
+
+    monkeypatch.setattr(cli_mod, "isolate_zeta", isolated)
+    # (a+b) * bits(1/precision) <= 1000000; 1e-100000 has 332193 bits, 1e-12 40
+    for a, b, precision in ((1, 1, "1e-100000"), (80, 80, "1e-1881"), (80, 80, "1e-12"), (1, 1, "3")):
+        assert run_cli(["zeta", "--a", str(a), "--b", str(b), "--precision", precision]) == (
+            1, "", f"error: isolated zeta of ({a},{b})\n"
+        ), precision
+    refused = (
+        (20, 20, "1e-100000", "40 * 332193"),
+        (80, 80, "1e-1882", "160 * 6252"),
+        (2, 2, "1e-75258", "4 * 250002"),
+    )
+    for a, b, precision, work in refused:
+        assert run_cli(["zeta", "--a", str(a), "--b", str(b), "--precision", precision]) == (
+            1, "", f"error: zeta needs (a+b) * bits(1/precision) <= 1000000, got {work}\n"
+        ), precision
+    # at the bound itself, past the parser's decimal exponents: 2 * 500000 passes, 2 * 500001 does not
+    refusal = "zeta needs (a+b) * bits(1/precision) <= 1000000, got 2 * 500001"
+    for bits, message in ((500000, "isolated zeta of (1,1)"), (500001, refusal)):
+        args = build_parser().parse_args(["zeta", "--a", "1", "--b", "1"])
+        args.precision = Fraction(1, 2 ** (bits - 1))
+        err = io.StringIO()
+        assert dispatch(args, io.StringIO(), err) == 1
+        assert err.getvalue() == f"error: {message}\n", bits
+    with pytest.raises(SystemExit):
+        main(["zeta", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "with (a+b) * bits(1/precision) at most 1000000" in help_text
 
 
 def test_search_refuses_a_y_max_beyond_the_work_bound_before_any_row(monkeypatch, capsys):
@@ -644,6 +715,16 @@ def test_decimal_fixed_rounds_half_to_even_as_round_does(q):
     scaled = round(q * 10**12)
     sign = "-" if scaled < 0 else ""
     assert _decimal_fixed(q) == f"{sign}{abs(scaled) // 10**12}.{abs(scaled) % 10**12:012d}"
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 10**12, 7 * 2**90])
+@pytest.mark.parametrize(
+    "q",
+    [Fraction(0), TIE, 3 * TIE, -TIE, -5 * TIE, 2 + 7 * TIE, Fraction(-1, 3), Fraction(-7, 8), -TIE / 2, Fraction(-5)],
+)
+def test_fixed_point_of_an_unreduced_pair_is_the_decimal_of_its_value(q, c):
+    # plot renders each midpoint (lo + hi)/2 from the ends' integers, a pair not in lowest terms
+    assert cli_mod._fixed_point(q.numerator * c, q.denominator * c) == _decimal_fixed(q)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ fine zeta, plot and degree-9 certificate rows before bisect_root took
 its Newton cell and unipoly_gcd its modular test. The two refusals after
 them print nothing: a decimal exponent beyond the parser's bound is a
 usage error (exit 2), and more than a million plot sections a domain
-error (exit 1). The searches with --workers and the intersection of
+error (exit 1), now refused by the plot's time estimate. The searches with --workers and the intersection of
 (63,3) and (64,4) were recorded before each row's crossing was walked
 from the rows before it, while --workers still split the rows among
 processes: with two CPUs the second chunk of each search started cold,
@@ -38,7 +38,10 @@ plots whose sections have several roots, and searches and an
 intersection whose blocks all lie below y = 2^20. The two refusals
 after them print nothing: a search whose (a+b) * bits(y_max) exceeds
 2048, and a plot whose (a+b)^2 * bits(max |y|) exceeds 10,000, each
-refused before any row or section. A change that
+refused before any row or section. The last two print nothing as well:
+100,000 sections of (1,1), whose estimated time exceeds 2 s, are refused
+before any section, and zeta of (20,20) at 1e-100000, whose
+(a+b) * bits(1/precision) exceeds 1,000,000, before any bisection. A change that
 alters any byte of output or any exit status fails here. "{cache}"
 stands for a solution cache that the search row with --cache writes,
 and that the verify rows read.
@@ -140,6 +143,8 @@ GOLDEN = [
     ("intersect --a1 63 --b1 3 --a2 64 --b2 4 --x-max 100000", 0, "06c76ae96a295a219072f66fac713c09346257ac0bdc79b4c0bf2c20c72ac04c"),
     ("search --a 200000 --b 1 --y-max 1", 1, EMPTY),
     ("plot --a 20 --b 20 --y-min 0 --y-max 1000000 --y-step 1000", 1, EMPTY),
+    ("plot --a 1 --b 1 --y-min 0 --y-max 1 --y-step 1/99999", 1, EMPTY),
+    ("zeta --a 20 --b 20 --precision 1e-100000", 1, EMPTY),
 ]
 
 

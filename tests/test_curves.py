@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from pascalrepeats import curves as curves_mod
 from pascalrepeats import polynomials
 from pascalrepeats.combinatorics import falling_factorial
 from pascalrepeats.curves import (
@@ -358,13 +359,13 @@ SWEEPS = [
 @pytest.mark.parametrize("name, ys", SWEEPS, ids=[name for name, _ in SWEEPS])
 def test_continued_sections_equal_sections_isolated_alone(name, ys, monkeypatch):
     hinted = []
-    real = polynomials.bisect_root
+    real = polynomials._bisect
 
-    def recording(sf, lo, hi, width, hint=None):
+    def recording(sf, u, v, w, wn, wd, hint=None):
         hinted.append(hint is not None)
-        return real(sf, lo, hi, width, hint)
+        return real(sf, u, v, w, wn, wd, hint)
 
-    monkeypatch.setattr(polynomials, "bisect_root", recording)
+    monkeypatch.setattr(polynomials, "_bisect", recording)
     counts_change = False
     for a in range(1, 6):
         for b in range(1, 7 - a):
@@ -402,6 +403,67 @@ def test_continued_sections_prove_their_cells_without_halving(shift, ys, monkeyp
     changes = {y for i, y in enumerate(ys) if len(set(counts[max(i - 2, 0) : i + 1])) > 1}
     fell_back = {y for y, cells in proved.items() if not all(cells)}
     assert fell_back <= changes and len(changes) <= 6
+
+
+def _continued_by_fractions(before: list[tuple[Fraction, list[tuple[int, int]]]], y0: Fraction) -> list[Fraction]:
+    """The continuation hints as Fractions: r2 + (r2 - r1)(y0 - y2)/(y2 - y1), or the last roots."""
+    if not before:
+        return []
+    y2, r2 = before[-1]
+    y1, r1 = before[0]
+    if len(r1) != len(r2) or y1 == y2:
+        return [Fraction(*r) for r in r2]
+    s = (y0 - y2) / (y2 - y1)
+    return [Fraction(*b) + (Fraction(*b) - Fraction(*a)) * s for a, b in zip(r1, r2)]
+
+
+@pytest.mark.parametrize("name, ys", SWEEPS, ids=[name for name, _ in SWEEPS])
+def test_integer_continuation_equals_the_fraction_formula(name, ys, monkeypatch):
+    # _continued works on unreduced integer pairs; each hint must equal, as a value, what the
+    # Fraction formula gives from the same sections, with a positive denominator, also when y falls
+    hints = []
+    isolate = curves_mod.isolate_real_roots
+
+    def recording(section, width, given):
+        hints.append(given)
+        return isolate(section, width, given)
+
+    monkeypatch.setattr(curves_mod, "isolate_real_roots", recording)
+    unreduced = False
+    for a in range(1, 6):
+        for b in range(1, 7 - a):
+            for sweep in (ys, ys[::-1]):
+                hints.clear()
+                before: list[tuple[Fraction, list[tuple[int, int]]]] = []
+                for i, (y0, ivs) in enumerate(real_branches(ShiftPair(a, b), sweep, Fraction(1, 10**13))):
+                    assert all(hw > 0 for _, hw in hints[i]), (a, b, y0)
+                    assert [Fraction(*h) for h in hints[i]] == _continued_by_fractions(before, y0), (a, b, y0)
+                    unreduced |= any(math.gcd(*h) > 1 for h in hints[i])
+                    before = before[-1:] + [(y0, [(iv.lo.numerator, iv.lo.denominator) for iv in ivs])]
+                assert len(hints) == len(sweep)
+    assert unreduced == bool(ys)
+
+
+def test_sections_from_the_columns_are_f_at_rational_y():
+    # _x_section(columns, u, w) = w^deg_y * F(x, u/w), for negative and positive u and several w
+    for a in range(1, 6):
+        for b in range(1, 7 - a):
+            f = build_curve(ShiftPair(a, b))
+            columns = curves_mod._x_columns(f)
+            for u, w in [(0, 1), (-7, 1), (5, 1), (-7, 3), (1, 2), (13, 4), (-1, 9)]:
+                section = curves_mod._x_section(columns, u, w)
+                for x in range(-4, 5):
+                    assert section(x) == w ** (a + b) * bipoly_at(f, x, Fraction(u, w)), (a, b, u, w, x)
+
+
+def test_lattice_points_are_the_zeros_of_f_in_a_box_with_negative_coordinates():
+    for a in range(1, 6):
+        for b in range(1, 7 - a):
+            shift = ShiftPair(a, b)
+            f = build_curve(shift)
+            zeros = [(x, y) for y in range(-6, 9) for x in range(-7, 13) if bipoly_at(f, x, y) == 0]
+            assert lattice_points_in_box(shift, (-7, 12), (-6, 8)) == zeros, shift
+            assert any(x < 0 or y < 0 for x, y in zeros), shift
 
 
 def test_lattice_points_in_small_box():

@@ -463,7 +463,8 @@ def test_sturm_count_from_leading_coefficients_equals_the_count_at_the_root_boun
         pp = p.primitive_part()
         chain = list(polynomials._signed_prs(pp.coeffs, pp.derivative().coeffs))
         bound = root_bound(pp.exact_div(UniPoly(chain[-1]).primitive_part()))
-        count = polynomials._variations_at_infinity(chain, -1) - polynomials._variations_at_infinity(chain, 1)
+        v_minus, v_plus = polynomials._variations_at_infinity(chain)
+        count = v_minus - v_plus
         n, d = bound.numerator, bound.denominator
         assert count == polynomials._variations(chain, -n, d) - polynomials._variations(chain, n, d), p.coeffs
         assert random_factor or count == len(real_roots)
