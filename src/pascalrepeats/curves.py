@@ -16,12 +16,16 @@ infinity only F's top form T = (x-y)^d - x^a y^b is read.
 certify decides the affine verdict modulo a prime p, on one path, for
 p = 2^30 - 35 and, only if that proof fails, p = 2^30 - 41: the two
 largest primes below 2^30, so that every residue is one digit of a
-CPython int. With D = d(d-1), it evaluates F, F_x and F_y at
-x0 = 0..D mod p as polynomials in y, takes both resultants in y over
-GF(p) at each point and interpolates the two eliminants mod p. Full
-degree D and a constant gcd mod p prove YES (the argument is in
-certify's docstring); a proof that fails at both primes is
-inconclusive, never a proven singularity. Every shift with a+b <= 20
+CPython int. With D = d(d-1), it evaluates the y-columns of F, F_x
+and F_y, formed once for both primes, at all x0 = 0..D at once, takes
+both resultants in y over GF(p) by one Euclid run in lockstep over the
+points (one batch inverse per step) and interpolates the two
+eliminants mod p. A point whose remainder loses its leading
+coefficient mod p leaves the lockstep: its resultant is 0 when the
+remainder vanishes, and otherwise it is finished by the scalar Euclid
+of one point. Full degree D and a constant gcd mod p prove YES (the
+argument is in certify's docstring); a proof that fails at both primes
+is inconclusive, never a proven singularity. Every shift with a+b <= 20
 is proved at the first prime; should both ever fail, eliminating x
 (F's x-leading coefficient is 1) is the check to add. Nonsingular
 degree-d curves get genus (d-1)(d-2)/2 and are irreducible outright.
@@ -59,7 +63,8 @@ from .polynomials import (
     _gcd_degree_mod,
     _interpolate_mod,
     _linear_product,
-    _resultant_mod,
+    _resultants_mod,
+    _values_mod,
     bipoly_resultant,
     isolate_real_roots,
     unipoly_gcd,
@@ -191,41 +196,53 @@ def classify_finiteness(shift: ShiftPair) -> Finiteness:
     return Finiteness.OPEN
 
 
-def _eliminants_mod(f: BiPoly, p: int) -> tuple[list[int], list[int]]:
-    """Res_y(f,f_x) and Res_y(f,f_y) mod p, ascending, from their values at x0 = 0..d(d-1)."""
+def _y_columns(f: BiPoly) -> list[list[UniPoly]]:
+    """The coefficients in y of F, F_x and F_y for the curve F = f, each ascending in y, as polynomials in x."""
+    return [g.coeffs_in() for g in (f, f.partial("x"), f.partial("y"))]
+
+
+def _eliminants_mod(f: BiPoly, p: int, columns: list[list[UniPoly]] | None = None) -> tuple[list[int], list[int]]:
+    """Res_y(f,f_x) and Res_y(f,f_y) mod p, ascending, from their values at x0 = 0..d(d-1).
+
+    Every column of F, F_x and F_y is evaluated at all the points at once,
+    and each eliminant's values come from one lockstep Euclid over the
+    points (_resultants_mod). columns, when given, is _y_columns(f).
+    """
     d = f.total_degree
-    columns = [g.coeffs_in() for g in (f, f.partial("x"), f.partial("y"))]
-    res_fx, res_fy = [], []
-    for x0 in range(d * (d - 1) + 1):
-        fv, fxv, fyv = ([c(x0) for c in col] for col in columns)
-        res_fx.append(_resultant_mod(fv, fxv, p))
-        res_fy.append(_resultant_mod(fv, fyv, p))
-    return _interpolate_mod(res_fx, p), _interpolate_mod(res_fy, p)
+    n = d * (d - 1) + 1
+    rows_f, rows_fx, rows_fy = ([_values_mod(c, n, p) for c in g] for g in columns or _y_columns(f))
+    return tuple(_interpolate_mod(_resultants_mod(rows_f, rows, p), p) for rows in (rows_fx, rows_fy))
 
 
-def _affine_nonsingular_mod_p(f: BiPoly, p: int) -> bool:
+def _affine_nonsingular_mod_p(f: BiPoly, p: int, columns: list[list[UniPoly]]) -> bool:
     """True when certify's proof holds mod the prime p: both eliminants of degree d(d-1), with a constant gcd.
 
-    False, before any eliminant is formed, when the proof's preconditions
-    fail: the d(d-1)+1 evaluation points must be distinct mod p, and F,
-    F_x and F_y must each have a constant y-leading coefficient that p
-    does not divide.
+    columns is _y_columns(f). False, before any eliminant is formed, when
+    the proof's preconditions fail: the d(d-1)+1 evaluation points must be
+    distinct mod p, and F, F_x and F_y must each have a constant
+    y-leading coefficient that p does not divide.
     """
     d = f.total_degree
     top = d * (d - 1)
-    leads = [g.coeffs_in()[-1] for g in (f, f.partial("x"), f.partial("y"))]
-    if top >= p or any(c.degree != 0 or c.leading % p == 0 for c in leads):
+    if top >= p or any(g[-1].degree != 0 or g[-1].leading % p == 0 for g in columns):
         return False
-    res_fx, res_fy = _eliminants_mod(f, p)
+    res_fx, res_fy = _eliminants_mod(f, p, columns)
     return len(res_fx) == len(res_fy) == top + 1 and _gcd_degree_mod(UniPoly(res_fx), UniPoly(res_fy), p) == 0
 
 
 def certify(shift: ShiftPair) -> Certificate:
     """Full certificate: singularity checks, genus when they pass, class.
 
-    F is formed once, and every check below reads it. The affine
-    verdict is YES when it is proved modulo p = 2^30 - 35 or, if that
-    proof fails, modulo p = 2^30 - 41, and INCONCLUSIVE when both fail.
+    F is formed once, and every check below reads it; so are the
+    y-columns of F, F_x and F_y, which both primes' proofs read. The
+    affine verdict is YES when it is proved modulo p = 2^30 - 35 or, if
+    that proof fails, modulo p = 2^30 - 41, and INCONCLUSIVE when both
+    fail. The resultants at the D+1 points are taken together: Euclid
+    over GF(p) runs on rows of residues, one row per y-coefficient with
+    one entry per point, with one inverse per step for every point's
+    leading coefficient; a point whose remainder's leading coefficient
+    vanishes mod p finishes alone with the scalar Euclid, or at 0 when
+    its remainder vanishes. The values are the per-point ones.
     Let d = a+b, D = d(d-1).
     As polynomials in y, F has degree d and leading coefficient (-1)^d,
     F_y has degree d-1 and leading coefficient (-1)^d * d, and F_x has
@@ -250,7 +267,8 @@ def certify(shift: ShiftPair) -> Certificate:
     and a meeting point would be singular).
     """
     f = build_curve(shift)
-    verdict = Verdict.YES if any(_affine_nonsingular_mod_p(f, p) for p in _PRIMES) else Verdict.INCONCLUSIVE
+    columns = _y_columns(f)
+    verdict = Verdict.YES if any(_affine_nonsingular_mod_p(f, p, columns) for p in _PRIMES) else Verdict.INCONCLUSIVE
     infinity = infinity_singular_check(f)
     d = f.total_degree
     nonsingular = verdict is Verdict.YES and infinity is Verdict.YES

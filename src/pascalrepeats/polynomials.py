@@ -14,8 +14,13 @@ proves a constant gcd modulo 2^30 - 35 when it can, and runs its exact
 remainder sequence only when that fails. Over GF(m), one remainder
 step serves the gcd degree and a resultant by Euclid with the
 Sylvester sign convention, and Newton's forward differences
-interpolate a polynomial from its values at 0..n-1; curves.certify
-builds its modular eliminants from the two, at either prime.
+interpolate a polynomial from its values at 0..n-1. _resultants_mod
+runs that Euclid on many points in lockstep: one row of residues per
+coefficient, one batch inverse (_inverses_mod) per step, and the scalar
+_resultant_mod only for a point whose remainder loses its leading
+coefficient; _values_mod evaluates a polynomial at 0..n-1 by Horner
+over the whole row of points. curves.certify builds its modular
+eliminants from these, at either prime.
 Real roots are isolated by Sturm sign variations and bisection on
 integer numerators over a common power-of-two denominator; past 64
 halvings, or at once from a hint such as a neighbouring section's root,
@@ -32,9 +37,8 @@ integers need be in lowest terms: every test compares values.
 _sign_at(coeffs, u, w), the sign at u/w for integers u and w > 0, reads
 the chain there and serves UniPoly.sign_at, bisection's evaluator.
 UniPoly.__call__ gives the exact value where
-the value itself is used: F's coefficient columns at x0 in
-curves._eliminants_mod, zeta_poly at +-1 in irrationality_check, and a
-section at each integer x in lattice_points_in_box. _linear_product
+the value itself is used: zeta_poly at +-1 in irrationality_check, and
+a section at each integer x in lattice_points_in_box. _linear_product
 expands a product of linear factors into its coefficients. BiPoly has
 no ring arithmetic: it holds its terms, and derivatives, homogeneous
 parts and coefficient columns are read off them; curves.build_curve
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import PreconditionError, ZeroPolynomialError
@@ -387,12 +392,97 @@ def _resultant_mod(a: list[int], b: list[int], m: int) -> int:
     return out * pow(b[0], len(a) - 1, m) % m
 
 
+def _values_mod(p: UniPoly, n: int, m: int) -> list[int]:
+    """p(x0) mod m at x0 = 0..n-1: Horner over the whole row of points in integers, then one reduction."""
+    cs = p.coeffs
+    row = [cs[-1] if cs else 0] * n
+    for c in reversed(cs[:-1]):
+        row = [v * x0 + c for v, x0 in zip(row, range(n))]
+    return [v % m for v in row]
+
+
+def _inverses_mod(row: list[int], m: int) -> list[int]:
+    """Inverses mod m, m prime, of a nonempty row of nonzero residues, from one pow.
+
+    Montgomery's batch inversion (Math. Comp. 48, 1987): with the prefix
+    products P_i = row[0]...row[i], 1/row[i] = P_(i-1) / P_i and
+    1/P_(i-1) = row[i] / P_i, so one inverse of the whole product serves
+    every entry.
+    """
+    prefix = list(accumulate(row, lambda u, v: u * v % m))
+    inv = pow(prefix[-1], -1, m)
+    out = [inv] * len(row)
+    for i in range(len(row) - 1, 0, -1):
+        out[i] = inv * prefix[i - 1] % m
+        inv = inv * row[i] % m
+    out[0] = inv
+    return out
+
+
+def _resultants_mod(a: list[list[int]], b: list[list[int]], m: int) -> list[int]:
+    """Res(a_i, b_i) mod m, m prime, at every point i at once: _resultant_mod in lockstep.
+
+    a and b hold one row of residues per coefficient, ascending, with one
+    entry per point, so a[j][i] is the y^j coefficient of a_i; their last
+    rows are nonzero at every point, and neither is changed. The points
+    walk Euclid together while each remainder keeps its nominal length,
+    len(b) - 1 or len(a) when a is the shorter: one batch inverse of b's
+    leading row per step, one comprehension per coefficient row, and the
+    sign and lc(b) factors of _resultant_mod, common exponents for all.
+    A point whose remainder's leading coefficient vanishes leaves before
+    the next inversion. Its resultant is 0 when the whole remainder
+    vanishes. Otherwise it takes lc(b)^(nominal - actual length) more,
+    for the exponent deg a - len(r) + 1 of the remainder it really has,
+    and finishes on its own with _resultant_mod on (b, r).
+    """
+    out = [0] * len(a[0])
+    live = list(range(len(out)))  # the points still in the lockstep, in row order
+    acc = [1] * len(out)  # each live point's factor so far, up to the common sign
+    sign = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        lead = b[-1]
+        r = a[:]
+        if da >= db:
+            inv = _inverses_mod(lead, m)
+            low = b[:-1]
+            for s in range(da - db, -1, -1):
+                q = [t * v % m for t, v in zip(r.pop(), inv)]
+                for j, row in enumerate(low, s):
+                    r[j] = [(c - u * v) % m for c, u, v in zip(r[j], q, row)]
+        if da * db % 2:
+            sign = -sign
+        if 0 in r[-1]:
+            keep = []
+            for i, c in enumerate(r[-1]):
+                if c:
+                    keep.append(i)
+                    continue
+                column = _trim([row[i] for row in r])
+                if column:
+                    rest = _resultant_mod([row[i] for row in b], column, m)
+                    out[live[i]] = sign * acc[i] * pow(lead[i], da - len(column) + 1, m) * rest % m
+            if not keep:
+                return out
+            live, acc = [live[i] for i in keep], [acc[i] for i in keep]
+            b = [[row[i] for i in keep] for row in b]
+            r = [[row[i] for i in keep] for row in r]
+            lead = b[-1]
+        for _ in range(da - len(r) + 1):
+            acc = [u * v % m for u, v in zip(acc, lead)]
+        a, b = b, r
+    for i, u, c in zip(live, acc, b[0]):
+        out[i] = sign * u * pow(c, len(a) - 1, m) % m
+    return out
+
+
 def _interpolate_mod(values: list[int], m: int) -> list[int]:
     """Coefficients mod m, m prime, ascending, of the polynomial of degree < n through (i, values[i]).
 
     Newton's forward-difference form: with n = len(values) <= m, the
-    polynomial is the sum over k of (Delta^k v)(0) / k! * x(x-1)...(x-k+1),
-    one inverse per order k, expanded by Horner in the falling basis.
+    polynomial is the sum over k of (Delta^k v)(0) / k! * x(x-1)...(x-k+1).
+    One inverse, of (n-1)!, gives every 1/k! on the walk down, as
+    1/(k-1)! = k/k!; the sum is expanded by Horner in the falling basis.
     """
     c = [v % m for v in values]
     n = len(c)
@@ -402,7 +492,10 @@ def _interpolate_mod(values: list[int], m: int) -> list[int]:
     fact = 1
     for k in range(2, n):
         fact = fact * k % m
-        c[k] = c[k] * pow(fact, -1, m) % m
+    inv = pow(fact, -1, m)  # 1/(n-1)!, or 1 when n <= 2
+    for k in range(n - 1, 1, -1):
+        c[k] = c[k] * inv % m
+        inv = inv * k % m
     out = c[-1:]
     for k in range(n - 2, -1, -1):
         # out = out * (x - k) + c[k]

@@ -10,23 +10,35 @@ second; one that fails at both must leave the affine verdict
 inconclusive without calling affine_singular_check. A prime that breaks
 the proof's preconditions proves nothing and forms no eliminant.
 certify forms no exact eliminant; each JSON form of a certificate forms
-them once, from the curve it certified.
+them once, from the curve it certified, and it forms the y-columns of F,
+F_x and F_y once for both primes.
+
+The lockstep Euclid over all evaluation points must give what the
+per-point loop it replaced gives, that loop being kept here as the
+reference, and must hand to the scalar _resultant_mod exactly the
+points whose remainder loses its leading coefficient, no other.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pascalrepeats import curves
-from pascalrepeats.curves import build_curve, certify
+from pascalrepeats import curves, polynomials
+from pascalrepeats.curves import _y_columns, build_curve, certify
 from pascalrepeats.polynomials import (
     _PRIMES,
     BiPoly,
     UniPoly,
     _interpolate_mod,
+    _inverses_mod,
+    _rem_mod,
     _resultant_mod,
+    _resultants_mod,
+    _values_mod,
     bipoly_resultant,
 )
 from pascalrepeats.ratios import ShiftPair
@@ -177,11 +189,158 @@ def test_the_proof_runs_only_where_its_preconditions_hold(a, b, m, holds, monkey
     formed = []
     real = curves._eliminants_mod
 
-    def spy(f, p):
+    def spy(f, p, columns):
         formed.append(p)
-        return real(f, p)
+        return real(f, p, columns)
 
     monkeypatch.setattr(curves, "_eliminants_mod", spy)
-    proved = curves._affine_nonsingular_mod_p(build_curve(ShiftPair(a, b)), m)
+    f = build_curve(ShiftPair(a, b))
+    proved = curves._affine_nonsingular_mod_p(f, m, _y_columns(f))
     assert formed == ([m] if holds else [])
     assert holds or proved is False
+
+
+def test_certify_forms_the_columns_once_for_both_primes(monkeypatch):
+    formed, handed = [], []
+    real_columns, real_eliminants = curves._y_columns, curves._eliminants_mod
+
+    def columns_spy(f):
+        formed.append(real_columns(f))
+        return formed[-1]
+
+    def eliminants_spy(f, p, columns):
+        handed.append((p, columns))
+        return real_eliminants(f, p, columns)
+
+    monkeypatch.setattr(curves, "_y_columns", columns_spy)
+    monkeypatch.setattr(curves, "_eliminants_mod", eliminants_spy)
+    monkeypatch.setattr(curves, "_gcd_degree_mod", _common_factor(curves._gcd_degree_mod, (P1,), []))
+    assert certify(ShiftPair(2, 3)).affine_nonsingular is curves.Verdict.YES
+    assert len(formed) == 1
+    assert [p for p, _ in handed] == [P1, P2]
+    assert all(columns is formed[0] for _, columns in handed)
+
+
+def per_point_eliminants(f: BiPoly, p: int) -> tuple[list[int], list[int]]:
+    """Res_y(f,f_x) and Res_y(f,f_y) mod p, the per-point way: one _resultant_mod per point x0 = 0..d(d-1)."""
+    d = f.total_degree
+    columns = [g.coeffs_in() for g in (f, f.partial("x"), f.partial("y"))]
+    res_fx, res_fy = [], []
+    for x0 in range(d * (d - 1) + 1):
+        fv, fxv, fyv = ([c(x0) for c in col] for col in columns)
+        res_fx.append(_resultant_mod(fv, fxv, p))
+        res_fy.append(_resultant_mod(fv, fyv, p))
+    return _interpolate_mod(res_fx, p), _interpolate_mod(res_fy, p)
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (4, 5), (2, 7)])
+def test_lockstep_eliminants_are_the_per_point_ones(a, b):
+    f = build_curve(ShiftPair(a, b))
+    for p in _PRIMES:
+        assert curves._eliminants_mod(f, p) == per_point_eliminants(f, p)
+
+
+def test_lockstep_resultants_are_the_per_point_ones_to_degree_12():
+    """Every shift with a+b <= 12 at both primes, on the sections _eliminants_mod evaluates.
+
+    The values at x0 = 0..D are compared: interpolation from them is one
+    to one, and the test above compares whole eliminants.
+    """
+    for d in range(2, 13):
+        n = d * (d - 1) + 1
+        for a in range(1, d):
+            columns = _y_columns(build_curve(ShiftPair(a, d - a)))
+            for p in _PRIMES:
+                rows_f, rows_fx, rows_fy = ([_values_mod(c, n, p) for c in g] for g in columns)
+                for rows in (rows_fx, rows_fy):
+                    per_point = [_resultant_mod(ai, bi, p) for ai, bi in zip(zip(*rows_f), zip(*rows))]
+                    assert _resultants_mod(rows_f, rows, p) == per_point, (a, d - a, p)
+
+
+def exit_of(a: list[int], b: list[int], m: int) -> str | None:
+    """How the point with sections a and b leaves the lockstep: None when it stays to the end, else "zero" or "scalar".
+
+    It leaves at the first remainder shorter than its nominal length:
+    len(b) - 1, or len(a) when a is the shorter. A zero remainder makes
+    the resultant 0; any other goes on to the scalar _resultant_mod.
+    """
+    a, b = [c % m for c in a], [c % m for c in b]
+    while len(b) > 1:
+        nominal = min(len(a), len(b) - 1)
+        r = _rem_mod(a, b, m)
+        if len(r) < nominal:
+            return "scalar" if r else "zero"
+        a, b = b, r
+    return None
+
+
+def lockstep_run(a: list[list[int]], b: list[list[int]], m: int) -> tuple[list[int], int]:
+    """_resultants_mod's values and the number of _resultant_mod calls it made."""
+    with mock.patch.object(polynomials, "_resultant_mod", wraps=_resultant_mod) as scalar:
+        return _resultants_mod(a, b, m), scalar.call_count
+
+
+@st.composite
+def lockstep_rows(draw, m: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Two polynomials' coefficient rows over 1-12 points mod m, of 1-7 coefficients each, leading rows nonzero."""
+    n = draw(st.integers(1, 12))
+    residues = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
+    units = st.lists(st.integers(1, m - 1), min_size=n, max_size=n)
+    return tuple(draw(st.lists(residues, max_size=6)) + [draw(units)] for _ in range(2))
+
+
+@pytest.mark.parametrize("m", [7, 101])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_lockstep_resultants_are_the_per_point_ones_at_small_primes(m, data):
+    a, b = data.draw(lockstep_rows(m))
+    before = [row[:] for row in a], [row[:] for row in b]
+    points = list(zip(zip(*a), zip(*b)))
+    values, calls = lockstep_run(a, b, m)
+    assert (a, b) == before
+    assert values == [_resultant_mod(ai, bi, m) for ai, bi in points]
+    assert calls == sum(exit_of(ai, bi, m) == "scalar" for ai, bi in points)
+
+
+@pytest.mark.parametrize(
+    "a,b,ends",
+    [
+        ([[1], [2], [1]], [[1], [1]], ["zero"]),  # (y+1)^2 and y+1
+        # y(y+1)^2 and y(y+1); y^3 + 1 and y^2, remainder 1; y^3 + 2 and y^2 + 1 to the end
+        ([[0, 1, 2], [1, 0, 0], [2, 0, 0], [1, 1, 1]], [[0, 0, 1], [1, 0, 0], [1, 1, 1]], ["zero", "scalar", None]),
+        ([[1], [1], [0], [1]], [[1], [0], [0], [1]], ["scalar"]),  # y^3 + y + 1 and y^3 + 1: odd degrees, sign -1
+    ],
+)
+def test_points_leave_the_lockstep_on_their_own(a, b, ends):
+    m = 7
+    points = list(zip(zip(*a), zip(*b)))
+    assert [exit_of(ai, bi, m) for ai, bi in points] == ends
+    values, calls = lockstep_run(a, b, m)
+    assert values == [_resultant_mod(ai, bi, m) for ai, bi in points]
+    assert calls == ends.count("scalar")
+
+
+def test_the_scalar_fallback_is_reached_on_the_curves():
+    """(1,2) at x0 = 0 leaves with a zero remainder; (2,7) sends one point to _resultant_mod at each prime."""
+    f = build_curve(ShiftPair(1, 2))
+    for p in _PRIMES:
+        rows_f, rows_fx, _ = ([_values_mod(c, 1, p) for c in g] for g in _y_columns(f))
+        assert exit_of([r[0] for r in rows_f], [r[0] for r in rows_fx], p) == "zero"
+        assert lockstep_run(rows_f, rows_fx, p) == ([0], 0)
+    f = build_curve(ShiftPair(2, 7))
+    n = 9 * 8 + 1
+    for p in _PRIMES:
+        rows_f, rows_fx, rows_fy = ([_values_mod(c, n, p) for c in g] for g in _y_columns(f))
+        scalar = [
+            sum(exit_of(ai, bi, p) == "scalar" for ai, bi in zip(zip(*rows_f), zip(*rows)))
+            for rows in (rows_fx, rows_fy)
+        ]
+        assert sum(scalar) >= 1
+        assert [lockstep_run(rows_f, rows, p)[1] for rows in (rows_fx, rows_fy)] == scalar
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([7, 101, P1]).flatmap(lambda m: st.tuples(st.just(m), st.lists(st.integers(1, m - 1), min_size=1))))
+def test_batch_inverses_are_the_inverses(case):
+    m, row = case
+    assert [u * v % m for u, v in zip(row, _inverses_mod(row, m))] == [1] * len(row)
