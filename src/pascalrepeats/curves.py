@@ -7,27 +7,30 @@ Each shift (a,b) yields the integer curve
 whose lattice points in the triangle region are exactly the equation's
 solutions. certify forms F once, with build_curve, and every check is a
 function of F alone, reading the degree d = a+b as F's total degree.
-Nonsingularity in the affine plane is certified by eliminating y: a
-singular point forces the two eliminants Res_y(F,F_x) and Res_y(F,F_y)
-to share a root, and the leading y-coefficient of F is the constant
-(-1)^d, so leading-coefficient degeneracy cannot fake a root. At
+Nonsingularity in the affine plane is certified by eliminating y from F
+and F_y: a singular point makes R = Res_y(F,F_y) vanish to order at
+least 2 at its x-coordinate, and the leading y-coefficient of F is the
+constant (-1)^d, so leading-coefficient degeneracy cannot fake a root.
+A squarefree R therefore rules every affine singular point out. At
 infinity only F's top form T = (x-y)^d - x^a y^b is read.
 
 certify decides the affine verdict modulo a prime p, on one path, for
 p = 2^30 - 35 and, only if that proof fails, p = 2^30 - 41: the two
 largest primes below 2^30, so that every residue is one digit of a
-CPython int. With D = d(d-1), it evaluates the y-columns of F, F_x
-and F_y, formed once for both primes, at all x0 = 0..D at once, takes
-both resultants in y over GF(p) by one Euclid run in lockstep over the
-points (one batch inverse per step) and interpolates the two
-eliminants mod p. A point whose remainder loses its leading
-coefficient mod p leaves the lockstep: its resultant is 0 when the
-remainder vanishes, and otherwise it is finished by the scalar Euclid
-of one point. Full degree D and a constant gcd mod p prove YES (the
-argument is in certify's docstring); a proof that fails at both primes
-is inconclusive, never a proven singularity. Every shift with a+b <= 20
-is proved at the first prime; should both ever fail, eliminating x
-(F's x-leading coefficient is 1) is the check to add. Nonsingular
+CPython int. With D = d(d-1), it evaluates the y-columns of F and F_y,
+formed once for both primes, at all x0 = 0..D at once, takes the
+resultant in y over GF(p) by one Euclid run in lockstep over the
+points (one batch inverse per step) and interpolates R mod p. A point
+whose remainder loses its leading coefficient mod p leaves the
+lockstep: its resultant is 0 when the remainder vanishes, and
+otherwise it is finished by the scalar Euclid of one point. Full
+degree D and a constant gcd(R, R') mod p prove YES (the argument is in
+certify's docstring); a proof that fails at both primes is
+inconclusive, never a proven singularity. Every shift with a+b <= 20
+is proved at the first prime; should both ever fail, the two-eliminant
+proof, a constant gcd of Res_y(F,F_x) and Res_y(F,F_y) mod p, is the
+check to add, since it can prove curves with a vertical flex or two
+vertical tangents on one line, which this proof cannot. Nonsingular
 degree-d curves get genus (d-1)(d-2)/2 and are irreducible outright.
 
 affine_singular_check forms the exact eliminants over Z and their gcd.
@@ -158,8 +161,8 @@ def affine_singular_check(f: BiPoly) -> EliminantData:
     A common solution with y-coordinate y0 makes both Res_y(F,F_x) and
     Res_y(F,F_y) vanish at the x-coordinate, so a constant gcd of the two
     eliminants rules every candidate out; the converse does not hold.
-    certify proves the same gcd constant modulo a prime without forming these;
-    the exact ones are the JSON evidence and the tests' reference.
+    certify proves instead, modulo a prime and without forming these, that
+    Res_y(F,F_y) alone is squarefree; the exact ones are the JSON evidence.
     """
     res_fx = bipoly_resultant(f, f.partial("x"))
     res_fy = bipoly_resultant(f, f.partial("y"))
@@ -197,69 +200,80 @@ def classify_finiteness(shift: ShiftPair) -> Finiteness:
 
 
 def _y_columns(f: BiPoly) -> list[list[UniPoly]]:
-    """The coefficients in y of F, F_x and F_y for the curve F = f, each ascending in y, as polynomials in x."""
-    return [g.coeffs_in() for g in (f, f.partial("x"), f.partial("y"))]
+    """The coefficients in y of F and F_y for the curve F = f, each ascending in y, as polynomials in x."""
+    return [g.coeffs_in() for g in (f, f.partial("y"))]
 
 
-def _eliminants_mod(f: BiPoly, p: int, columns: list[list[UniPoly]] | None = None) -> tuple[list[int], list[int]]:
-    """Res_y(f,f_x) and Res_y(f,f_y) mod p, ascending, from their values at x0 = 0..d(d-1).
+def _eliminant_mod(f: BiPoly, p: int, columns: list[list[UniPoly]] | None = None) -> list[int]:
+    """R = Res_y(f, f_y) mod p, ascending, from its values at x0 = 0..d(d-1).
 
-    Every column of F, F_x and F_y is evaluated at all the points at once,
-    and each eliminant's values come from one lockstep Euclid over the
-    points (_resultants_mod). columns, when given, is _y_columns(f).
+    Every column of F and F_y is evaluated at all the points at once, and
+    the values come from one lockstep Euclid over the points
+    (_resultants_mod). columns, when given, is _y_columns(f).
     """
     d = f.total_degree
     n = d * (d - 1) + 1
-    rows_f, rows_fx, rows_fy = ([_values_mod(c, n, p) for c in g] for g in columns or _y_columns(f))
-    return tuple(_interpolate_mod(_resultants_mod(rows_f, rows, p), p) for rows in (rows_fx, rows_fy))
+    rows_f, rows_fy = ([_values_mod(c, n, p) for c in g] for g in columns or _y_columns(f))
+    return _interpolate_mod(_resultants_mod(rows_f, rows_fy, p), p)
 
 
 def _affine_nonsingular_mod_p(f: BiPoly, p: int, columns: list[list[UniPoly]]) -> bool:
-    """True when certify's proof holds mod the prime p: both eliminants of degree d(d-1), with a constant gcd.
+    """True when certify's proof holds mod the prime p: R = Res_y(f, f_y) of degree d(d-1), squarefree mod p.
 
-    columns is _y_columns(f). False, before any eliminant is formed, when
-    the proof's preconditions fail: the d(d-1)+1 evaluation points must be
-    distinct mod p, and F, F_x and F_y must each have a constant
-    y-leading coefficient that p does not divide.
+    columns is _y_columns(f). False, before R is formed, when the proof's
+    preconditions fail: the d(d-1)+1 evaluation points must be distinct
+    mod p, and F and F_y must each have a constant y-leading coefficient
+    that p does not divide.
     """
     d = f.total_degree
     top = d * (d - 1)
     if top >= p or any(g[-1].degree != 0 or g[-1].leading % p == 0 for g in columns):
         return False
-    res_fx, res_fy = _eliminants_mod(f, p, columns)
-    return len(res_fx) == len(res_fy) == top + 1 and _gcd_degree_mod(UniPoly(res_fx), UniPoly(res_fy), p) == 0
+    r = UniPoly(_eliminant_mod(f, p, columns))
+    return r.degree == top and _gcd_degree_mod(r, r.derivative(), p) == 0
 
 
 def certify(shift: ShiftPair) -> Certificate:
     """Full certificate: singularity checks, genus when they pass, class.
 
     F is formed once, and every check below reads it; so are the
-    y-columns of F, F_x and F_y, which both primes' proofs read. The
-    affine verdict is YES when it is proved modulo p = 2^30 - 35 or, if
-    that proof fails, modulo p = 2^30 - 41, and INCONCLUSIVE when both
-    fail. The resultants at the D+1 points are taken together: Euclid
-    over GF(p) runs on rows of residues, one row per y-coefficient with
-    one entry per point, with one inverse per step for every point's
-    leading coefficient; a point whose remainder's leading coefficient
-    vanishes mod p finishes alone with the scalar Euclid, or at 0 when
-    its remainder vanishes. The values are the per-point ones.
-    Let d = a+b, D = d(d-1).
-    As polynomials in y, F has degree d and leading coefficient (-1)^d,
-    F_y has degree d-1 and leading coefficient (-1)^d * d, and F_x has
-    degree d-1 and leading coefficient (-1)^(d-1) * d - [a = 1] (the -1
-    is x*y^b's, for a = 1). When all three are constants that p does
-    not divide, which _affine_nonsingular_mod_p checks, Res_y commutes
-    with reduction mod p and with evaluation at any x0: the resultant
-    over GF(p) of the sections at x0 is the eliminant mod p at x0.
-    Res_y of total degrees d and d-1 has x-degree at most D, so its
-    values at the D+1 points x0 = 0..D, distinct mod p when D < p (also
-    checked), determine it. When both eliminants mod p have degree
-    exactly D, p divides neither integer leading coefficient, and
-    unipoly_gcd's argument applies: the integer gcd keeps its degree
-    mod p and divides the gcd mod p, so a constant gcd mod p makes the
-    gcd over Z constant, and no affine point is singular. A failed
-    precondition, a degree drop or a nonconstant gcd mod p proves
-    nothing at that prime.
+    y-columns of F and F_y, which both primes' proofs read. The affine
+    verdict is YES when it is proved modulo p = 2^30 - 35 or, if that
+    proof fails, modulo p = 2^30 - 41, and INCONCLUSIVE when both fail.
+    The resultants at the D+1 points are taken together: Euclid over
+    GF(p) runs on rows of residues, one row per y-coefficient with one
+    entry per point, with one inverse per step for every point's leading
+    coefficient; a point whose remainder's leading coefficient vanishes
+    mod p finishes alone with the scalar Euclid, or at 0 when its
+    remainder vanishes. The values are the per-point ones.
+
+    Let d = a+b, D = d(d-1) and R = Res_y(F, F_y). As polynomials in y,
+    F has degree d and leading coefficient (-1)^d, and F_y degree d-1 and
+    leading coefficient (-1)^d * d. Since F's is a constant, no point of
+    the curve lies at infinity in the y-direction, and the order of R at
+    x0 is the sum of the intersection multiplicities I_P(F, F_y) over the
+    points P of the curve above x0. At a singular point P,
+    I_P(F, F_y) >= m_P(F) * m_P(F_y) >= 2 * 1 (W. Fulton, Algebraic
+    Curves, ch. 3), so R has a multiple root at P's x-coordinate. A
+    squarefree R, of degree D, proves that no affine point is singular.
+
+    The proof holds at p when: D < p; the y-leading constants of F and
+    F_y are prime to p; R mod p has degree exactly D; and gcd(R, R') mod
+    p is constant. The first two are checked by _affine_nonsingular_mod_p
+    before R is formed. With the leading constants prime to p, Res_y
+    commutes with reduction mod p and with evaluation at any x0: the
+    resultant over GF(p) of the sections at x0 is R mod p at x0. R has
+    x-degree at most D, so its values at the D+1 points x0 = 0..D,
+    distinct mod p when D < p, determine it. When R mod p has degree D,
+    p does not divide lc(R), and the argument of W. S. Brown (JACM 18,
+    1971) applies to R and R': their gcd g over Z divides R, so p does
+    not divide lc(g), g mod p keeps its degree and divides gcd(R, R')
+    mod p. A constant gcd mod p makes g constant, so R is squarefree.
+    D < p also keeps R' mod p at degree D - 1. A failed precondition, a
+    degree drop or a nonconstant gcd mod p proves nothing at that prime.
+    The converse fails: a smooth curve with a vertical flex, or with two
+    vertical tangents on one line x = x0, gives R a multiple root too,
+    and is not proved.
 
     Genus uses the plane-curve formula (d-1)(d-2)/2, valid only for a
     nonsingular curve, so it is present exactly when both verdicts are

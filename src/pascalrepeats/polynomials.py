@@ -20,7 +20,7 @@ coefficient, one batch inverse (_inverses_mod) per step, and the scalar
 _resultant_mod only for a point whose remainder loses its leading
 coefficient; _values_mod evaluates a polynomial at 0..n-1 by Horner
 over the whole row of points. curves.certify builds its modular
-eliminants from these, at either prime.
+eliminant from these, at either prime.
 Real roots are isolated by Sturm sign variations and bisection on
 integer numerators over a common power-of-two denominator; past 64
 halvings, or at once from a hint such as a neighbouring section's root,
@@ -588,6 +588,7 @@ def root_bound(p: UniPoly) -> Fraction:
 _SEED_HALVINGS = 64  # plain halvings before, and between, tries of the Newton cell
 _GUARD_BITS = 16  # bits Newton carries beyond the cell level
 _CELL_TRIES = 4  # cells a Newton index may move through before halving resumes
+_HINT_BITS = 64  # the precision Newton starts a hint at, when its goal is above twice this
 
 
 def _shifted(sf: UniPoly, u: int, d: int, w: int) -> list[int]:
@@ -612,18 +613,22 @@ def _newton_index(sf: UniPoly, u: int, d: int, w: int, k: int, start: tuple[int,
     a step of at most 2^(goal/2) ends the iteration. That stop suits
     the narrow bracket left by the seed halvings, where the squared error
     carries a small factor; on a whole bracket the factor is large. So a
-    start (n, m), a hint at t = n/m, runs at the goal precision at once
-    and stops only on a step of at most 2^_GUARD_BITS, one level-k cell.
-    None when an iterate leaves [0, 1], q' vanishes, or the steps do not
-    settle. The index is only an estimate; _newton_cell proves it or
-    moves it.
+    start (n, m), a hint at t = n/m, stops only on a step of at most
+    2^_GUARD_BITS at the goal precision, one level-k cell. It starts at
+    the goal precision when the goal is at most 2 * _HINT_BITS, and
+    otherwise at _HINT_BITS, doubling as above: at a fine width every
+    step at the goal precision would cost a full-width Horner pass, while
+    a coarse goal gains nothing from a doubling or two. None when an
+    iterate leaves [0, 1], q' vanishes, or the steps do not settle. The
+    index is only an estimate; _newton_cell proves it or moves it.
     """
     q = _shifted(sf, u, d, w)
     goal = max(32, k + _GUARD_BITS)
     if start is None:
         prec, t, settled = 32, 1 << 31, 1 << (goal // 2)
     else:
-        prec, t, settled = goal, (start[0] << goal) // start[1], 1 << _GUARD_BITS
+        prec = goal if goal <= 2 * _HINT_BITS else _HINT_BITS
+        t, settled = (start[0] << prec) // start[1], 1 << _GUARD_BITS
     for _ in range(8 + goal.bit_length()):
         a, b = q[-1] << prec, 0
         for c in reversed(q[:-1]):

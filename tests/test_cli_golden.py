@@ -41,7 +41,12 @@ after them print nothing: a search whose (a+b) * bits(y_max) exceeds
 refused before any row or section. The last two print nothing as well:
 100,000 sections of (1,1), whose estimated time exceeds 2 s, are refused
 before any section, and zeta of (20,20) at 1e-100000, whose
-(a+b) * bits(1/precision) exceeds 1,000,000, before any bisection. A change that
+(a+b) * bits(1/precision) exceeds 1,000,000, before any bisection. The
+last three rows were recorded while certify still proved its affine
+verdict from two eliminants, Res_y(F,F_x) and Res_y(F,F_y), and while a
+continued plot section ran Newton at its goal precision from the first
+step: the text certificates of (8,7) and (1,14), the largest degree
+certify accepts, and five sections of (1,1) at 1e-10000. A change that
 alters any byte of output or any exit status fails here. "{cache}"
 stands for a solution cache that the search row with --cache writes,
 and that the verify rows read.
@@ -145,6 +150,9 @@ GOLDEN = [
     ("plot --a 20 --b 20 --y-min 0 --y-max 1000000 --y-step 1000", 1, EMPTY),
     ("plot --a 1 --b 1 --y-min 0 --y-max 1 --y-step 1/99999", 1, EMPTY),
     ("zeta --a 20 --b 20 --precision 1e-100000", 1, EMPTY),
+    ("curve --a 8 --b 7 --certify", 0, "59860c3c560e87a03b40763219acc4a9041db9095bc1cb43ce0a8e20753099b4"),
+    ("curve --a 1 --b 14 --certify", 0, "54e8b1fcc7992e81225537cd0e08979980f4e90650d1fdb4e2d919502c8803cd"),
+    ("plot --a 1 --b 1 --y-min 5 --y-max 9 --precision 1e-10000", 0, "1f857959ddff6efa9c3f402efd6377fb348bca23d508f55f747256864cebaa97"),
 ]
 
 

@@ -180,10 +180,11 @@ def test_top_form_partials_share_no_root_at_infinity():
 
 
 def test_y_leading_coefficients_are_nonzero_constants():
-    # the facts behind certify's modular proof: as polynomials in y, F, F_x
-    # and F_y keep their degrees d, d-1, d-1 at every x, with constant
-    # leading coefficients that neither of the package's primes divides;
-    # for a = 1 the x*y^b block adds -1 to F_x's
+    # the facts behind certify's modular proof, which reads F and F_y, and
+    # the two-eliminant oracle of test_modular_certificate, which reads F_x
+    # too: as polynomials in y, F, F_x and F_y keep their degrees d, d-1,
+    # d-1 at every x, with constant leading coefficients that neither of
+    # the package's primes divides; for a = 1 the x*y^b block adds -1 to F_x's
     for d in range(2, 13):
         for a in range(1, d):
             f = build_curve(ShiftPair(a, d - a))

@@ -8,10 +8,10 @@ with a+b <= 8 must come out identical with the reference in place of
 unipoly_gcd, and the common factors of the eliminants in y and in x,
 the latter from the curve with x and y swapped, must be the reference's
 too. The same sweep checks
-certify's modular proof against the exact path: the eliminants it
-interpolates mod either prime are the exact ones reduced mod that
-prime, its verdict is YES
-exactly when the reference gcd of the exact eliminants is constant, and
+certify's modular proof against the exact path: the eliminant
+Res_y(F,F_y) it interpolates mod either prime is the exact one reduced
+mod that prime, its verdict is YES exactly when the reference gcd of
+that exact eliminant and its derivative is constant, and
 the certificate, infinity verdict included, and its whole JSON payload
 are the same with the reference in place of unipoly_gcd.
 """
@@ -149,11 +149,10 @@ def assert_certificate_matches_reference(a: int, b: int) -> None:
         assert unipoly_gcd(res_fx, res_fy) == reference(res_fx, res_fy), (a, b, var)
         if var == "y":
             for p in _PRIMES:
-                reduced = tuple([c % p for c in r.coeffs] for r in (res_fx, res_fy))
-                assert curves._eliminants_mod(f, p) == reduced, (a, b, p)
-            smooth = reference(res_fx, res_fy).degree == 0
+                assert curves._eliminant_mod(f, p) == [c % p for c in res_fy.coeffs], (a, b, p)
+            squarefree = reference(res_fy, res_fy.derivative()).degree == 0
     proved = certify(shift)
-    assert (proved.affine_nonsingular is curves.Verdict.YES) == smooth, (a, b)
+    assert (proved.affine_nonsingular is curves.Verdict.YES) == squarefree, (a, b)
     fast = proved.to_json_dict()
     real_gcd = curves.unipoly_gcd
     curves.unipoly_gcd = reference

@@ -4,14 +4,29 @@ The two moduli must be distinct primes below 2^30. At each of them the
 kernel's resultant over GF(p) must agree with bipoly_resultant reduced
 mod p, and with the Sylvester determinant of test_polynomials, sign
 included, and its interpolation at 0..n-1 must give back a polynomial
-from its values. A modular proof that fails at the first prime, by a
-degree drop or a nonconstant gcd mod p, must be proved again at the
-second; one that fails at both must leave the affine verdict
-inconclusive without calling affine_singular_check. A prime that breaks
-the proof's preconditions proves nothing and forms no eliminant.
-certify forms no exact eliminant; each JSON form of a certificate forms
-them once, from the curve it certified, and it forms the y-columns of F,
-F_x and F_y once for both primes.
+from its values.
+
+certify proves the affine verdict from one eliminant, R = Res_y(F,F_y):
+of degree d(d-1) and squarefree mod p. The two-eliminant proof it
+replaced, a constant gcd of Res_y(F,F_x) and Res_y(F,F_y) mod p, is
+kept here as the oracle, and the two verdicts must agree for every
+shift with a+b <= 12 at both primes; every shift with a+b <= 15, all
+that the CLI certifies, must be proved at the first prime. Curves
+whose y-leading coefficient is a constant and which have a node or a
+cusp must not be proved, nor smooth ones that give R a multiple root
+(a vertical flex, or two vertical tangents on one line x = x0); smooth
+curves without these must be. A node whose x-coordinate is 1/p must not
+be proved at p either: there R mod p loses its degree, and only the
+degree test refuses it.
+
+A modular proof that fails at the first prime, by a degree drop or a
+nonconstant gcd mod p, must be proved again at the second; one that
+fails at both must leave the affine verdict inconclusive without
+calling affine_singular_check. A prime that breaks the proof's
+preconditions proves nothing and forms no eliminant. certify forms no
+exact eliminant; each JSON form of a certificate forms them once, from
+the curve it certified. certify forms the y-columns of F and F_y once
+for both primes, and evaluates no other column: no F_x.
 
 The lockstep Euclid over all evaluation points must give what the
 per-point loop it replaced gives, that loop being kept here as the
@@ -28,11 +43,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pascalrepeats import curves, polynomials
-from pascalrepeats.curves import _y_columns, build_curve, certify
+from pascalrepeats.curves import _affine_nonsingular_mod_p, _y_columns, build_curve, certify
 from pascalrepeats.polynomials import (
     _PRIMES,
     BiPoly,
     UniPoly,
+    _gcd_degree_mod,
     _interpolate_mod,
     _inverses_mod,
     _rem_mod,
@@ -176,72 +192,155 @@ def test_failed_modular_proof_is_inconclusive(a, b, name, forced, failing, exact
     assert failed.finiteness is proved.finiteness
 
 
+def two_eliminant_proof(f: BiPoly, p: int) -> bool:
+    """The proof certify ran before R alone: Res_y(f,f_x) and Res_y(f,f_y) mod p of degree d(d-1), with a constant gcd.
+
+    Its preconditions are the one-eliminant proof's, with F_x's y-leading
+    coefficient a constant prime to p as well.
+    """
+    d = f.total_degree
+    top = d * (d - 1)
+    columns = [g.coeffs_in() for g in (f, f.partial("x"), f.partial("y"))]
+    if top >= p or any(g[-1].degree != 0 or g[-1].leading % p == 0 for g in columns):
+        return False
+    rows_f, rows_fx, rows_fy = ([_values_mod(c, top + 1, p) for c in g] for g in columns)
+    res_fx, res_fy = (UniPoly(_interpolate_mod(_resultants_mod(rows_f, rows, p), p)) for rows in (rows_fx, rows_fy))
+    return res_fx.degree == res_fy.degree == top and _gcd_degree_mod(res_fx, res_fy, p) == 0
+
+
+def proved_at(f: BiPoly, p: int) -> bool:
+    return _affine_nonsingular_mod_p(f, p, _y_columns(f))
+
+
+def test_one_eliminant_verdict_is_the_two_eliminant_one_to_degree_12():
+    for d in range(2, 13):
+        for a in range(1, d):
+            f = build_curve(ShiftPair(a, d - a))
+            for p in _PRIMES:
+                assert proved_at(f, p) == two_eliminant_proof(f, p), (a, d - a, p)
+
+
+def test_every_shift_the_cli_certifies_is_proved_at_the_first_prime():
+    for d in range(2, 16):
+        for a in range(1, d):
+            assert proved_at(build_curve(ShiftPair(a, d - a)), P1), (a, d - a)
+
+
+FOLIUM = {(3, 0): 1, (0, 3): 1, (1, 1): -3}  # x^3 + y^3 - 3xy
+NODE = {(0, 3): 1, (3, 0): 2, (0, 2): 1, (2, 0): -1}  # y^3 + 2x^3 + y^2 - x^2, a node at the origin
+
+UNPROVED = {
+    "node": NODE,
+    "cusp": {(0, 3): 1, (0, 2): 1, (3, 0): -1},  # y^3 + y^2 - x^3, a cusp at the origin
+    "vertical flex": {(0, 3): 1, (3, 0): 1, (1, 0): -1},  # y^3 + x^3 - x, smooth, y^3 = 0 on x = 0, 1, -1
+    # y^4 - 2y^2 + 1 - x + x^4, smooth, tangent to x = 0 at y = 1 and y = -1
+    "two vertical tangents": {(0, 4): 1, (0, 2): -2, (0, 0): 1, (1, 0): -1, (4, 0): 1},
+    "nodal folium": FOLIUM,
+}
+PROVED = {
+    "smooth perturbation": {**NODE, (0, 0): 1},  # the node's curve plus 1
+    "folium plus 1 + 2x^2 y": {**FOLIUM, (0, 0): 1, (2, 1): 2},
+}
+
+
+@pytest.mark.parametrize("terms", UNPROVED.values(), ids=UNPROVED.keys())
+def test_curves_with_a_multiple_root_of_r_are_not_proved(terms):
+    f = BiPoly(terms)
+    assert f.coeffs_in()[-1].degree == 0
+    assert not any(proved_at(f, p) for p in _PRIMES)
+
+
+@pytest.mark.parametrize("terms", PROVED.values(), ids=PROVED.keys())
+def test_smooth_curves_are_proved(terms):
+    f = BiPoly(terms)
+    assert f.coeffs_in()[-1].degree == 0
+    assert all(proved_at(f, p) for p in _PRIMES)
+
+
+@each_prime
+def test_a_node_at_x_one_over_p_is_refused_by_the_degree_test(m):
+    """y^2 - (mx - 1)^2, two lines crossing at (1/m, 0): R is a constant times (mx - 1)^2, a nonzero constant mod m."""
+    f = BiPoly({(0, 2): 1, (2, 0): -m * m, (1, 0): 2 * m, (0, 0): -1})
+    assert UniPoly(curves._eliminant_mod(f, m)).degree == 0
+    assert not any(proved_at(f, p) for p in _PRIMES)
+
+
 @pytest.mark.parametrize(
-    "a,b,m,holds",
+    "f,m,holds",
     [
-        (1, 1, 5, True),  # D = 2 < 5; y-leading constants 1, -3 and 2
-        (1, 1, 3, False),  # 3 divides F_x's y-leading coefficient -3
-        (2, 3, 19, False),  # x0 = 0..20 repeat mod 19
-        (2, 3, 5, False),  # both: 5 divides d, and x0 = 0..20 repeat
+        (ShiftPair(1, 1), 5, True),  # D = 2 < 5; y-leading constants 1 and 2
+        (ShiftPair(1, 1), 3, True),  # as above; F_x's y-leading coefficient -3 is not read
+        (ShiftPair(1, 1), 2, False),  # D = 2 is not below 2, which divides F_y's y-leading coefficient 2
+        (ShiftPair(2, 3), 19, False),  # x0 = 0..20 repeat mod 19
+        (ShiftPair(2, 3), 5, False),  # both: 5 divides d, and x0 = 0..20 repeat
+        (BiPoly({(0, 2): 7, (3, 0): -1, (0, 0): 1}), 7, False),  # 7y^2 - x^3 + 1: D = 6 < 7, but 7 divides F's 7
+        (BiPoly({(1, 2): 1, (3, 0): 1, (0, 0): 1}), P1, False),  # xy^2 + x^3 + 1: F's y-leading coefficient is x
     ],
+    ids=["(1,1)@5", "(1,1)@3", "(1,1)@2", "(2,3)@19", "(2,3)@5", "lead-7y^2@7", "lead-x@p1"],
 )
-def test_the_proof_runs_only_where_its_preconditions_hold(a, b, m, holds, monkeypatch):
+def test_the_proof_runs_only_where_its_preconditions_hold(f, m, holds, monkeypatch):
     formed = []
-    real = curves._eliminants_mod
+    real = curves._eliminant_mod
 
     def spy(f, p, columns):
         formed.append(p)
         return real(f, p, columns)
 
-    monkeypatch.setattr(curves, "_eliminants_mod", spy)
-    f = build_curve(ShiftPair(a, b))
-    proved = curves._affine_nonsingular_mod_p(f, m, _y_columns(f))
+    monkeypatch.setattr(curves, "_eliminant_mod", spy)
+    f = build_curve(f) if isinstance(f, ShiftPair) else f
+    proved = proved_at(f, m)
     assert formed == ([m] if holds else [])
     assert holds or proved is False
 
 
-def test_certify_forms_the_columns_once_for_both_primes(monkeypatch):
-    formed, handed = [], []
-    real_columns, real_eliminants = curves._y_columns, curves._eliminants_mod
+def test_certify_forms_the_columns_of_f_and_f_y_once_for_both_primes_and_evaluates_no_other(monkeypatch):
+    formed, handed, evaluated = [], [], []
+    real_columns, real_eliminant, real_values = curves._y_columns, curves._eliminant_mod, curves._values_mod
 
     def columns_spy(f):
         formed.append(real_columns(f))
         return formed[-1]
 
-    def eliminants_spy(f, p, columns):
+    def eliminant_spy(f, p, columns):
         handed.append((p, columns))
-        return real_eliminants(f, p, columns)
+        return real_eliminant(f, p, columns)
+
+    def values_spy(c, n, p):
+        evaluated.append(c)
+        return real_values(c, n, p)
 
     monkeypatch.setattr(curves, "_y_columns", columns_spy)
-    monkeypatch.setattr(curves, "_eliminants_mod", eliminants_spy)
+    monkeypatch.setattr(curves, "_eliminant_mod", eliminant_spy)
+    monkeypatch.setattr(curves, "_values_mod", values_spy)
     monkeypatch.setattr(curves, "_gcd_degree_mod", _common_factor(curves._gcd_degree_mod, (P1,), []))
+    f = build_curve(ShiftPair(2, 3))
     assert certify(ShiftPair(2, 3)).affine_nonsingular is curves.Verdict.YES
-    assert len(formed) == 1
+    assert formed == [[f.coeffs_in(), f.partial("y").coeffs_in()]]
     assert [p for p, _ in handed] == [P1, P2]
     assert all(columns is formed[0] for _, columns in handed)
+    assert evaluated == 2 * (formed[0][0] + formed[0][1])
 
 
-def per_point_eliminants(f: BiPoly, p: int) -> tuple[list[int], list[int]]:
-    """Res_y(f,f_x) and Res_y(f,f_y) mod p, the per-point way: one _resultant_mod per point x0 = 0..d(d-1)."""
+def per_point_eliminant(f: BiPoly, p: int) -> list[int]:
+    """Res_y(f,f_y) mod p, the per-point way: one _resultant_mod per point x0 = 0..d(d-1)."""
     d = f.total_degree
-    columns = [g.coeffs_in() for g in (f, f.partial("x"), f.partial("y"))]
-    res_fx, res_fy = [], []
+    columns = [g.coeffs_in() for g in (f, f.partial("y"))]
+    values = []
     for x0 in range(d * (d - 1) + 1):
-        fv, fxv, fyv = ([c(x0) for c in col] for col in columns)
-        res_fx.append(_resultant_mod(fv, fxv, p))
-        res_fy.append(_resultant_mod(fv, fyv, p))
-    return _interpolate_mod(res_fx, p), _interpolate_mod(res_fy, p)
+        fv, fyv = ([c(x0) for c in col] for col in columns)
+        values.append(_resultant_mod(fv, fyv, p))
+    return _interpolate_mod(values, p)
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (4, 5), (2, 7)])
-def test_lockstep_eliminants_are_the_per_point_ones(a, b):
+def test_lockstep_eliminant_is_the_per_point_one(a, b):
     f = build_curve(ShiftPair(a, b))
     for p in _PRIMES:
-        assert curves._eliminants_mod(f, p) == per_point_eliminants(f, p)
+        assert curves._eliminant_mod(f, p) == per_point_eliminant(f, p)
 
 
 def test_lockstep_resultants_are_the_per_point_ones_to_degree_12():
-    """Every shift with a+b <= 12 at both primes, on the sections _eliminants_mod evaluates.
+    """Every shift with a+b <= 12 at both primes, on the sections of F and F_y that _eliminant_mod evaluates.
 
     The values at x0 = 0..D are compared: interpolation from them is one
     to one, and the test above compares whole eliminants.
@@ -251,10 +350,9 @@ def test_lockstep_resultants_are_the_per_point_ones_to_degree_12():
         for a in range(1, d):
             columns = _y_columns(build_curve(ShiftPair(a, d - a)))
             for p in _PRIMES:
-                rows_f, rows_fx, rows_fy = ([_values_mod(c, n, p) for c in g] for g in columns)
-                for rows in (rows_fx, rows_fy):
-                    per_point = [_resultant_mod(ai, bi, p) for ai, bi in zip(zip(*rows_f), zip(*rows))]
-                    assert _resultants_mod(rows_f, rows, p) == per_point, (a, d - a, p)
+                rows_f, rows_fy = ([_values_mod(c, n, p) for c in g] for g in columns)
+                per_point = [_resultant_mod(ai, bi, p) for ai, bi in zip(zip(*rows_f), zip(*rows_fy))]
+                assert _resultants_mod(rows_f, rows_fy, p) == per_point, (a, d - a, p)
 
 
 def exit_of(a: list[int], b: list[int], m: int) -> str | None:
@@ -321,22 +419,19 @@ def test_points_leave_the_lockstep_on_their_own(a, b, ends):
 
 
 def test_the_scalar_fallback_is_reached_on_the_curves():
-    """(1,2) at x0 = 0 leaves with a zero remainder; (2,7) sends one point to _resultant_mod at each prime."""
-    f = build_curve(ShiftPair(1, 2))
+    """(1,3) at x0 = 1 leaves with a zero remainder; (2,7) sends one point, x0 = 6, to _resultant_mod at each prime."""
+    f = build_curve(ShiftPair(1, 3))
     for p in _PRIMES:
-        rows_f, rows_fx, _ = ([_values_mod(c, 1, p) for c in g] for g in _y_columns(f))
-        assert exit_of([r[0] for r in rows_f], [r[0] for r in rows_fx], p) == "zero"
-        assert lockstep_run(rows_f, rows_fx, p) == ([0], 0)
+        rows_f, rows_fy = ([_values_mod(c, 2, p)[1:] for c in g] for g in _y_columns(f))
+        assert exit_of([r[0] for r in rows_f], [r[0] for r in rows_fy], p) == "zero"
+        assert lockstep_run(rows_f, rows_fy, p) == ([0], 0)
     f = build_curve(ShiftPair(2, 7))
     n = 9 * 8 + 1
     for p in _PRIMES:
-        rows_f, rows_fx, rows_fy = ([_values_mod(c, n, p) for c in g] for g in _y_columns(f))
-        scalar = [
-            sum(exit_of(ai, bi, p) == "scalar" for ai, bi in zip(zip(*rows_f), zip(*rows)))
-            for rows in (rows_fx, rows_fy)
-        ]
-        assert sum(scalar) >= 1
-        assert [lockstep_run(rows_f, rows, p)[1] for rows in (rows_fx, rows_fy)] == scalar
+        rows_f, rows_fy = ([_values_mod(c, n, p) for c in g] for g in _y_columns(f))
+        ends = [exit_of(ai, bi, p) for ai, bi in zip(zip(*rows_f), zip(*rows_fy))]
+        assert ends.count("scalar") == 1 and ends[6] == "scalar"
+        assert lockstep_run(rows_f, rows_fy, p)[1] == 1
 
 
 @settings(max_examples=50, deadline=None)
