@@ -2,15 +2,17 @@
 
 For each shift (a,b) the curve F(x,y) = 0 of degree d = a+b is checked
 for singular points, in the affine plane and at infinity. The affine
-verdict is proved modulo the prime 2^30 - 35, or 2^30 - 41 should that
-proof fail; primes below 2^30 keep every residue in one digit of a
-Python int. One eliminant, R = Res_y(F,F_y), is interpolated from its
+check, affine_singular_check, proves its verdict modulo the prime
+2^30 - 35, or 2^30 - 41 should that proof fail; primes below 2^30 keep
+every residue in one digit of a Python int. One eliminant, R = Res_y(F,F_y), is interpolated from its
 values at d(d-1)+1 points. A singular point meets F_y with multiplicity
 at least 2, so it would give R a multiple root; full degree d(d-1) and
 a constant gcd(R, R') mod the prime prove R squarefree over the
-integers, and so the affine curve smooth. A proof that failed at both
-primes would print the verdict inconclusive. A smooth plane curve of
-degree d has genus (d-1)(d-2)/2.
+integers, and so the affine curve smooth. The certificate keeps the
+prime that proved it as affine_prime, which the JSON form of
+curve --certify prints; a proof that failed at both primes would print
+the verdict inconclusive. No exact eliminant is formed. A smooth plane
+curve of degree d has genus (d-1)(d-2)/2.
 
 No finiteness column is printed. The library's finiteness label still
 comes from the shape of the shift (a != b, or (1,1)), not from these

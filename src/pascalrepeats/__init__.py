@@ -13,7 +13,6 @@ from .census import MultiplicityRecord, intersect_curves, multiplicity, scan_hig
 from .combinatorics import binomial, falling_factorial, fibonacci
 from .curves import (
     Certificate,
-    EliminantData,
     Finiteness,
     Verdict,
     affine_singular_check,
@@ -64,7 +63,6 @@ __all__ = [
     "BiPoly",
     "CacheError",
     "Certificate",
-    "EliminantData",
     "FamilyMember",
     "Finiteness",
     "Interval",

@@ -85,12 +85,11 @@ _MAX_PLOT_WORK = 10_000
 # (3,2) on 0..300 (0.11 s estimated, 0.023 s taken) and at most about 9,900 sections of any
 # plot, where 100,000 of (1,1) took 17 s before sections were continued in integers
 _MAX_PLOT_MICROSECONDS = 2_000_000
-# the exact eliminants of curve --certify --format json cost about 1.6 times more per degree:
-# degree 15 took 2.6-2.9 s on 2 CPUs, degree 16 4.2 s. The text path forms no exact eliminant,
-# only Res_y(F,F_y) mod p: certify and the rendered curve took 0.020-0.038 s at (8,7) and (1,14),
-# 0.07 s at (10,10) and 1.05-1.37 s at (20,20) in one process on 2 CPUs, and
-# curve --a 8 --b 7 --certify 0.10-0.14 s as a command. A bound for text alone would come from
-# these; JSON sets this one
+# text and JSON run the same proof, Res_y(F,F_y) mod p, and form no exact eliminant: certify and
+# the rendered curve took 0.021-0.026 s at (8,7) and (1,14), 0.07 s at (10,10) and 1.07-1.11 s
+# at (20,20) in one process on 2 CPUs, and curve --a 8 --b 7 --certify 0.10 s as a command in
+# either format. The bound is kept where the exact JSON eliminants once set it; raising it is
+# a measurement of these times
 _MAX_CERTIFY_DEGREE = 15
 # plain curve forms F once and prints it and its top form, F's degree-(a+b) part; the output
 # grows about 8 times per doubling of a+b: on 2 CPUs degree 160 printed 2.2 MB in 0.12-0.18 s

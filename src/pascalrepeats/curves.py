@@ -14,30 +14,27 @@ constant (-1)^d, so leading-coefficient degeneracy cannot fake a root.
 A squarefree R therefore rules every affine singular point out. At
 infinity only F's top form T = (x-y)^d - x^a y^b is read.
 
-certify decides the affine verdict modulo a prime p, on one path, for
-p = 2^30 - 35 and, only if that proof fails, p = 2^30 - 41: the two
-largest primes below 2^30, so that every residue is one digit of a
-CPython int. With D = d(d-1), it evaluates the y-columns of F and F_y,
-formed once for both primes, at all x0 = 0..D at once, takes the
-resultant in y over GF(p) by one Euclid run in lockstep over the
-points (one batch inverse per step) and interpolates R mod p. A point
-whose remainder loses its leading coefficient mod p leaves the
-lockstep: its resultant is 0 when the remainder vanishes, and
-otherwise it is finished by the scalar Euclid of one point. Full
-degree D and a constant gcd(R, R') mod p prove YES (the argument is in
-certify's docstring); a proof that fails at both primes is
-inconclusive, never a proven singularity. Every shift with a+b <= 20
-is proved at the first prime; should both ever fail, the two-eliminant
-proof, a constant gcd of Res_y(F,F_x) and Res_y(F,F_y) mod p, is the
-check to add, since it can prove curves with a vertical flex or two
-vertical tangents on one line, which this proof cannot. Nonsingular
-degree-d curves get genus (d-1)(d-2)/2 and are irreducible outright.
-
-affine_singular_check forms the exact eliminants over Z and their gcd.
-A Certificate's JSON form calls it, from the F the Certificate keeps,
-to print them as evidence; certify itself never does. Their gcd is
-proved constant by unipoly_gcd modulo 2^30 - 35, with the exact
-remainder sequence as its fallback.
+affine_singular_check is the affine check, and certify runs it once.
+It proves the verdict modulo a prime p, on one path, for p = 2^30 - 35
+and, only if that proof fails, p = 2^30 - 41: the two largest primes
+below 2^30, so that every residue is one digit of a CPython int. With
+D = d(d-1), it evaluates the y-columns of F and F_y, formed once for
+both primes, at all x0 = 0..D at once, takes the resultant in y over
+GF(p) by one Euclid run in lockstep over the points (one batch inverse
+per step) and interpolates R mod p. A point whose remainder loses its
+leading coefficient mod p leaves the lockstep: its resultant is 0 when
+the remainder vanishes, and otherwise it is finished by the scalar
+Euclid of one point. Full degree D and a constant gcd(R, R') mod p
+prove YES (the argument is in certify's docstring), and the prime that
+proved it is the certificate's affine_prime, which its JSON form
+prints; a proof that fails at both primes is inconclusive, never a
+proven singularity. No exact eliminant is formed. Every shift with
+a+b <= 20 is proved at the first prime; should both ever fail, the
+two-eliminant proof, a constant gcd of Res_y(F,F_x) and Res_y(F,F_y)
+mod p, is the check to add, since it can prove curves with a vertical
+flex or two vertical tangents on one line, which this proof cannot.
+Nonsingular degree-d curves get genus (d-1)(d-2)/2 and are irreducible
+outright.
 
 Sections F(x, y0) are built from F's coefficient columns in y, formed
 once per curve by _x_columns: for y0 = u/w the section is
@@ -60,7 +57,6 @@ from typing import Iterable, Iterator
 
 from .errors import PreconditionError
 from .polynomials import (
-    _PRIMES,
     BiPoly,
     UniPoly,
     _gcd_degree_mod,
@@ -68,7 +64,6 @@ from .polynomials import (
     _linear_product,
     _resultants_mod,
     _values_mod,
-    bipoly_resultant,
     isolate_real_roots,
     unipoly_gcd,
 )
@@ -87,36 +82,26 @@ class Finiteness(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class EliminantData:
-    """Res_y(F,F_x) and Res_y(F,F_y), and their gcd."""
-
-    res_fx: UniPoly
-    res_fy: UniPoly
-    common_factor: UniPoly
-
-
-@dataclass(frozen=True)
 class Certificate:
     """Per-curve record: singularity verdicts, genus, finiteness class, and the curve F they read.
 
-    to_json_dict adds the exact eliminants of F as evidence, forming them
-    with affine_singular_check on each call.
+    affine_prime is the prime at which affine_singular_check proved the
+    affine verdict, or None when it is inconclusive; to_json_dict prints
+    it as the affine proof's evidence.
     """
 
     shift: ShiftPair
     curve: BiPoly = field(repr=False, compare=False)
     degree: int
     affine_nonsingular: Verdict
+    affine_prime: int | None
     infinity_nonsingular: Verdict
     genus: int | None
     irreducible: bool | None
     finiteness: Finiteness
 
     def to_json_dict(self) -> dict:
-        def poly_strings(p: UniPoly) -> list[str]:
-            return [str(c) for c in p.coeffs]
-
-        e = affine_singular_check(self.curve)
+        p = self.affine_prime
         return {
             "a": self.shift.a,
             "b": self.shift.b,
@@ -126,14 +111,7 @@ class Certificate:
             "genus": self.genus,
             "irreducible": self.irreducible,
             "finiteness": self.finiteness.value,
-            "eliminants": [
-                {
-                    "eliminated": "y",
-                    "res_fx": poly_strings(e.res_fx),
-                    "res_fy": poly_strings(e.res_fy),
-                    "common_factor": poly_strings(e.common_factor),
-                }
-            ],
+            "affine_proof": None if p is None else {"eliminant": "Res_y(F,F_y)", "prime": p},
         }
 
 
@@ -155,18 +133,45 @@ def build_curve(shift: ShiftPair) -> BiPoly:
     return BiPoly(terms)
 
 
-def affine_singular_check(f: BiPoly) -> EliminantData:
-    """Certify that F = F_x = F_y = 0 has no affine solution, for the curve F = f.
+# The two largest primes below 2^30: every residue is one 30-bit digit of a
+# CPython int, so products of residues and their reductions take the
+# interpreter's single-digit paths.
+_PRIMES = ((1 << 30) - 35, (1 << 30) - 41)
 
-    A common solution with y-coordinate y0 makes both Res_y(F,F_x) and
-    Res_y(F,F_y) vanish at the x-coordinate, so a constant gcd of the two
-    eliminants rules every candidate out; the converse does not hold.
-    certify proves instead, modulo a prime and without forming these, that
-    Res_y(F,F_y) alone is squarefree; the exact ones are the JSON evidence.
+
+def affine_singular_check(f: BiPoly) -> int | None:
+    """The prime at which the curve F = f is proved to have no affine singular point, or None.
+
+    The proof, certify's (the argument is in its docstring), reads one
+    eliminant, R = Res_y(F, F_y): of degree d(d-1) and squarefree mod p,
+    it leaves F = F_x = F_y = 0 no affine solution. It is tried at
+    p = 2^30 - 35 and, only if it fails there, at p = 2^30 - 41; None
+    means it failed at both, which proves nothing. The y-columns of F and
+    F_y are formed once for both primes, and no column of F_x is formed.
     """
-    res_fx = bipoly_resultant(f, f.partial("x"))
-    res_fy = bipoly_resultant(f, f.partial("y"))
-    return EliminantData(res_fx, res_fy, unipoly_gcd(res_fx, res_fy))
+    columns = [g.coeffs_in() for g in (f, f.partial("y"))]
+    return next((p for p in _PRIMES if _affine_nonsingular_mod_p(f, p, columns)), None)
+
+
+def _affine_nonsingular_mod_p(f: BiPoly, p: int, columns: list[list[UniPoly]]) -> bool:
+    """True when the affine proof holds mod the prime p: R = Res_y(f, f_y) of degree d(d-1), squarefree mod p.
+
+    columns holds the coefficients in y of F and F_y, each ascending in y,
+    as polynomials in x. False, before R is formed, when the proof's
+    preconditions fail: the d(d-1)+1 evaluation points must be distinct
+    mod p, and F and F_y must each have a constant y-leading coefficient
+    that p does not divide. Otherwise every column is evaluated at all the
+    points x0 = 0..d(d-1) at once, one lockstep Euclid over the points
+    (_resultants_mod) gives R's values mod p, and R mod p is interpolated
+    from them.
+    """
+    d = f.total_degree
+    top = d * (d - 1)
+    if top >= p or any(g[-1].degree != 0 or g[-1].leading % p == 0 for g in columns):
+        return False
+    rows_f, rows_fy = ([_values_mod(c, top + 1, p) for c in g] for g in columns)
+    r = UniPoly(_interpolate_mod(_resultants_mod(rows_f, rows_fy, p), p))
+    return r.degree == top and _gcd_degree_mod(r, r.derivative(), p) == 0
 
 
 def infinity_singular_check(f: BiPoly) -> Verdict:
@@ -199,53 +204,20 @@ def classify_finiteness(shift: ShiftPair) -> Finiteness:
     return Finiteness.OPEN
 
 
-def _y_columns(f: BiPoly) -> list[list[UniPoly]]:
-    """The coefficients in y of F and F_y for the curve F = f, each ascending in y, as polynomials in x."""
-    return [g.coeffs_in() for g in (f, f.partial("y"))]
-
-
-def _eliminant_mod(f: BiPoly, p: int, columns: list[list[UniPoly]] | None = None) -> list[int]:
-    """R = Res_y(f, f_y) mod p, ascending, from its values at x0 = 0..d(d-1).
-
-    Every column of F and F_y is evaluated at all the points at once, and
-    the values come from one lockstep Euclid over the points
-    (_resultants_mod). columns, when given, is _y_columns(f).
-    """
-    d = f.total_degree
-    n = d * (d - 1) + 1
-    rows_f, rows_fy = ([_values_mod(c, n, p) for c in g] for g in columns or _y_columns(f))
-    return _interpolate_mod(_resultants_mod(rows_f, rows_fy, p), p)
-
-
-def _affine_nonsingular_mod_p(f: BiPoly, p: int, columns: list[list[UniPoly]]) -> bool:
-    """True when certify's proof holds mod the prime p: R = Res_y(f, f_y) of degree d(d-1), squarefree mod p.
-
-    columns is _y_columns(f). False, before R is formed, when the proof's
-    preconditions fail: the d(d-1)+1 evaluation points must be distinct
-    mod p, and F and F_y must each have a constant y-leading coefficient
-    that p does not divide.
-    """
-    d = f.total_degree
-    top = d * (d - 1)
-    if top >= p or any(g[-1].degree != 0 or g[-1].leading % p == 0 for g in columns):
-        return False
-    r = UniPoly(_eliminant_mod(f, p, columns))
-    return r.degree == top and _gcd_degree_mod(r, r.derivative(), p) == 0
-
-
 def certify(shift: ShiftPair) -> Certificate:
     """Full certificate: singularity checks, genus when they pass, class.
 
-    F is formed once, and every check below reads it; so are the
-    y-columns of F and F_y, which both primes' proofs read. The affine
-    verdict is YES when it is proved modulo p = 2^30 - 35 or, if that
-    proof fails, modulo p = 2^30 - 41, and INCONCLUSIVE when both fail.
-    The resultants at the D+1 points are taken together: Euclid over
-    GF(p) runs on rows of residues, one row per y-coefficient with one
-    entry per point, with one inverse per step for every point's leading
-    coefficient; a point whose remainder's leading coefficient vanishes
-    mod p finishes alone with the scalar Euclid, or at 0 when its
-    remainder vanishes. The values are the per-point ones.
+    F is formed once, and every check below reads it. The affine verdict
+    is one call of affine_singular_check: YES, with the prime that proved
+    it as affine_prime, when the proof below holds modulo p = 2^30 - 35
+    or, if it fails there, modulo p = 2^30 - 41; INCONCLUSIVE, with
+    affine_prime None, when it fails at both. The resultants at the D+1
+    points are taken together: Euclid over GF(p) runs on rows of
+    residues, one row per y-coefficient with one entry per point, with
+    one inverse per step for every point's leading coefficient; a point
+    whose remainder's leading coefficient vanishes mod p finishes alone
+    with the scalar Euclid, or at 0 when its remainder vanishes. The
+    values are the per-point ones.
 
     Let d = a+b, D = d(d-1) and R = Res_y(F, F_y). As polynomials in y,
     F has degree d and leading coefficient (-1)^d, and F_y degree d-1 and
@@ -281,8 +253,8 @@ def certify(shift: ShiftPair) -> Certificate:
     and a meeting point would be singular).
     """
     f = build_curve(shift)
-    columns = _y_columns(f)
-    verdict = Verdict.YES if any(_affine_nonsingular_mod_p(f, p, columns) for p in _PRIMES) else Verdict.INCONCLUSIVE
+    prime = affine_singular_check(f)
+    verdict = Verdict.INCONCLUSIVE if prime is None else Verdict.YES
     infinity = infinity_singular_check(f)
     d = f.total_degree
     nonsingular = verdict is Verdict.YES and infinity is Verdict.YES
@@ -293,6 +265,7 @@ def certify(shift: ShiftPair) -> Certificate:
         curve=f,
         degree=d,
         affine_nonsingular=verdict,
+        affine_prime=prime,
         infinity_nonsingular=infinity,
         genus=genus,
         irreducible=irreducible,

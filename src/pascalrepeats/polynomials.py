@@ -6,21 +6,19 @@ The resultant Res_y, which eliminates y, is computed by a
 fraction-free (subresultant) polynomial remainder sequence whose
 coefficients are univariate polynomials; its pseudo-remainder step is
 generic and also serves the integer Sturm chains. The modular kernel
-runs over GF(m) for a prime m passed in, one of _PRIMES = (2^30 - 35,
-2^30 - 41), the two largest primes below 2^30: every residue then fits
-in one 30-bit digit of a CPython int, which keeps products and
-reductions on the interpreter's single-digit paths. unipoly_gcd first
-proves a constant gcd modulo 2^30 - 35 when it can, and runs its exact
-remainder sequence only when that fails. Over GF(m), one remainder
-step serves the gcd degree and a resultant by Euclid with the
-Sylvester sign convention, and Newton's forward differences
-interpolate a polynomial from its values at 0..n-1. _resultants_mod
-runs that Euclid on many points in lockstep: one row of residues per
-coefficient, one batch inverse (_inverses_mod) per step, and the scalar
-_resultant_mod only for a point whose remainder loses its leading
-coefficient; _values_mod evaluates a polynomial at 0..n-1 by Horner
-over the whole row of points. curves.certify builds its modular
-eliminant from these, at either prime.
+runs over GF(m) for a prime m passed in; curves chooses the primes.
+unipoly_gcd is exact: one primitive remainder sequence, with no
+modular test. Over GF(m), one remainder step serves the gcd degree
+and a resultant by Euclid with the Sylvester sign convention, and
+Newton's forward differences interpolate a polynomial from its values
+at 0..n-1. _resultants_mod runs that Euclid on many points in
+lockstep: one row of residues per coefficient, one batch inverse
+(_inverses_mod) per step, and the scalar _resultant_mod only for a
+point whose remainder loses its leading coefficient; _values_mod
+evaluates a polynomial at 0..n-1 by Horner over the whole row of
+points. curves.affine_singular_check builds its modular eliminant from
+these. bipoly_resultant, the exact Res_y, runs on no CLI path: it is
+the tests' oracle for the modular eliminant.
 Real roots are isolated by Sturm sign variations and bisection on
 integer numerators over a common power-of-two denominator; past 64
 halvings, or at once from a hint such as a neighbouring section's root,
@@ -340,12 +338,6 @@ def _signed_prs(a: Sequence[int], b: Sequence[int]) -> Iterator[Sequence[int]]:
         a, b = b, [c // g for c in r]
 
 
-# The two largest primes below 2^30: every residue is one 30-bit digit of a
-# CPython int, so products of residues and their reductions take the
-# interpreter's single-digit paths.
-_PRIMES = ((1 << 30) - 35, (1 << 30) - 41)
-
-
 def _rem_mod(a: list[int], b: list[int], m: int) -> list[int]:
     """a mod b over GF(m), m prime, in place on a; b's last element is nonzero mod m."""
     inv = pow(b[-1], -1, m)
@@ -506,17 +498,8 @@ def _interpolate_mod(values: list[int], m: int) -> list[int]:
 def unipoly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Greatest common divisor in Z[x], positive leading coefficient.
 
-    A constant gcd is proved modulo the prime P = 2^30 - 35, the first of
-    _PRIMES, when P divides neither leading coefficient (W. S. Brown, "On
-    Euclid's algorithm and the computation of polynomial greatest common
-    divisors", JACM 18, 1971). The gcd g over Z divides p, so lc(g)
-    divides lc(p) and P does not divide lc(g): g mod P keeps the degree of
-    g. And g mod P divides both p mod P and q mod P, hence their gcd over
-    GF(P). So deg g <= deg gcd(p mod P, q mod P), and a constant gcd mod P
-    proves deg g = 0. Then g is the gcd of the contents, which is what the
-    remainder sequence returns, and no _signed_prs runs. Otherwise (a
-    nonconstant gcd mod P, or P dividing a leading coefficient) the exact
-    primitive remainder sequence decides.
+    The last term of the signed primitive remainder sequence of the
+    primitive parts (_signed_prs), times the gcd of the contents.
     """
     if not p and not q:
         return UniPoly()
@@ -524,10 +507,6 @@ def unipoly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         return q if q.leading > 0 else -q
     if not q:
         return p if p.leading > 0 else -p
-    c = math.gcd(p.content(), q.content())
-    m = _PRIMES[0]
-    if p.leading % m and q.leading % m and _gcd_degree_mod(p, q, m) == 0:
-        return UniPoly((c,))
     a, b = p.primitive_part(), q.primitive_part()
     if a.degree < b.degree:
         a, b = b, a
@@ -536,7 +515,7 @@ def unipoly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     g = UniPoly(last)
     if g.leading < 0:
         g = -g
-    return g * c
+    return g * math.gcd(p.content(), q.content())
 
 
 # ---------------------------------------------------------------------------
@@ -940,8 +919,11 @@ def format_bipoly(p: BiPoly) -> str:
 def bipoly_resultant(p: BiPoly, q: BiPoly) -> UniPoly:
     """Res_y(p, q), a univariate polynomial in x.
 
-    Raises ZeroPolynomialError when either input is zero. The sign
-    convention is the Sylvester determinant with p's rows first.
+    No CLI path calls it: certify proves its verdict from Res_y(F, F_y)
+    mod p alone. It is the tests' exact oracle for that eliminant, and a
+    function the benchmark's trace mode names. Raises ZeroPolynomialError
+    when either input is zero. The sign convention is the Sylvester
+    determinant with p's rows first.
     """
     if not p or not q:
         raise ZeroPolynomialError("resultant of a zero polynomial")

@@ -2,14 +2,18 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pascalrepeats import census as census_mod
 from pascalrepeats import cli as cli_mod
 from pascalrepeats import curves as curves_mod
+from pascalrepeats import polynomials as polynomials_mod
 from pascalrepeats import ratios as ratios_mod
 from pascalrepeats.cli import (
     _decimal_fixed,
@@ -433,24 +437,56 @@ def test_intersect_refuses_an_x_max_beyond_either_shifts_work_bound_before_any_r
     assert run_cli(swapped) == (1, "", message)
 
 
-def test_text_certificate_forms_no_exact_eliminant(monkeypatch):
+CERTIFIED = [(a, d - a) for d in range(2, 9) for a in range(1, d)]
+VERDICT_FIELDS = ("degree", "affine_nonsingular", "infinity_nonsingular", "genus", "irreducible", "finiteness")
+
+
+def test_every_certificate_runs_the_affine_check_once_and_no_exact_eliminant(monkeypatch):
     calls = []
 
-    def counted(name):
-        real = getattr(curves_mod, name)
-        return lambda *args: calls.append(name) or real(*args)
+    def counted(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or real(*args))
 
-    for name in ("affine_singular_check", "bipoly_resultant"):
-        monkeypatch.setattr(curves_mod, name, counted(name))
-    for a, b in [(a, d - a) for d in range(2, 9) for a in range(1, d)]:
-        code, _, err = run_cli(["curve", "--a", str(a), "--b", str(b), "--certify"])
-        assert (code, err, calls) == (0, "", []), (a, b)
-    code, out, _ = run_cli(["curve", "--a", "4", "--b", "5", "--certify"])
-    assert (code, calls) == (0, [])
-    assert "affine_nonsingular = yes\n" in out and "genus = 28\n" in out
-    code, _, err = run_cli(["curve", "--a", "2", "--b", "3", "--certify", "--format", "json"])
+    counted(curves_mod, "affine_singular_check")
+    for name in ("bipoly_resultant", "_resultant_lists"):
+        counted(polynomials_mod, name)
+    for a, b in CERTIFIED:
+        for fmt in ("text", "json"):
+            calls.clear()
+            code, _, err = run_cli(["curve", "--a", str(a), "--b", str(b), "--certify", "--format", fmt])
+            assert (code, err, calls) == (0, "", ["affine_singular_check"]), (a, b, fmt)
+
+
+def test_json_certificate_is_the_text_one_with_the_prime_that_proved_it():
+    for a, b in CERTIFIED:
+        argv = ["curve", "--a", str(a), "--b", str(b), "--certify", "--format"]
+        text, payload = run_cli([*argv, "text"])[1], json.loads(run_cli([*argv, "json"])[1])
+        lines = [f"F(x,y) = {payload['curve']}"] + [f"{name} = {payload[name]}" for name in VERDICT_FIELDS]
+        assert text == "\n".join(lines) + "\n", (a, b)
+        assert payload["affine_proof"] == {"eliminant": "Res_y(F,F_y)", "prime": curves_mod._PRIMES[0]}, (a, b)
+
+
+def test_a_proof_failed_at_both_primes_prints_a_null_affine_proof(monkeypatch):
+    # a common factor of R and R' reported at every prime
+    monkeypatch.setattr(curves_mod, "_gcd_degree_mod", lambda p, q, m: 1)
+    argv = ["curve", "--a", "2", "--b", "3", "--certify", "--format"]
+    code, out, err = run_cli([*argv, "json"])
+    payload = json.loads(out)
     assert (code, err) == (0, "")
-    assert calls.count("affine_singular_check") == 1
+    assert payload["affine_proof"] is None and payload["affine_nonsingular"] == "inconclusive"
+    assert payload["genus"] is None and payload["irreducible"] is None
+    code, out, _ = run_cli([*argv, "text"])
+    assert code == 0 and "affine_nonsingular = inconclusive\ninfinity_nonsingular = yes\ngenus = None\n" in out
+
+
+def test_importing_the_cli_loads_no_process_machinery_and_no_outside_package():
+    # the CLI runs in one process on the standard library alone; sympy, mpmath and numpy stay out
+    banned = ("multiprocessing", "concurrent", "asyncio", "subprocess", "sympy", "mpmath", "numpy")
+    code = f"import sys, pascalrepeats.cli\nprint(sorted({{m.split('.')[0] for m in sys.modules}} & set({banned!r})))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
 
 @pytest.mark.parametrize("a,b", [(2, 2), (3, 6)])

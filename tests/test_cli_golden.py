@@ -4,8 +4,10 @@ Each row is an invocation, its exit status and the sha256 of its stdout,
 recorded from an earlier implementation: the rows up to the empty plot
 range before the subcommand handlers were rebound, the next four before
 the real-root layer moved from Fraction to integer arithmetic, and the
-fine zeta, plot and degree-9 certificate rows before bisect_root took
-its Newton cell and unipoly_gcd its modular test. The two refusals after
+fine zeta and plot rows before bisect_root took its Newton cell. The
+certificates in JSON, of (2,2), (3,3) and (4,5), and the last row, of
+(8,7), were recorded when the JSON form first printed the prime that
+proved the affine verdict in place of the exact eliminants. The two refusals after
 them print nothing: a decimal exponent beyond the parser's bound is a
 usage error (exit 2), and more than a million plot sections a domain
 error (exit 1), now refused by the plot's time estimate. The searches with --workers and the intersection of
@@ -38,11 +40,11 @@ plots whose sections have several roots, and searches and an
 intersection whose blocks all lie below y = 2^20. The two refusals
 after them print nothing: a search whose (a+b) * bits(y_max) exceeds
 2048, and a plot whose (a+b)^2 * bits(max |y|) exceeds 10,000, each
-refused before any row or section. The last two print nothing as well:
+refused before any row or section. The two after them print nothing as well:
 100,000 sections of (1,1), whose estimated time exceeds 2 s, are refused
 before any section, and zeta of (20,20) at 1e-100000, whose
 (a+b) * bits(1/precision) exceeds 1,000,000, before any bisection. The
-last three rows were recorded while certify still proved its affine
+next three rows were recorded while certify still proved its affine
 verdict from two eliminants, Res_y(F,F_x) and Res_y(F,F_y), and while a
 continued plot section ran Newton at its goal precision from the first
 step: the text certificates of (8,7) and (1,14), the largest degree
@@ -83,7 +85,7 @@ GOLDEN = [
     ("curve --a 1 --b 1", 0, "b96c742c71304d0969b6fad20c89fda9a5f215cddb111f8619c47d1703ee1afd"),
     ("curve --a 1 --b 2 --format json", 0, "1cf3f35ac29d5726fc93b2f1c4aaddd7734a3c532c3abd111cb6a7f54cbaf9e6"),
     ("curve --a 2 --b 2 --certify", 0, "da8a4edd8800ebb8dac07e66ab593c24ef687fc1f8f857ca4a0e9ed356eccf11"),
-    ("curve --a 2 --b 2 --certify --format json", 0, "83046889d4b8b75a5aa42d44cb697484eb273321bd9a53bf141779672eb866eb"),
+    ("curve --a 2 --b 2 --certify --format json", 0, "2febc4d5ecbcfbad7cbfcc5c619d071462390b227e9dd4cf25732e8360dcdbfc"),
     ("curve --a 1 --b 2 --format csv", 1, EMPTY),
     ("census --t 3003", 0, "0b2d70567492fb766f7adbd95af85295c7378f049fda95b940b23c4f7d641b2f"),
     ("census --t 3003 --format json", 0, "7b62e8d081b50d0af9f09f7585ebbc62a356f587cbb63f1ce0fefa95fb341da3"),
@@ -110,12 +112,12 @@ GOLDEN = [
     ("plot --a 1 --b 1 --y-min 3 --y-max 1", 0, "d2bfa8c3b4ac482d2b479535516e63fd466c7fffa494e5b47cac180b50d56100"),
     ("plot --a 3 --b 2 --y-min -4 --y-max 40 --y-step 1/3 --precision 1e-40", 0, "d3f5564008c561af03b626e859b78c7ae1f088a0b95470b2c98bdae1123f07f1"),
     ("zeta --a 6 --b 6 --precision 1e-300", 0, "9ed4c0111da9c6d44e9b0bc6bfbed4516272802268810b8181b40a933bf22cc8"),
-    ("curve --a 3 --b 3 --certify --format json", 0, "ac3ca8ebdc161178244e7277982499ecfaf5cc14c6b8e01a1d1fdfe7956c8181"),
+    ("curve --a 3 --b 3 --certify --format json", 0, "5b09ba66d7ef1ec6c4a7a33545d2bcbb3caae2199892512461a19a5e628f2b43"),
     ("curve --a 1 --b 3 --certify", 0, "75dbcb6f7a50eab17c6940c772c7f70a52d25af8feb04ffe813b573f5a8aaf79"),
     ("zeta --a 2 --b 10 --precision 1e-600", 0, "00b31cbcee5bf3437f68946bc6987b4d38e2fc718ac0ac624d45e25cfa370269"),
     ("zeta --a 1 --b 1 --precision 1e-1000 --format json", 0, "eda797802a1155fe9b0bbb53d346c2f18c6f36ae43cd45b00e0eb2c6deafbcb2"),
     ("plot --a 3 --b 2 --y-min 0 --y-max 20 --precision 1e-60", 0, "1902abce4653cc944bb44c5d107ada2184cb2a20d454072b21b9e041d0db1858"),
-    ("curve --a 4 --b 5 --certify --format json", 0, "c2c4d01b0145e9687f960a57bba08d999a4b133185b801bf016a81ac6df5fc46"),
+    ("curve --a 4 --b 5 --certify --format json", 0, "d40e5752dc0c5e988ee99f1b9f029d9245c1d6c8a242e02096b943c64c1e1b07"),
     ("zeta --a 1 --b 1 --precision 1e-100001", 2, EMPTY),
     ("plot --a 1 --b 1 --y-min 0 --y-max 1 --y-step 1e-6", 1, EMPTY),
     ("search --a 1 --b 1 --y-max 500 --workers 2", 0, "9bd00a8d1fee8c72b35bd892822114c799e7357c00aa1cdd926fbfbbf07ddb51"),
@@ -153,6 +155,7 @@ GOLDEN = [
     ("curve --a 8 --b 7 --certify", 0, "59860c3c560e87a03b40763219acc4a9041db9095bc1cb43ce0a8e20753099b4"),
     ("curve --a 1 --b 14 --certify", 0, "54e8b1fcc7992e81225537cd0e08979980f4e90650d1fdb4e2d919502c8803cd"),
     ("plot --a 1 --b 1 --y-min 5 --y-max 9 --precision 1e-10000", 0, "1f857959ddff6efa9c3f402efd6377fb348bca23d508f55f747256864cebaa97"),
+    ("curve --a 8 --b 7 --certify --format json", 0, "757c757e4e792bcff269db3819730f363d673e6de90fade2a08242478d9a01e7"),
 ]
 
 

@@ -139,16 +139,16 @@ def test_partial_top_coefficients_in_y():
 
 def test_affine_singular_check_smooth_cases():
     for a, b in [(1, 1), (2, 2), (1, 2), (3, 1)]:
-        report = affine_singular_check(build_curve(ShiftPair(a, b)))
-        assert report.common_factor.degree == 0
+        assert affine_singular_check(build_curve(ShiftPair(a, b))) == curves_mod._PRIMES[0]
 
 
-def test_affine_eliminants_are_nonzero():
-    report = affine_singular_check(build_curve(ShiftPair(2, 2)))
-    assert report.res_fx.degree >= 0
-    assert report.res_fy.degree >= 0
-    assert report.res_fx != UniPoly([])
-    assert report.res_fy != UniPoly([])
+def test_affine_singular_check_proves_no_singular_curve():
+    # y^3 + 2x^3 + y^2 - x^2 has a node and y^3 + y^2 - x^3 a cusp at the origin;
+    # both y-leading coefficients are 1, so the check runs its proof at each prime
+    node = BiPoly({(0, 3): 1, (3, 0): 2, (0, 2): 1, (2, 0): -1})
+    cusp = BiPoly({(0, 3): 1, (0, 2): 1, (3, 0): -1})
+    assert affine_singular_check(node) is None
+    assert affine_singular_check(cusp) is None
 
 
 def test_infinity_singular_check_smooth_cases():
@@ -196,7 +196,7 @@ def test_y_leading_coefficients_are_nonzero_constants():
             for g, degree, lead in leads:
                 assert g.degree_in("y") == degree
                 assert g.coeffs_in()[degree] == UniPoly([lead])
-                assert 0 < abs(lead) < min(polynomials._PRIMES)
+                assert 0 < abs(lead) < min(curves_mod._PRIMES)
 
 
 def test_classify_finiteness_labels():
@@ -240,10 +240,8 @@ def test_certificate_json_dict_is_serializable_and_typed():
     assert back["a"] == 2 and back["b"] == 1
     assert back["affine_nonsingular"] == "yes"
     assert back["genus"] == 1
-    assert isinstance(back["eliminants"], list) and back["eliminants"]
-    for e in back["eliminants"]:
-        assert all(isinstance(c, str) for c in e["res_fx"])
-        assert all(isinstance(c, str) for c in e["common_factor"])
+    assert back["affine_proof"] == {"eliminant": "Res_y(F,F_y)", "prime": curves_mod._PRIMES[0]}
+    assert back["affine_proof"]["prime"] == cert.affine_prime and type(cert.affine_prime) is int
 
 
 def test_genus_follows_degree_formula_when_certified():

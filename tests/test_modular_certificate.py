@@ -1,4 +1,4 @@
-"""certify's affine verdict modulo the package's two primes against the exact path.
+"""certify's affine check, affine_singular_check, modulo the package's two primes against the exact path.
 
 The two moduli must be distinct primes below 2^30. At each of them the
 kernel's resultant over GF(p) must agree with bipoly_resultant reduced
@@ -6,27 +6,29 @@ mod p, and with the Sylvester determinant of test_polynomials, sign
 included, and its interpolation at 0..n-1 must give back a polynomial
 from its values.
 
-certify proves the affine verdict from one eliminant, R = Res_y(F,F_y):
-of degree d(d-1) and squarefree mod p. The two-eliminant proof it
-replaced, a constant gcd of Res_y(F,F_x) and Res_y(F,F_y) mod p, is
-kept here as the oracle, and the two verdicts must agree for every
-shift with a+b <= 12 at both primes; every shift with a+b <= 15, all
-that the CLI certifies, must be proved at the first prime. Curves
-whose y-leading coefficient is a constant and which have a node or a
-cusp must not be proved, nor smooth ones that give R a multiple root
-(a vertical flex, or two vertical tangents on one line x = x0); smooth
-curves without these must be. A node whose x-coordinate is 1/p must not
-be proved at p either: there R mod p loses its degree, and only the
-degree test refuses it.
+affine_singular_check proves the affine verdict from one eliminant,
+R = Res_y(F,F_y): of degree d(d-1) and squarefree mod p. It returns the
+prime that proved it, and certify keeps that prime as affine_prime. The
+two-eliminant proof it replaced, a constant gcd of Res_y(F,F_x) and
+Res_y(F,F_y) mod p, is kept here as the oracle, and the two verdicts
+must agree for every shift with a+b <= 12 at both primes; every shift
+with a+b <= 15, all that the CLI certifies, must be proved at the first
+prime. Curves whose y-leading coefficient is a constant and which have
+a node or a cusp must not be proved, nor smooth ones that give R a
+multiple root (a vertical flex, or two vertical tangents on one line
+x = x0); smooth curves without these must be. A node whose x-coordinate
+is 1/p must not be proved at p either: there R mod p loses its degree,
+and only the degree test refuses it.
 
 A modular proof that fails at the first prime, by a degree drop or a
-nonconstant gcd mod p, must be proved again at the second; one that
-fails at both must leave the affine verdict inconclusive without
-calling affine_singular_check. A prime that breaks the proof's
-preconditions proves nothing and forms no eliminant. certify forms no
-exact eliminant; each JSON form of a certificate forms them once, from
-the curve it certified. certify forms the y-columns of F and F_y once
-for both primes, and evaluates no other column: no F_x.
+nonconstant gcd mod p, must be proved again at the second, with the
+same verdicts and the second prime as affine_prime; one that fails at
+both must leave the affine verdict inconclusive and print a null
+affine proof. A prime that breaks the proof's preconditions proves
+nothing and forms no eliminant. certify runs affine_singular_check once
+and forms no exact eliminant, and its JSON form runs no check at all.
+The y-columns of F and F_y are formed once for both primes, and no
+other column is evaluated: no F_x.
 
 The lockstep Euclid over all evaluation points must give what the
 per-point loop it replaced gives, that loop being kept here as the
@@ -43,9 +45,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pascalrepeats import curves, polynomials
-from pascalrepeats.curves import _affine_nonsingular_mod_p, _y_columns, build_curve, certify
+from pascalrepeats.curves import _PRIMES, _affine_nonsingular_mod_p, affine_singular_check, build_curve, certify
 from pascalrepeats.polynomials import (
-    _PRIMES,
     BiPoly,
     UniPoly,
     _gcd_degree_mod,
@@ -121,37 +122,29 @@ def test_interpolation_recovers_the_polynomial_from_its_values(m, coeffs, extra)
 
 
 @pytest.fixture
-def exact_checks(monkeypatch):
-    """The curves affine_singular_check runs on, in order."""
+def exact_eliminants(monkeypatch):
+    """The exact resultants formed, by bipoly_resultant or its subresultant core, in order."""
     runs = []
-    real = curves.affine_singular_check
+    real = polynomials._resultant_lists
 
-    def spy(f):
-        runs.append(f)
-        return real(f)
+    def spy(pa, pb):
+        runs.append((pa, pb))
+        return real(pa, pb)
 
-    monkeypatch.setattr(curves, "affine_singular_check", spy)
+    monkeypatch.setattr(polynomials, "_resultant_lists", spy)
     return runs
 
 
-def test_certify_forms_no_eliminant_and_each_json_form_forms_them_once(exact_checks):
-    shift = ShiftPair(2, 3)
-    cert = certify(shift)
-    assert cert.affine_nonsingular is curves.Verdict.YES and exact_checks == []
+def test_certify_runs_the_affine_check_once_and_json_prints_its_prime(exact_eliminants, monkeypatch):
+    checked = []
+    monkeypatch.setattr(curves, "affine_singular_check", lambda f: checked.append(f) or affine_singular_check(f))
+    cert = certify(ShiftPair(2, 3))
+    assert cert.affine_nonsingular is curves.Verdict.YES and cert.affine_prime == P1
+    assert len(checked) == 1 and checked[0] is cert.curve
     payload = cert.to_json_dict()
-    assert exact_checks == [build_curve(shift)]
-    assert exact_checks[0] is cert.curve
-    assert cert.to_json_dict() == payload and len(exact_checks) == 2
-    assert exact_checks[1] is cert.curve
-    exact = curves.affine_singular_check(cert.curve)
-    assert payload["eliminants"] == [
-        {
-            "eliminated": "y",
-            "res_fx": [str(c) for c in exact.res_fx.coeffs],
-            "res_fy": [str(c) for c in exact.res_fy.coeffs],
-            "common_factor": ["1"],
-        }
-    ]
+    assert payload["affine_proof"] == {"eliminant": "Res_y(F,F_y)", "prime": P1}
+    assert "eliminants" not in payload
+    assert len(checked) == 1 and exact_eliminants == []
 
 
 def _drop_degree(real, failing, seen):
@@ -174,20 +167,25 @@ def _common_factor(real, failing, seen):
 @pytest.mark.parametrize("failing", [(P1,), _PRIMES], ids=["p1", "both"])
 @pytest.mark.parametrize("name,forced", [("_interpolate_mod", _drop_degree), ("_gcd_degree_mod", _common_factor)])
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (4, 1)])
-def test_failed_modular_proof_is_inconclusive(a, b, name, forced, failing, exact_checks, monkeypatch):
+def test_failed_modular_proof_is_inconclusive(a, b, name, forced, failing, exact_eliminants, monkeypatch):
     """A failure at the first prime only is proved at the second; a failure at both is inconclusive."""
     shift = ShiftPair(a, b)
     proved = certify(shift)
     seen = []
     monkeypatch.setattr(curves, name, forced(getattr(curves, name), failing, seen))
     failed = certify(shift)
-    assert exact_checks == []
+    assert exact_eliminants == []
     assert list(dict.fromkeys(seen)) == [P1, P2]
     if failing == _PRIMES:
-        assert failed.affine_nonsingular is curves.Verdict.INCONCLUSIVE
+        assert failed.affine_nonsingular is curves.Verdict.INCONCLUSIVE and failed.affine_prime is None
         assert failed.genus is None and failed.irreducible is None
+        assert failed.to_json_dict()["affine_proof"] is None
     else:
-        assert failed == proved and failed.affine_nonsingular is curves.Verdict.YES
+        verdicts = ("affine_nonsingular", "infinity_nonsingular", "genus", "irreducible", "finiteness")
+        assert [getattr(failed, v) for v in verdicts] == [getattr(proved, v) for v in verdicts]
+        assert failed.affine_nonsingular is curves.Verdict.YES
+        assert (proved.affine_prime, failed.affine_prime) == (P1, P2)
+        assert failed.to_json_dict()["affine_proof"] == {"eliminant": "Res_y(F,F_y)", "prime": P2}
     assert failed.infinity_nonsingular is proved.infinity_nonsingular is curves.Verdict.YES
     assert failed.finiteness is proved.finiteness
 
@@ -208,8 +206,27 @@ def two_eliminant_proof(f: BiPoly, p: int) -> bool:
     return res_fx.degree == res_fy.degree == top and _gcd_degree_mod(res_fx, res_fy, p) == 0
 
 
+def y_columns(f: BiPoly) -> list[list[UniPoly]]:
+    """The coefficients in y of F and F_y, as affine_singular_check forms them for the curve F = f."""
+    return [g.coeffs_in() for g in (f, f.partial("y"))]
+
+
 def proved_at(f: BiPoly, p: int) -> bool:
-    return _affine_nonsingular_mod_p(f, p, _y_columns(f))
+    return _affine_nonsingular_mod_p(f, p, y_columns(f))
+
+
+def eliminant_mod(f: BiPoly, p: int) -> list[int] | None:
+    """R = Res_y(f, f_y) mod p, ascending, as the proof at p interpolates it; None when the proof forms none."""
+    formed = []
+
+    def spy(values, m):
+        formed.append(_interpolate_mod(values, m))
+        return formed[-1]
+
+    with mock.patch.object(curves, "_interpolate_mod", spy):
+        proved_at(f, p)
+    assert len(formed) <= 1
+    return formed[0] if formed else None
 
 
 def test_one_eliminant_verdict_is_the_two_eliminant_one_to_degree_12():
@@ -223,7 +240,7 @@ def test_one_eliminant_verdict_is_the_two_eliminant_one_to_degree_12():
 def test_every_shift_the_cli_certifies_is_proved_at_the_first_prime():
     for d in range(2, 16):
         for a in range(1, d):
-            assert proved_at(build_curve(ShiftPair(a, d - a)), P1), (a, d - a)
+            assert affine_singular_check(build_curve(ShiftPair(a, d - a))) == P1, (a, d - a)
 
 
 FOLIUM = {(3, 0): 1, (0, 3): 1, (1, 1): -3}  # x^3 + y^3 - 3xy
@@ -261,8 +278,8 @@ def test_smooth_curves_are_proved(terms):
 def test_a_node_at_x_one_over_p_is_refused_by_the_degree_test(m):
     """y^2 - (mx - 1)^2, two lines crossing at (1/m, 0): R is a constant times (mx - 1)^2, a nonzero constant mod m."""
     f = BiPoly({(0, 2): 1, (2, 0): -m * m, (1, 0): 2 * m, (0, 0): -1})
-    assert UniPoly(curves._eliminant_mod(f, m)).degree == 0
-    assert not any(proved_at(f, p) for p in _PRIMES)
+    assert UniPoly(eliminant_mod(f, m)).degree == 0
+    assert affine_singular_check(f) is None
 
 
 @pytest.mark.parametrize(
@@ -278,47 +295,33 @@ def test_a_node_at_x_one_over_p_is_refused_by_the_degree_test(m):
     ],
     ids=["(1,1)@5", "(1,1)@3", "(1,1)@2", "(2,3)@19", "(2,3)@5", "lead-7y^2@7", "lead-x@p1"],
 )
-def test_the_proof_runs_only_where_its_preconditions_hold(f, m, holds, monkeypatch):
-    formed = []
-    real = curves._eliminant_mod
-
-    def spy(f, p, columns):
-        formed.append(p)
-        return real(f, p, columns)
-
-    monkeypatch.setattr(curves, "_eliminant_mod", spy)
+def test_the_proof_runs_only_where_its_preconditions_hold(f, m, holds):
     f = build_curve(f) if isinstance(f, ShiftPair) else f
-    proved = proved_at(f, m)
-    assert formed == ([m] if holds else [])
-    assert holds or proved is False
+    assert (eliminant_mod(f, m) is not None) == holds
+    assert holds or proved_at(f, m) is False
 
 
 def test_certify_forms_the_columns_of_f_and_f_y_once_for_both_primes_and_evaluates_no_other(monkeypatch):
-    formed, handed, evaluated = [], [], []
-    real_columns, real_eliminant, real_values = curves._y_columns, curves._eliminant_mod, curves._values_mod
+    handed, evaluated = [], []
+    real_proof, real_values = curves._affine_nonsingular_mod_p, curves._values_mod
 
-    def columns_spy(f):
-        formed.append(real_columns(f))
-        return formed[-1]
-
-    def eliminant_spy(f, p, columns):
+    def proof_spy(f, p, columns):
         handed.append((p, columns))
-        return real_eliminant(f, p, columns)
+        return real_proof(f, p, columns)
 
     def values_spy(c, n, p):
         evaluated.append(c)
         return real_values(c, n, p)
 
-    monkeypatch.setattr(curves, "_y_columns", columns_spy)
-    monkeypatch.setattr(curves, "_eliminant_mod", eliminant_spy)
+    monkeypatch.setattr(curves, "_affine_nonsingular_mod_p", proof_spy)
     monkeypatch.setattr(curves, "_values_mod", values_spy)
     monkeypatch.setattr(curves, "_gcd_degree_mod", _common_factor(curves._gcd_degree_mod, (P1,), []))
     f = build_curve(ShiftPair(2, 3))
-    assert certify(ShiftPair(2, 3)).affine_nonsingular is curves.Verdict.YES
-    assert formed == [[f.coeffs_in(), f.partial("y").coeffs_in()]]
+    assert certify(ShiftPair(2, 3)).affine_prime == P2
     assert [p for p, _ in handed] == [P1, P2]
-    assert all(columns is formed[0] for _, columns in handed)
-    assert evaluated == 2 * (formed[0][0] + formed[0][1])
+    columns = handed[0][1]
+    assert columns == y_columns(f) and handed[1][1] is columns
+    assert evaluated == 2 * (columns[0] + columns[1])
 
 
 def per_point_eliminant(f: BiPoly, p: int) -> list[int]:
@@ -336,11 +339,11 @@ def per_point_eliminant(f: BiPoly, p: int) -> list[int]:
 def test_lockstep_eliminant_is_the_per_point_one(a, b):
     f = build_curve(ShiftPair(a, b))
     for p in _PRIMES:
-        assert curves._eliminant_mod(f, p) == per_point_eliminant(f, p)
+        assert eliminant_mod(f, p) == per_point_eliminant(f, p)
 
 
 def test_lockstep_resultants_are_the_per_point_ones_to_degree_12():
-    """Every shift with a+b <= 12 at both primes, on the sections of F and F_y that _eliminant_mod evaluates.
+    """Every shift with a+b <= 12 at both primes, on the sections of F and F_y that the proof evaluates.
 
     The values at x0 = 0..D are compared: interpolation from them is one
     to one, and the test above compares whole eliminants.
@@ -348,7 +351,7 @@ def test_lockstep_resultants_are_the_per_point_ones_to_degree_12():
     for d in range(2, 13):
         n = d * (d - 1) + 1
         for a in range(1, d):
-            columns = _y_columns(build_curve(ShiftPair(a, d - a)))
+            columns = y_columns(build_curve(ShiftPair(a, d - a)))
             for p in _PRIMES:
                 rows_f, rows_fy = ([_values_mod(c, n, p) for c in g] for g in columns)
                 per_point = [_resultant_mod(ai, bi, p) for ai, bi in zip(zip(*rows_f), zip(*rows_fy))]
@@ -422,13 +425,13 @@ def test_the_scalar_fallback_is_reached_on_the_curves():
     """(1,3) at x0 = 1 leaves with a zero remainder; (2,7) sends one point, x0 = 6, to _resultant_mod at each prime."""
     f = build_curve(ShiftPair(1, 3))
     for p in _PRIMES:
-        rows_f, rows_fy = ([_values_mod(c, 2, p)[1:] for c in g] for g in _y_columns(f))
+        rows_f, rows_fy = ([_values_mod(c, 2, p)[1:] for c in g] for g in y_columns(f))
         assert exit_of([r[0] for r in rows_f], [r[0] for r in rows_fy], p) == "zero"
         assert lockstep_run(rows_f, rows_fy, p) == ([0], 0)
     f = build_curve(ShiftPair(2, 7))
     n = 9 * 8 + 1
     for p in _PRIMES:
-        rows_f, rows_fy = ([_values_mod(c, n, p) for c in g] for g in _y_columns(f))
+        rows_f, rows_fy = ([_values_mod(c, n, p) for c in g] for g in y_columns(f))
         ends = [exit_of(ai, bi, p) for ai, bi in zip(zip(*rows_f), zip(*rows_fy))]
         assert ends.count("scalar") == 1 and ends[6] == "scalar"
         assert lockstep_run(rows_f, rows_fy, p)[1] == 1
