@@ -82,8 +82,10 @@ _MAX_PLOT_WORK = 10_000
 # at small |y|, which have the most roots ((6,6) 1.6 ms, (10,10) 9 ms, (20,20) 0.4-0.7 s); W the
 # height, as above; p the Newton cells, per continued section of (1,1) 57 ms at 2^-33220, (6,6)
 # 0.2 s, and a section of (20,20) 2.2 s at 2^-10000. At 2 s the estimate admits the benchmark's
-# (3,2) on 0..300 (0.11 s estimated, 0.023 s taken) and at most about 9,900 sections of any
-# plot, where 100,000 of (1,1) took 17 s before sections were continued in integers
+# (3,2) on 0..300 (0.11 s estimated, 0.017 s taken) and at most about 9,900 sections of any
+# plot, where 100,000 of (1,1) took 17 s before sections were continued in integers. The terms
+# were fitted before the Sturm chains were formed in blocks of sections, which made sections
+# cheaper, so the estimate is now an upper bound; it is not re-fitted
 _MAX_PLOT_MICROSECONDS = 2_000_000
 # text and JSON run the same proof, Res_y(F,F_y) mod p, and form no exact eliminant: certify and
 # the rendered curve took 0.021-0.026 s at (8,7) and (1,14), 0.07 s at (10,10) and 1.07-1.11 s
@@ -491,6 +493,8 @@ def _run_plot(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
         raise PreconditionError(f"plot needs a+b <= {_MAX_PLOT_DEGREE}, got {shift.degree}")
     if args.y_step <= 0:
         raise PreconditionError("plot needs a positive --y-step")
+    if args.precision <= 0:
+        raise PreconditionError("enclosure width must be positive")
     sections = (args.y_max - args.y_min) // args.y_step + 1
     bits = (max(abs(args.y_min), abs(args.y_max), 1) * args.y_step.denominator).bit_length()
     if shift.degree**2 * bits > _MAX_PLOT_WORK:
@@ -507,9 +511,9 @@ def _run_plot(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     ys = (Fraction(args.y_min * step_d + i * step_n, step_d) for i in range(sections))
     branches = curves_mod.real_branches(shift, ys, width=args.precision)
     # Rows are written as their section is isolated. The first section is
-    # isolated before anything is written, so that a nonpositive width
-    # leaves the output empty; every section is monic in x, so no later
-    # one can fail.
+    # isolated before anything is written, so that an error raised there,
+    # where real_branches checks its width, leaves the output empty; every
+    # section is monic in x, so no later one can fail.
     first = next(branches, None)
     sections = branches if first is None else itertools.chain([first], branches)
     # text and csv coincide: plot data is CSV by nature

@@ -39,9 +39,11 @@ outright.
 Sections F(x, y0) are built from F's coefficient columns in y, formed
 once per curve by _x_columns: for y0 = u/w the section is
 w^deg_y * F(x, u/w), each coefficient in x one integer dot product of
-its column with the powers u^j w^(deg_y - j). real_branches isolates
-them one by one, continuing each from the sections before it on
-integer pairs, and lattice_points_in_box evaluates them at integer x;
+its column with the powers u^j w^(deg_y - j). real_branches forms the
+Sturm chains of a block of sections at once (polynomials._sturm_chains)
+and then isolates them one by one, continuing each from the sections
+before it on integer pairs, and lattice_points_in_box evaluates them at
+integer x;
 infinity_singular_check builds the sections of T's partials at y = 1
 the same way.
 """
@@ -52,6 +54,7 @@ import enum
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import comb
 from typing import Iterable, Iterator
 
@@ -61,10 +64,11 @@ from .polynomials import (
     UniPoly,
     _gcd_degree_mod,
     _interpolate_mod,
+    _isolate_chain,
     _linear_product,
     _resultants_mod,
+    _sturm_chains,
     _values_mod,
-    isolate_real_roots,
     unipoly_gcd,
 )
 from .ratios import Interval, ShiftPair, zeta_poly
@@ -358,6 +362,10 @@ def _continued(before: list[tuple[int, int, list[tuple[int, int]]]], yn: int, yd
     return [(n2 * d1 * sd + (n2 * d1 - n1 * d2) * sn, d1 * d2 * sd) for (n1, d1), (n2, d2) in zip(r1, r2)]
 
 
+# sections whose Sturm chains are formed together: the sweep stays lazy and its memory bounded
+_BLOCK = 64
+
+
 def real_branches(
     shift: ShiftPair,
     y_values: Iterable[Fraction | int],
@@ -372,27 +380,36 @@ def real_branches(
     branches per y.
 
     F's coefficient columns in y are formed once, and each section
-    yd^deg_y * F(x, yn/yd) is built from them in integers (_x_section)
-    and isolated by one call of isolate_real_roots. Between the sections
-    only integers travel: y0 as its numerator and denominator, and each
-    root as the numerator and denominator of its enclosure's left end.
+    yd^deg_y * F(x, yn/yd) is built from them in integers (_x_section).
+    y_values is read in blocks of _BLOCK, so the sweep stays lazy and its
+    memory bounded. Every section has degree a+b in x, so the primitive
+    parts and Sturm chains of a block are formed in lockstep by
+    _sturm_chains, each the chain isolate_real_roots would form alone,
+    and then each section runs isolate_real_roots's walk (_isolate_chain)
+    in turn, only when the caller asks for it. Between the sections only
+    integers travel: y0 as its numerator and denominator, and each root
+    as the numerator and denominator of its enclosure's left end.
 
     Sections are continued: along a branch the roots of neighbouring
     sections move smoothly, so each section's roots are extrapolated from
-    the two sections before it (see _continued) and handed to
-    isolate_real_roots as hints. A hint only picks the cell that Newton
-    tries first; the Sturm count and every enclosure are what the section
-    gives alone, which is also why hints that are not in lowest terms
-    leave every byte as it is.
+    the two sections before it (see _continued) and handed to the walk
+    as hints. A hint only picks the cell that Newton tries first; the
+    Sturm count and every enclosure are what the section gives alone,
+    which is also why hints that are not in lowest terms leave every
+    byte as it is.
     """
+    if width <= 0:
+        raise PreconditionError("enclosure width must be positive")
     columns = _x_columns(build_curve(shift))
     before: list[tuple[int, int, list[tuple[int, int]]]] = []
-    for y0 in y_values:
-        y0 = Fraction(y0)
-        yn, yd = y0.numerator, y0.denominator
-        enclosures = isolate_real_roots(_x_section(columns, yn, yd), width, _continued(before, yn, yd))
-        before = before[-1:] + [(yn, yd, [(lo.numerator, lo.denominator) for lo, _ in enclosures])]
-        yield y0, [Interval(lo, hi) for lo, hi in enclosures]
+    ys = iter(y_values)
+    while block := [Fraction(y0) for y0 in islice(ys, _BLOCK)]:
+        chains = _sturm_chains([_x_section(columns, y0.numerator, y0.denominator) for y0 in block])
+        for y0, (pp, chain) in zip(block, chains):
+            yn, yd = y0.numerator, y0.denominator
+            enclosures = _isolate_chain(pp, chain, width, _continued(before, yn, yd))
+            before = before[-1:] + [(yn, yd, [(lo.numerator, lo.denominator) for lo, _ in enclosures])]
+            yield y0, [Interval(lo, hi) for lo, hi in enclosures]
 
 
 def lattice_points_in_box(

@@ -26,12 +26,15 @@ an integer Newton iteration names the cell the halving would end in,
 and two exact sign tests prove it. One signed primitive
 remainder sequence of (p, p'), as integer lists, is both the Sturm chain
 and, through its last term gcd(p, p'), the squarefree part that
-bisection runs on. V(-inf) and V(+inf) are read in one pass over the
-chain's leading terms. The walk holds its brackets in integers too, and
-hands each one-root bracket and the width, as numerators and
-denominators, to _bisect, the integer core of bisection; bisect_root is
-the Fraction entry point for callers that hold Fractions. None of these
-integers need be in lowest terms: every test compares values.
+bisection runs on. _sturm_chains forms the chains of a block of
+polynomials of one degree in lockstep, term for term _signed_prs's; the
+walk, _isolate_chain, takes a chain from either. V(-inf) and V(+inf) are
+read in one pass over the chain's leading terms. The walk holds its
+brackets in integers too, and hands each one-root bracket and the width,
+as numerators and denominators, to _bisect, the integer core of
+bisection; bisect_root is the Fraction entry point for callers that hold
+Fractions. None of these integers need be in lowest terms: every test
+compares values.
 _sign_at(coeffs, u, w), the sign at u/w for integers u and w > 0, reads
 the chain there and serves UniPoly.sign_at, bisection's evaluator.
 UniPoly.__call__ gives the exact value where
@@ -336,6 +339,50 @@ def _signed_prs(a: Sequence[int], b: Sequence[int]) -> Iterator[Sequence[int]]:
         if b[-1] > 0 or (len(a) - len(b)) % 2:
             g = -g
         a, b = b, [c // g for c in r]
+
+
+def _sturm_chains(sections: Sequence[UniPoly]) -> list[tuple[UniPoly, list[Sequence[int]]]]:
+    """(pp, _signed_prs(pp, pp')'s chain, term for term) for each of sections of one degree n >= 1.
+
+    The chains are formed in lockstep. Rows are coefficient indices and
+    columns are sections, so each step is one comprehension per row, and
+    map(math.gcd, *rows) gives every section's content, then every
+    remainder's gcd. While each remainder drops the degree by one, the
+    degree parity is odd for the whole block, so _signed_prs's sign rule
+    divides every remainder by its negated gcd. prem(a, b) is then two
+    steps of pseudo-division, taken without trimming: a vanishing lead in
+    the second only multiplies by lc(b), the factor that _prem applies at
+    its end as lc(b)^e, so the result equals _prem's. A section whose
+    remainder has leading coefficient 0, because the remainder vanishes
+    (repeated roots) or the degree drops by more than one, leaves the
+    block, and scalar _signed_prs finishes its chain from its current pair.
+    """
+    rows = list(zip(*(s.coeffs for s in sections)))
+    g = list(map(math.gcd, *rows))
+    a = [[c // d for c, d in zip(row, g)] for row in rows]
+    b = [[i * c for c in row] for i, row in enumerate(a) if i]
+    out = [(UniPoly(col), [col]) for col in zip(*a)]
+    live = list(range(len(out)))
+    zero = [0] * len(live)
+    while live:
+        for k, col in zip(live, zip(*b)):
+            out[k][1].append(col)
+        if len(b) == 1:
+            break
+        la, lb = a[-1], b[-1]
+        r = [[x * l - y * m for x, y, l, m in zip(ar, br, lb, la)] for ar, br in zip(a[:-1], [zero] + b[:-1])]
+        t = r[-1]
+        r = [[x * l - s * y for x, y, l, s in zip(rr, br, lb, t)] for rr, br in zip(r[:-1], b)]
+        if not all(r[-1]):
+            for i, c in enumerate(r[-1]):
+                if not c:
+                    out[live[i]][1].extend(list(_signed_prs([row[i] for row in a], [row[i] for row in b]))[2:])
+            keep = [i for i, c in enumerate(r[-1]) if c]
+            live = [live[i] for i in keep]
+            b, r = ([[row[i] for i in keep] for row in m] for m in (b, r))
+        g = [-d for d in map(math.gcd, *r)]
+        a, b = b, [[c // d for c, d in zip(row, g)] for row in r]
+    return out
 
 
 def _rem_mod(a: list[int], b: list[int], m: int) -> list[int]:
@@ -763,6 +810,8 @@ def isolate_real_roots(
     is not a root. Multiplicities are not reported.
 
     One remainder sequence serves both the count and the squarefree part.
+    Here _signed_prs forms it; the walk, _isolate_chain, also reads the
+    chains that _sturm_chains forms for a block of plot sections at once.
     For the primitive part pp, the signed chain of (pp, pp') ends in
     g = gcd(pp, pp'), and sf = pp/g has the distinct roots of p, each
     simple. At a point v with pp(v) != 0, g(v) != 0 too, and dividing
@@ -807,7 +856,17 @@ def isolate_real_roots(
     if p.degree < 1:
         return []
     pp = p.primitive_part()
-    chain = list(_signed_prs(pp.coeffs, pp.derivative().coeffs))
+    return _isolate_chain(pp, list(_signed_prs(pp.coeffs, pp.derivative().coeffs)), width, hints)
+
+
+def _isolate_chain(
+    pp: UniPoly, chain: list[Sequence[int]], width: Fraction, hints: Sequence[tuple[int, int]]
+) -> list[tuple[Fraction, Fraction]]:
+    """isolate_real_roots's walk, on a primitive pp of positive degree and the signed chain of (pp, pp').
+
+    The chain is _signed_prs's, formed alone by isolate_real_roots or
+    with a block of sections by _sturm_chains; width is positive.
+    """
     sf = pp if len(chain[-1]) == 1 else pp.exact_div(UniPoly(chain[-1]).primitive_part())
     bound = root_bound(sf)
     out: list[tuple[Fraction, Fraction]] = []

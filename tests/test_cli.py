@@ -177,6 +177,7 @@ def test_plot_refuses_more_than_a_million_sections_before_any_work(step, section
         ["zeta", "--a", "1", "--b", "1", "--precision", "0"],
         ["zeta", "--a", "1", "--b", "1", "--precision", "-0.5"],
         ["plot", "--a", "1", "--b", "1", "--y-min", "0", "--y-max", "1", "--precision", "0"],
+        ["plot", "--a", "1", "--b", "1", "--y-min", "2", "--y-max", "0", "--precision", "0"],
         ["search", "--a", "1", "--b", "1", "--y-max", "5", "--workers", "0"],
         ["search", "--a", "1", "--b", "1", "--y-max", "5", "--workers", "-3"],
     ],
@@ -1081,16 +1082,16 @@ def test_verify_integer_fields_stay_exact(digit_limit, tmp_path):
 def test_plot_writes_each_section_before_isolating_the_next(fmt, monkeypatch):
     out = io.StringIO()
     written = []  # the output at each section's isolation
-    isolate = curves_mod.isolate_real_roots
+    isolate = curves_mod._isolate_chain
 
-    def recording_isolate(section, width, hints):
+    def recording_isolate(pp, chain, width, hints):
         written.append(out.getvalue())
-        return isolate(section, width, hints)
+        return isolate(pp, chain, width, hints)
 
     def rows(text):
         return text.count('"y": ') if fmt == "json" else max(text.count("\n") - 1, 0)
 
-    monkeypatch.setattr(curves_mod, "isolate_real_roots", recording_isolate)
+    monkeypatch.setattr(curves_mod, "_isolate_chain", recording_isolate)
     args = build_parser().parse_args(["plot", "--a", "1", "--b", "1", "--y-min", "0", "--y-max", "3", "--format", fmt])
     assert dispatch(args, out) == 0
     # two branches above each of y = 0..3; nothing is written before the first section

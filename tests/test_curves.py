@@ -314,6 +314,10 @@ def test_real_branches_width_and_irrational_section():
     hi_root = (5 + math.sqrt(17)) / 2
     assert float(ivs[0].lo) <= lo_root <= float(ivs[0].hi)
     assert float(ivs[1].lo) <= hi_root <= float(ivs[1].hi)
+    # the walk halves until the width is met, so a nonpositive one is refused before any section
+    for bad in (Fraction(0), Fraction(-1, 3)):
+        with pytest.raises(PreconditionError, match="width must be positive"):
+            next(real_branches(ShiftPair(1, 1), [1], width=bad))
 
 
 def test_real_branches_accepts_rational_y():
@@ -352,6 +356,7 @@ SWEEPS = [
     ("step 1/7", [Fraction(-1) + Fraction(i, 7) for i in range(0, 29)]),
     ("step 3", [Fraction(y) for y in range(-9, 61, 3)]),
     ("empty, as plot's reversed range", []),
+    ("longer than one block", [Fraction(y) for y in range(-2, curves_mod._BLOCK + 3)]),
 ]
 
 
@@ -375,6 +380,28 @@ def test_continued_sections_equal_sections_isolated_alone(name, ys, monkeypatch)
             counts = [len(ivs) for _, ivs in alone]
             counts_change |= len(set(counts)) > 1
     assert (any(hinted), counts_change) == ((True, True) if ys else (False, False))
+
+
+def test_block_chains_are_the_signed_prs_chains_of_each_section(monkeypatch):
+    # _sturm_chains forms a block's chains in lockstep: each is _signed_prs's for its section, term
+    # for term, also where a section leaves the block and scalar _signed_prs finishes its chain
+    scalar = polynomials._signed_prs
+    finished = []
+
+    def recording(a, b):
+        finished.append((a, b))
+        return scalar(a, b)
+
+    monkeypatch.setattr(polynomials, "_signed_prs", recording)
+    for a in range(1, 8):
+        for b in range(1, 9 - a):
+            columns = curves_mod._x_columns(build_curve(ShiftPair(a, b)))
+            for ys in (range(-12, 40), [Fraction(-3) + Fraction(i, 7) for i in range(40)]):
+                sections = [curves_mod._x_section(columns, y.numerator, y.denominator) for y in map(Fraction, ys)]
+                for section, (pp, chain) in zip(sections, polynomials._sturm_chains(sections)):
+                    assert pp == section.primitive_part(), (a, b)
+                    assert list(map(list, chain)) == list(map(list, scalar(pp.coeffs, pp.derivative().coeffs)))
+    assert finished
 
 
 @pytest.mark.parametrize("shift, ys", [((3, 2), range(0, 81)), ((2, 5), range(-40, 201, 3))])
@@ -421,13 +448,13 @@ def test_integer_continuation_equals_the_fraction_formula(name, ys, monkeypatch)
     # _continued works on unreduced integer pairs; each hint must equal, as a value, what the
     # Fraction formula gives from the same sections, with a positive denominator, also when y falls
     hints = []
-    isolate = curves_mod.isolate_real_roots
+    isolate = curves_mod._isolate_chain
 
-    def recording(section, width, given):
+    def recording(pp, chain, width, given):
         hints.append(given)
-        return isolate(section, width, given)
+        return isolate(pp, chain, width, given)
 
-    monkeypatch.setattr(curves_mod, "isolate_real_roots", recording)
+    monkeypatch.setattr(curves_mod, "_isolate_chain", recording)
     unreduced = False
     for a in range(1, 6):
         for b in range(1, 7 - a):

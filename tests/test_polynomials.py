@@ -440,6 +440,25 @@ def test_isolation_of_products_of_linear_factors(factors, rootless, bits):
         assert hi1 <= lo2 and (hi1 < lo2 or p.sign_at(hi1.numerator, hi1.denominator) != 0)
 
 
+def test_sections_that_all_leave_the_lockstep_isolate_as_alone(monkeypatch):
+    # x^4 + p*x + q over 4x^3 + p leaves 3p*x + 4q, whose degree drops by more than one (x^4 by
+    # 4x^3 leaves 0), so every section leaves _sturm_chains at its first step
+    sections = [UniPoly([q, p, 0, 0, 1]) * c for p in range(-3, 4) for q in range(-3, 4) for c in (1, 6)]
+    scalar = polynomials._signed_prs
+    finished = []
+
+    def recording(a, b):
+        finished.append(len(a))
+        return scalar(a, b)
+
+    monkeypatch.setattr(polynomials, "_signed_prs", recording)
+    chains = polynomials._sturm_chains(sections)
+    assert finished == [5] * len(sections)
+    width = Fraction(1, 10**9)
+    for section, (pp, chain) in zip(sections, chains):
+        assert polynomials._isolate_chain(pp, chain, width, ()) == isolate_real_roots(section, width)
+
+
 def test_sturm_count_from_leading_coefficients_equals_the_count_at_the_root_bound():
     # isolate_real_roots reads V(-inf) - V(+inf) from the chain's leading terms; at +-root_bound(sf),
     # sf the squarefree part, the chain must give the same count: sf has no real root outside
