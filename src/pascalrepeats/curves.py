@@ -24,15 +24,16 @@ GF(p) by one Euclid run in lockstep over the points (one batch inverse
 per step) and interpolates R mod p. A point whose remainder loses its
 leading coefficient mod p leaves the lockstep: its resultant is 0 when
 the remainder vanishes, and otherwise it is finished by the scalar
-Euclid of one point. Full degree D and a constant gcd(R, R') mod p
-prove YES (the argument is in certify's docstring), and the prime that
-proved it is the certificate's affine_prime, which its JSON form
-prints; a proof that fails at both primes is inconclusive, never a
-proven singularity. No exact eliminant is formed. Every shift with
-a+b <= 20 is proved at the first prime; should both ever fail, the
-two-eliminant proof, a constant gcd of Res_y(F,F_x) and Res_y(F,F_y)
-mod p, is the check to add, since it can prove curves with a vertical
-flex or two vertical tangents on one line, which this proof cannot.
+Euclid of one point. Full degree D and a nonzero Res(R, R') mod p, by
+the same scalar Euclid, prove YES (the argument is in certify's
+docstring), and the prime that proved it is the certificate's
+affine_prime, which its JSON form prints; a proof that fails at both
+primes is inconclusive, never a proven singularity. No exact eliminant
+is formed. Every shift with a+b <= 20 is proved at the first prime;
+should both ever fail, the two-eliminant proof, a constant gcd of
+Res_y(F,F_x) and Res_y(F,F_y) mod p, is the check to add, since it can
+prove curves with a vertical flex or two vertical tangents on one line,
+which this proof cannot.
 Nonsingular degree-d curves get genus (d-1)(d-2)/2 and are irreducible
 outright.
 
@@ -62,10 +63,10 @@ from .errors import PreconditionError
 from .polynomials import (
     BiPoly,
     UniPoly,
-    _gcd_degree_mod,
     _interpolate_mod,
     _isolate_chain,
     _linear_product,
+    _resultant_mod,
     _resultants_mod,
     _sturm_chains,
     _values_mod,
@@ -158,7 +159,7 @@ def affine_singular_check(f: BiPoly) -> int | None:
 
 
 def _affine_nonsingular_mod_p(f: BiPoly, p: int, columns: list[list[UniPoly]]) -> bool:
-    """True when the affine proof holds mod the prime p: R = Res_y(f, f_y) of degree d(d-1), squarefree mod p.
+    """True when the affine proof holds mod the prime p: R = Res_y(f, f_y) of degree d(d-1), Res(R, R') nonzero mod p.
 
     columns holds the coefficients in y of F and F_y, each ascending in y,
     as polynomials in x. False, before R is formed, when the proof's
@@ -167,7 +168,9 @@ def _affine_nonsingular_mod_p(f: BiPoly, p: int, columns: list[list[UniPoly]]) -
     that p does not divide. Otherwise every column is evaluated at all the
     points x0 = 0..d(d-1) at once, one lockstep Euclid over the points
     (_resultants_mod) gives R's values mod p, and R mod p is interpolated
-    from them.
+    from them. Once R mod p has degree d(d-1) < p, R' mod p has degree
+    d(d-1) - 1, so the squarefree test is one scalar Euclid over GF(p),
+    _resultant_mod on the reductions of R and R'.
     """
     d = f.total_degree
     top = d * (d - 1)
@@ -175,7 +178,7 @@ def _affine_nonsingular_mod_p(f: BiPoly, p: int, columns: list[list[UniPoly]]) -
         return False
     rows_f, rows_fy = ([_values_mod(c, top + 1, p) for c in g] for g in columns)
     r = UniPoly(_interpolate_mod(_resultants_mod(rows_f, rows_fy, p), p))
-    return r.degree == top and _gcd_degree_mod(r, r.derivative(), p) == 0
+    return r.degree == top and _resultant_mod(r.coeffs, r.derivative().coeffs, p) != 0
 
 
 def infinity_singular_check(f: BiPoly) -> Verdict:
@@ -234,19 +237,21 @@ def certify(shift: ShiftPair) -> Certificate:
     squarefree R, of degree D, proves that no affine point is singular.
 
     The proof holds at p when: D < p; the y-leading constants of F and
-    F_y are prime to p; R mod p has degree exactly D; and gcd(R, R') mod
-    p is constant. The first two are checked by _affine_nonsingular_mod_p
-    before R is formed. With the leading constants prime to p, Res_y
-    commutes with reduction mod p and with evaluation at any x0: the
+    F_y are prime to p; R mod p has degree exactly D; and Res(R, R') is
+    nonzero mod p. The first two are checked by _affine_nonsingular_mod_p
+    before R is formed. Both steps rest on one fact: a resultant commutes
+    with reduction mod p, and with evaluation at any x0, when p divides
+    neither leading coefficient (von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 6). With the leading constants prime to p, the
     resultant over GF(p) of the sections at x0 is R mod p at x0. R has
     x-degree at most D, so its values at the D+1 points x0 = 0..D,
     distinct mod p when D < p, determine it. When R mod p has degree D,
-    p does not divide lc(R), and the argument of W. S. Brown (JACM 18,
-    1971) applies to R and R': their gcd g over Z divides R, so p does
-    not divide lc(g), g mod p keeps its degree and divides gcd(R, R')
-    mod p. A constant gcd mod p makes g constant, so R is squarefree.
-    D < p also keeps R' mod p at degree D - 1. A failed precondition, a
-    degree drop or a nonconstant gcd mod p proves nothing at that prime.
+    p does not divide lc(R), and R' mod p has degree D - 1, since its
+    leading coefficient is D * lc(R) and D < p. So Res(R, R') mod p is
+    the resultant over GF(p) of R mod p and R' mod p, and when it is
+    nonzero, Res(R, R') != 0 in Z: R and R' have no common root, and R
+    is squarefree. A failed precondition, a degree drop or a zero
+    resultant mod p proves nothing at that prime.
     The converse fails: a smooth curve with a vertical flex, or with two
     vertical tangents on one line x = x0, gives R a multiple root too,
     and is not proved.

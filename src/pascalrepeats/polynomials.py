@@ -8,13 +8,14 @@ coefficients are univariate polynomials; its pseudo-remainder step is
 generic and also serves the integer Sturm chains. The modular kernel
 runs over GF(m) for a prime m passed in; curves chooses the primes.
 unipoly_gcd is exact: one primitive remainder sequence, with no
-modular test. Over GF(m), one remainder step serves the gcd degree
-and a resultant by Euclid with the Sylvester sign convention, and
-Newton's forward differences interpolate a polynomial from its values
+modular test. Over GF(m), one remainder step serves a resultant by
+Euclid with the Sylvester sign convention, and Newton's forward
+differences interpolate a polynomial from its values
 at 0..n-1. _resultants_mod runs that Euclid on many points in
 lockstep: one row of residues per coefficient, one batch inverse
 (_inverses_mod) per step, and the scalar _resultant_mod only for a
-point whose remainder loses its leading coefficient; _values_mod
+point whose remainder loses its leading coefficient. The scalar one is
+also curves' squarefree test, Res(R, R') mod p. _values_mod
 evaluates a polynomial at 0..n-1 by Horner over the whole row of
 points. curves.affine_singular_check builds its modular eliminant from
 these. bipoly_resultant, the exact Res_y, runs on no CLI path: it is
@@ -31,10 +32,9 @@ polynomials of one degree in lockstep, term for term _signed_prs's; the
 walk, _isolate_chain, takes a chain from either. V(-inf) and V(+inf) are
 read in one pass over the chain's leading terms. The walk holds its
 brackets in integers too, and hands each one-root bracket and the width,
-as numerators and denominators, to _bisect, the integer core of
-bisection; bisect_root is the Fraction entry point for callers that hold
-Fractions. None of these integers need be in lowest terms: every test
-compares values.
+as numerators and denominators, to _bisect, the one bisection, which
+search and ratios call with their own integers too. None of these
+integers need be in lowest terms: every test compares values.
 _sign_at(coeffs, u, w), the sign at u/w for integers u and w > 0, reads
 the chain there and serves UniPoly.sign_at, bisection's evaluator.
 UniPoly.__call__ gives the exact value where
@@ -398,16 +398,7 @@ def _rem_mod(a: list[int], b: list[int], m: int) -> list[int]:
     return a
 
 
-def _gcd_degree_mod(p: UniPoly, q: UniPoly, m: int) -> int:
-    """Degree of gcd(p mod m, q mod m) over GF(m), m prime, by Euclid; -1 if both vanish."""
-    a = _trim([c % m for c in p.coeffs])
-    b = _trim([c % m for c in q.coeffs])
-    while b:
-        a, b = b, _rem_mod(a, b, m)
-    return len(a) - 1
-
-
-def _resultant_mod(a: list[int], b: list[int], m: int) -> int:
+def _resultant_mod(a: Sequence[int], b: Sequence[int], m: int) -> int:
     """Res(a, b) mod m, m prime, for coefficient lists whose last elements are nonzero mod m.
 
     Euclid over GF(m) with the Sylvester sign convention of
@@ -614,7 +605,7 @@ def root_bound(p: UniPoly) -> Fraction:
 _SEED_HALVINGS = 64  # plain halvings before, and between, tries of the Newton cell
 _GUARD_BITS = 16  # bits Newton carries beyond the cell level
 _CELL_TRIES = 4  # cells a Newton index may move through before halving resumes
-_HINT_BITS = 64  # the precision Newton starts a hint at, when its goal is above twice this
+_HINT_BITS = 64  # the precision Newton starts at, when its goal is above twice this
 
 
 def _shifted(sf: UniPoly, u: int, d: int, w: int) -> list[int]:
@@ -627,34 +618,29 @@ def _shifted(sf: UniPoly, u: int, d: int, w: int) -> list[int]:
     return q
 
 
-def _newton_index(sf: UniPoly, u: int, d: int, w: int, k: int, start: tuple[int, int] | None = None) -> int | None:
+def _newton_index(sf: UniPoly, u: int, d: int, w: int, k: int, start: tuple[int, int]) -> int | None:
     """An estimate of floor(2^k t) for the root t in (0, 1) of q(t) = w^n sf((u + t*d)/w).
 
-    Newton's iteration on q in fixed point: t is an integer T over 2^prec,
-    and one Horner pass gives q and q' at T/2^prec, each times 2^prec and
-    floored at every step. Without a start, prec starts at 32 and t at
-    1/2. Once a step is at most 2^(prec/2), the iterate had about prec/2
-    right bits and now has about prec, since Newton's error squares near a
-    simple root, so prec doubles, up to the goal of k plus guard bits, and
-    a step of at most 2^(goal/2) ends the iteration. That stop suits
-    the narrow bracket left by the seed halvings, where the squared error
-    carries a small factor; on a whole bracket the factor is large. So a
-    start (n, m), a hint at t = n/m, stops only on a step of at most
-    2^_GUARD_BITS at the goal precision, one level-k cell. It starts at
-    the goal precision when the goal is at most 2 * _HINT_BITS, and
-    otherwise at _HINT_BITS, doubling as above: at a fine width every
-    step at the goal precision would cost a full-width Horner pass, while
-    a coarse goal gains nothing from a doubling or two. None when an
-    iterate leaves [0, 1], q' vanishes, or the steps do not settle. The
-    index is only an estimate; _newton_cell proves it or moves it.
+    Newton's iteration on q in fixed point, from t = n/m for the start
+    (n, m): t is an integer T over 2^prec, and one Horner pass gives q and
+    q' at T/2^prec, each times 2^prec and floored at every step. prec
+    starts at the goal of k plus guard bits when that goal is at most
+    2 * _HINT_BITS, and otherwise at _HINT_BITS: at a fine goal every step
+    at the goal precision would cost a full-width Horner pass, while a
+    coarse goal gains nothing from a doubling or two. Once a step is at
+    most 2^(prec/2), the iterate had about prec/2 right bits and now has
+    about prec, since Newton's error squares near a simple root, so prec
+    doubles, up to the goal. A step of at most 2^_GUARD_BITS at the goal
+    precision, one level-k cell, ends the iteration; a looser stop, such
+    as a step of 2^(goal/2), lets the squared error's factor, large on a
+    whole bracket, name a cell far off. None when an iterate leaves
+    [0, 1], q' vanishes, or the steps do not settle. The index is only an
+    estimate; _newton_cell proves it or moves it.
     """
     q = _shifted(sf, u, d, w)
     goal = max(32, k + _GUARD_BITS)
-    if start is None:
-        prec, t, settled = 32, 1 << 31, 1 << (goal // 2)
-    else:
-        prec = goal if goal <= 2 * _HINT_BITS else _HINT_BITS
-        t, settled = (start[0] << prec) // start[1], 1 << _GUARD_BITS
+    prec = goal if goal <= 2 * _HINT_BITS else _HINT_BITS
+    t = (start[0] << prec) // start[1]
     for _ in range(8 + goal.bit_length()):
         a, b = q[-1] << prec, 0
         for c in reversed(q[:-1]):
@@ -667,7 +653,7 @@ def _newton_index(sf: UniPoly, u: int, d: int, w: int, k: int, start: tuple[int,
         if not 0 <= t <= 1 << prec:
             return None
         if prec == goal:
-            if abs(step) <= settled:
+            if abs(step) <= 1 << _GUARD_BITS:
                 return t >> (prec - k)
         elif abs(step) <= 1 << (prec // 2):
             t <<= min(prec, goal - prec)
@@ -676,7 +662,7 @@ def _newton_index(sf: UniPoly, u: int, d: int, w: int, k: int, start: tuple[int,
 
 
 def _newton_cell(
-    sf: UniPoly, u: int, d: int, w: int, k: int, slo: int, start: tuple[int, int] | None = None
+    sf: UniPoly, u: int, d: int, w: int, k: int, slo: int, start: tuple[int, int]
 ) -> tuple[int, int, int] | None:
     """The level-k cell of the bracket [u, u+d]/w that bisection would return, as (left, right, den), or None.
 
@@ -685,7 +671,7 @@ def _newton_cell(
     it, so the cell holds the root exactly when its left end has sign slo
     and its right end -slo; a wrong sign moves j by one toward the root.
     A zero sign is the root itself, a grid point, returned as [r, r].
-    start is _newton_index's.
+    _newton_index names the first j from start, a place in the bracket.
     """
     j = _newton_index(sf, u, d, w, k, start)
     if j is None:
@@ -711,37 +697,64 @@ def _newton_cell(
 
 
 def _halvings(span: int, unit: int) -> int:
-    """The least k with span <= unit * 2^k: the halvings bisect_root still has to make."""
+    """The least k with span <= unit * 2^k: the halvings _bisect still has to make."""
     return (-(-span // unit) - 1).bit_length()
 
 
 def _bisect(
     sf: UniPoly, u: int, v: int, w: int, wn: int, wd: int, hint: tuple[int, int] | None = None
 ) -> tuple[int, int, int]:
-    """bisect_root in integers: [u/w, v/w], w > 0, to width wn/wd, as (lo numerator, hi numerator, denominator).
+    """Halve [u/w, v/w], w > 0, to width wn/wd, as (lo numerator, hi numerator, denominator).
 
-    Every test below compares values: the bracket's span against the
-    width as (v - u)*wd against wn*w, signs at u/w, and the hint's place
-    in the bracket by cross-multiplication. So u, v, w, wn/wd and the hint
-    need not be in lowest terms, and a common factor leaves the level-k
-    grid, and the enclosure's value, as it is.
+    The bracket holds exactly one root r of sf, neither end is a root, and
+    sf changes sign at r (r is simple in every caller). Each halving keeps
+    the half whose ends differ in sign; a midpoint that is itself a root
+    comes back as [m, m, den]. The ends stay integer numerators over a w
+    that doubles at each halving, so v - u stays fixed. The caller checks
+    that the width is positive.
+
+    What the halving returns is fixed in advance, which lets a Newton
+    cell skip it. Let k be the number of halvings it makes, the least with
+    (v - u)/(w*2^k) <= wn/wd, and call (u*2^k + i*(v - u))/(w*2^k) the
+    level-k grid. If r is on that grid, it is first a grid point at some
+    level l <= k; at level l-1 it lies inside the cell being halved, whose
+    midpoint it is, so halving returns [r, r]. Otherwise halving returns
+    the one level-k cell with r inside. So _newton_index estimates the
+    index of r's cell by integer Newton, and _newton_cell proves the cell
+    with two exact sign tests or finds r on the grid; both give what the
+    halving would. The proof does not depend on where Newton started.
+
+    The cell is tried in one place, at the top of the halving loop. A
+    hint (hu, hw), the rational hu/hw with hw > 0, is a guess at r, such
+    as the root of a neighbouring section. When it lies strictly inside
+    the bracket, the first try comes at once, on the whole bracket, with
+    Newton starting from the hint's place in it. Otherwise the first try
+    comes after _SEED_HALVINGS halvings, from the middle of what is left.
+    If a try fails after a few moves of the index, halving goes on from
+    the last proved bracket, and the next try comes _SEED_HALVINGS
+    halvings later, from the middle. So a bad hint costs time and never
+    changes the result.
+
+    Every test compares values: the bracket's span against the width as
+    (v - u)*wd against wn*w, signs at u/w, and the hint's place in the
+    bracket by cross-multiplication. So u, v, w, wn/wd and the hint need
+    not be in lowest terms, and a common factor leaves k, the level-k
+    grid and the enclosure's value as they are.
     """
     span = (v - u) * wd  # (v - u)/w > wn/wd  <=>  span > wn * w
     slo = sf.sign_at(u, w)
-    if hint is not None and span > wn * w:
+    start, newton_at = (1, 2), w << _SEED_HALVINGS
+    if hint is not None:
         hu, hw = hint
         t = (hu * w - u * hw, (v - u) * hw)  # the hint as a fraction of the bracket
         if 0 < t[0] < t[1]:
-            cell = _newton_cell(sf, u, v - u, w, _halvings(span, wn * w), slo, t)
-            if cell is not None:
-                return cell
-    newton_at = w << _SEED_HALVINGS
+            start, newton_at = t, w
     while span > wn * w:
         if w == newton_at:
-            cell = _newton_cell(sf, u, v - u, w, _halvings(span, wn * w), slo)
+            cell = _newton_cell(sf, u, v - u, w, _halvings(span, wn * w), slo, start)
             if cell is not None:
                 return cell
-            newton_at <<= _SEED_HALVINGS
+            start, newton_at = (1, 2), w << _SEED_HALVINGS
         m = u + v
         w *= 2
         sm = sf.sign_at(m, w)
@@ -752,51 +765,6 @@ def _bisect(
         else:
             u, v = 2 * u, m
     return u, v, w
-
-
-def bisect_root(
-    sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction, hint: tuple[int, int] | None = None
-) -> tuple[Fraction, Fraction]:
-    """Halve [lo, hi], which holds exactly one root r of sf, until hi - lo <= width.
-
-    Neither end is a root, and sf changes sign at r (r is simple in every
-    caller). Keeps the half whose ends differ in sign; a midpoint that is
-    itself a root comes back as [m, m]. This is the Fraction entry point:
-    it puts lo and hi over one denominator w and hands the integers to
-    _bisect, whose ends are integer numerators u, v over a w that doubles
-    at each halving, so v - u stays fixed and no Fraction is built until
-    the return. isolate_real_roots calls _bisect directly with the
-    integers of its walk. The caller checks that width is positive.
-
-    What the halving returns is fixed in advance, which lets a Newton
-    cell skip it. Let k be the number of halvings it makes, the least with
-    (hi - lo)/2^k <= width, and call lo + i*(hi - lo)/2^k the level-k
-    grid. If r is on that grid, it is first a grid point at some level
-    l <= k; at level l-1 it lies inside the cell being halved, whose
-    midpoint it is, so halving returns [r, r]. Otherwise halving returns
-    the one level-k cell with r inside. So once the bracket is 2^-64 of
-    its start, _newton_index estimates the index of r's cell by integer
-    Newton with doubling precision, and _newton_cell proves the cell with
-    two exact sign_at tests or finds r on the grid; both give what the
-    halving would. If the tests fail after a few moves of the index,
-    halving goes on from the last proved bracket, and the cell is tried
-    again 64 halvings later. k and the grid depend on the values of the
-    ends and the width alone, so an unreduced bracket returns the same
-    enclosure.
-
-    A hint (hu, hw), the rational hu/hw with hw > 0, is a guess at r, such
-    as the root of a neighbouring section. When it lies strictly inside
-    (lo, hi), Newton starts from it at once, on the whole bracket, and
-    _newton_cell tests the level-k cell it names before any halving. The
-    proof above does not depend on where Newton started: a cell is
-    returned only when its two exact sign tests prove it, or a zero sign
-    finds r on the grid. On None the halving runs as without a hint, so a
-    bad hint costs time and never changes the result.
-    """
-    w = math.lcm(lo.denominator, hi.denominator)
-    u, v = lo.numerator * (w // lo.denominator), hi.numerator * (w // hi.denominator)
-    a, b, den = _bisect(sf, u, v, w, width.numerator, width.denominator, hint)
-    return Fraction(a, den), Fraction(b, den)
 
 
 def isolate_real_roots(
@@ -841,11 +809,10 @@ def isolate_real_roots(
 
     hints are guesses (u, w) at roots, each the rational u/w with w > 0.
     The walk does not read them: each bracket with one root goes to
-    _bisect, bisect_root's integer core, as the walk's own integers u, v
-    and w and the width's numerator and denominator, with the first hint
-    strictly inside it, if any, and comes back with the same enclosure
-    with or without it. Only the two ends of each enclosure become
-    Fractions. None of these integers need be in lowest terms, nor the
+    _bisect as the walk's own integers u, v and w and the width's
+    numerator and denominator, with the first hint strictly inside it,
+    if any, and comes back with the same enclosure with or without it.
+    Only the two ends of each enclosure become Fractions. None of these integers need be in lowest terms, nor the
     hints: every test on them compares values, so a common factor
     changes no enclosure.
     """

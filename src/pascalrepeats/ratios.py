@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .combinatorics import binomial, falling_factorial
 from .errors import PreconditionError
-from .polynomials import UniPoly, bisect_root
+from .polynomials import UniPoly, _bisect
 
 
 @dataclass(frozen=True)
@@ -85,23 +85,27 @@ def zeta_poly(shift: ShiftPair) -> UniPoly:
 def isolate_zeta(shift: ShiftPair, eps: Fraction) -> Interval:
     """Enclose the unique positive root of zeta_poly within width eps.
 
-    Sign-change bisection (polynomials.bisect_root) from [1, 2^(a+b)]:
-    the value at 1 is 1 - 2^a < 0 and the leading term dominates at the
-    right end, so the initial bracket always straddles the root. Midpoints
-    are rational and the root is not (see irrationality_check), so no
-    midpoint evaluation can vanish and the enclosure never degenerates:
-    it is the one cell [1 + j*w, 1 + (j+1)*w], w = (2^(a+b) - 1)/2^k,
-    that holds zeta, k the number of halvings. Past 64 halvings
-    bisect_root finds j by integer Newton and proves it with two sign
-    tests, so a fine eps costs a few evaluations instead of one per bit.
+    Sign-change bisection (polynomials._bisect) from [1, 2^(a+b)], in
+    integers: the bracket's ends over 1 and eps's numerator and
+    denominator go in, and the enclosure's numerators over their common
+    denominator come back. The value at 1 is 1 - 2^a < 0 and the leading
+    term dominates at the right end, so the initial bracket always
+    straddles the root. Midpoints are rational and the root is not (see
+    irrationality_check), so no midpoint evaluation can vanish and the
+    enclosure never degenerates: it is the one cell
+    [1 + j*w, 1 + (j+1)*w], w = (2^(a+b) - 1)/2^k, that holds zeta, k the
+    number of halvings. Past 64 halvings _bisect finds j by integer
+    Newton and proves it with two sign tests, so a fine eps costs a few
+    evaluations instead of one per bit.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     p = zeta_poly(shift)
-    hi = 2 ** shift.degree
-    if not (p.sign_at(1) < 0 < p.sign_at(hi)):
+    top = 2 ** shift.degree
+    if not (p.sign_at(1) < 0 < p.sign_at(top)):
         raise RuntimeError("internal error: initial bisection bracket has no sign change")
-    return Interval(*bisect_root(p, Fraction(1), Fraction(hi), eps))
+    lo, hi, den = _bisect(p, 1, top, 1, eps.numerator, eps.denominator)
+    return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
 def irrationality_check(shift: ShiftPair) -> IrrationalityWitness:

@@ -66,16 +66,16 @@ A Euclid-like recursion finds the least such row from any start in
 O(k) steps (`_least_row`), and `equality_check` decides each candidate.
 
 The lines come from phi at y0, at y1 and at the middle row, each taken
-to 2^-k by `bisect_root` on [m_y - 1, m_y], with k = 2*bits(y1) + 24:
-the chord through the ends, widened on both sides by twice the sagitta
-at the middle row and by the rounding. The hint m_y - 1/2 starts
-bisect_root's Newton at once, where it would start only after 64
-halvings, which k exceeds only from y1 = 2^20 on. The choice affects
-only the cost; correctness rests on the three checks, and no float
-enters. A
-failed proof halves the block, and a block of fewer than 16 rows is
-walked. So `search` costs O(log y_max) block proofs plus its candidate
-rows, and the walk remains both its fallback and its reference.
+to 2^-k by `polynomials._bisect` on [m_y - 1, m_y], in integers over 1
+with the width 1/2^k, with k = 2*bits(y1) + 24: the chord through the
+ends, widened on both sides by twice the sagitta at the middle row and
+by the rounding. The hint m_y - 1/2 starts _bisect's Newton at once,
+where it would start only after 64 halvings, which k exceeds only from
+y1 = 2^20 on. The choice affects only the cost; correctness rests on
+the three checks, and no float enters. A failed proof halves the
+block, and a block of fewer than 16 rows is walked. So `search` costs
+O(log y_max) block proofs plus its candidate rows, and the walk remains
+both its fallback and its reference.
 
 An exhaustive brute sweep is kept as the correctness oracle. A
 solution's value C(x,y) is formed only within a bit budget
@@ -93,7 +93,7 @@ from typing import Iterator
 
 from .combinatorics import binomial, falling_factorial, fibonacci
 from .errors import PreconditionError
-from .polynomials import _linear_product, bisect_root
+from .polynomials import _bisect, _linear_product
 from .ratios import Interval, ShiftPair, bracket, zeta_poly
 
 
@@ -293,8 +293,8 @@ def _crossing_point(y: int, shift: ShiftPair, guess: int, bits: int) -> tuple[in
         return m, m << bits
     left = _linear_product((-y - i, 1) for i in range(shift.degree))
     right = _linear_product((-i, 1) for i in range(shift.a)) * perm(y + shift.b, shift.b)
-    lo, _ = bisect_root(left - right, Fraction(m - 1), Fraction(m), Fraction(1, 1 << bits), (2 * m - 1, 2))
-    return m, (lo.numerator << bits) // lo.denominator
+    lo, _, den = _bisect(left - right, m - 1, m, 1, 1, 1 << bits, (2 * m - 1, 2))
+    return m, (lo << bits) // den
 
 
 def _line_sign(shift: ShiftPair, p: int, q: int, big_m: int, y0: int, y1: int) -> int:

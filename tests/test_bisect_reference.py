@@ -1,23 +1,25 @@
-"""bisect_root's Newton cell against plain halving.
+"""_bisect's Newton cell against plain halving.
 
-bisect_root halves its bracket 64 times, then lets an integer Newton
+_bisect halves its bracket 64 times, then lets an integer Newton
 iteration name the cell that further halving would end in and proves it
 with two sign tests. The reference below is the plain halving loop, in
 integers over a doubling denominator, that ran before: the two must
 return the same endpoints, bit for bit, including the [m, m] of a root
 that is a midpoint. Cases: zeta_poly of random shifts, squarefree
 products with rational roots, and brackets whose root sits near an end.
+The tests hold their brackets as Fractions; `bisect` puts each over one
+denominator for _bisect and turns its integers back into Fractions.
 
-With a hint (u, w), a guess u/w at the root, bisect_root starts Newton
+With a hint (u, w), a guess u/w at the root, _bisect starts Newton
 from the hint on the whole bracket before any halving; it must still
 return what plain halving does, whatever the hint: at the root, on a
 grid root, next to an end, outside the bracket, or far off.
 
-isolate_real_roots calls _bisect, bisect_root's integer core, with its
-walk's own integers, which need not be in lowest terms. So the core is
-also run on brackets whose u, v and w share a factor, with the width's
-numerator and denominator and the hint's scaled by others: it must
-still return plain halving's endpoints.
+isolate_real_roots calls _bisect with its walk's own integers, which
+need not be in lowest terms. So _bisect is also run on brackets whose
+u, v and w share a factor, with the width's numerator and denominator
+and the hint's scaled by others: it must still return plain halving's
+endpoints.
 """
 
 from __future__ import annotations
@@ -30,8 +32,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pascalrepeats import polynomials
-from pascalrepeats.polynomials import UniPoly, bisect_root
+from pascalrepeats.polynomials import UniPoly
 from pascalrepeats.ratios import ShiftPair, zeta_poly
+
+
+def bisect(p: UniPoly, lo: Fraction, hi: Fraction, width: Fraction, hint=None, c: int = 1, e: int = 1, h: int = 1):
+    """polynomials._bisect on [lo, hi] over one denominator, back as two Fractions. With factors,
+    u, v and w are all multiplied by c, the width's numerator and denominator by e and the hint's by h."""
+    w = math.lcm(lo.denominator, hi.denominator)
+    u, v = lo.numerator * (w // lo.denominator), hi.numerator * (w // hi.denominator)
+    scaled = None if hint is None else (hint[0] * h, hint[1] * h)
+    a, b, den = polynomials._bisect(p, u * c, v * c, w * c, width.numerator * e, width.denominator * e, scaled)
+    return Fraction(a, den), Fraction(b, den)
 
 
 def plain_halving(sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
@@ -113,7 +125,7 @@ def rational_root_cases():
 @example((zeta_poly(ShiftPair(7, 7)), Fraction(1), Fraction(2**14), Fraction(1, 2**860)))
 def test_zeta_cells_match_plain_halving(case):
     p, lo, hi, width = case
-    assert bisect_root(p, lo, hi, width) == plain_halving(p, lo, hi, width)
+    assert bisect(p, lo, hi, width) == plain_halving(p, lo, hi, width)
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,7 +135,7 @@ def test_zeta_cells_match_plain_halving(case):
 @example((UniPoly([-1, 2**65]) * UniPoly([1, 0, 1]), Fraction(0), Fraction(1), Fraction(1, 2**64)))  # not yet
 def test_rational_roots_match_plain_halving(case):
     p, lo, hi, width = case
-    assert bisect_root(p, lo, hi, width) == plain_halving(p, lo, hi, width)
+    assert bisect(p, lo, hi, width) == plain_halving(p, lo, hi, width)
 
 
 CASES = [
@@ -146,7 +158,7 @@ def test_wrong_newton_index_is_moved_or_falls_back_to_halving(case, offset, monk
 
     monkeypatch.setattr(polynomials, "_newton_index", off)
     p, lo, hi, width = case
-    assert bisect_root(p, lo, hi, width) == plain_halving(p, lo, hi, width)
+    assert bisect(p, lo, hi, width) == plain_halving(p, lo, hi, width)
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
@@ -160,7 +172,7 @@ def test_newton_cell_replaces_the_fine_halvings(case, monkeypatch):
 
     monkeypatch.setattr(UniPoly, "sign_at", counted)
     p, lo, hi, width = case
-    bisect_root(p, lo, hi, width)
+    bisect(p, lo, hi, width)
     assert len(calls) <= 1 + 64 + 2 * polynomials._CELL_TRIES  # lo, the seed halvings, the cell tests
 
 
@@ -193,7 +205,7 @@ def test_hinted_zeta_cells_match_plain_halving(case):
     expected = plain_halving(p, lo, hi, width)
     root = plain_halving(p, lo, hi, (hi - lo) / 2**100)[0]
     for hint in _hints(lo, hi, root):
-        assert bisect_root(p, lo, hi, width, hint) == expected, hint
+        assert bisect(p, lo, hi, width, hint) == expected, hint
 
 
 @settings(max_examples=25, deadline=None)
@@ -206,7 +218,7 @@ def test_hinted_rational_roots_match_plain_halving(case):
     p, lo, hi, width, root = case
     expected = plain_halving(p, lo, hi, width)
     for hint in _hints(lo, hi, root):
-        assert bisect_root(p, lo, hi, width, hint) == expected, hint
+        assert bisect(p, lo, hi, width, hint) == expected, hint
 
 
 @pytest.mark.parametrize("offset", [-5, -1, 1, 3, None])
@@ -222,7 +234,7 @@ def test_wrong_newton_index_from_a_hint_is_moved_or_falls_back_to_halving(case, 
     p, lo, hi, width = case
     expected = plain_halving(p, lo, hi, width)
     root = sum(expected) / 2
-    assert bisect_root(p, lo, hi, width, (root.numerator, root.denominator)) == expected
+    assert bisect(p, lo, hi, width, (root.numerator, root.denominator)) == expected
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
@@ -238,19 +250,28 @@ def test_a_good_hint_proves_its_cell_without_halving(case, monkeypatch):
         return real(self, u, w)
 
     monkeypatch.setattr(UniPoly, "sign_at", counted)
-    assert bisect_root(p, lo, hi, width, (root.numerator, root.denominator)) == expected
+    assert bisect(p, lo, hi, width, (root.numerator, root.denominator)) == expected
     # the sign at lo, then the cell tests, all on the one level-k grid: no halving ran
     assert len(calls) <= 1 + 2 * polynomials._CELL_TRIES and len(set(calls[1:])) == 1
 
 
-def _scaled_core(p: UniPoly, lo: Fraction, hi: Fraction, width: Fraction, hint, c: int, e: int, h: int):
-    """polynomials._bisect on [lo, hi] with u, v and w all multiplied by c, the width's
-    numerator and denominator by e and the hint's by h, back as two Fractions."""
-    w = math.lcm(lo.denominator, hi.denominator)
-    u, v = lo.numerator * (w // lo.denominator), hi.numerator * (w // hi.denominator)
-    scaled = None if hint is None else (hint[0] * h, hint[1] * h)
-    a, b, den = polynomials._bisect(p, u * c, v * c, w * c, width.numerator * e, width.denominator * e, scaled)
-    return Fraction(a, den), Fraction(b, den)
+@pytest.mark.parametrize("hinted", [True, False], ids=["hint", "no hint"])
+def test_the_cell_is_tried_at_once_from_a_hint_then_every_64_halvings_from_the_middle(hinted, monkeypatch):
+    tries = []
+
+    def failing(sf, u, d, w, k, slo, start):
+        tries.append((w, start))
+        return None
+
+    monkeypatch.setattr(polynomials, "_newton_cell", failing)
+    p, lo, hi, width = CASES[1]  # zeta(1,1) on [1, 4] over w = 1, to 2^-1000: 1002 halvings
+    expected = plain_halving(p, lo, hi, width)
+    root = sum(expected) / 2
+    hint = (root.numerator, root.denominator) if hinted else None
+    assert bisect(p, lo, hi, width, hint) == expected
+    # the hint's place in the bracket, (root - 1)/3, as the unreduced pair _bisect forms
+    first = [(1, (root.numerator - root.denominator, 3 * root.denominator))] if hinted else []
+    assert tries == first + [(1 << 64 * j, (1, 2)) for j in range(1, 16)]
 
 
 factors = st.integers(1, 10**6) | st.sampled_from([3, 2**64, 3**41, 10**20])
@@ -264,9 +285,9 @@ def test_integer_core_on_unreduced_brackets_matches_plain_halving(case, c, e, h)
     p, lo, hi, width = case
     expected = plain_halving(p, lo, hi, width)
     root = plain_halving(p, lo, hi, (hi - lo) / 2**100)[0]
-    assert _scaled_core(p, lo, hi, width, None, c, e, h) == expected
+    assert bisect(p, lo, hi, width, None, c, e, h) == expected
     for hint in _hints(lo, hi, root):
-        assert _scaled_core(p, lo, hi, width, hint, c, e, h) == expected, hint
+        assert bisect(p, lo, hi, width, hint, c, e, h) == expected, hint
 
 
 @settings(max_examples=30, deadline=None)
@@ -276,6 +297,6 @@ def test_integer_core_on_unreduced_brackets_matches_plain_halving(case, c, e, h)
 def test_integer_core_on_unreduced_rational_brackets_matches_plain_halving(case, c, e, h):
     p, lo, hi, width, root = case
     expected = plain_halving(p, lo, hi, width)
-    assert _scaled_core(p, lo, hi, width, None, c, e, h) == expected
+    assert bisect(p, lo, hi, width, None, c, e, h) == expected
     for hint in _hints(lo, hi, root):
-        assert _scaled_core(p, lo, hi, width, hint, c, e, h) == expected, hint
+        assert bisect(p, lo, hi, width, hint, c, e, h) == expected, hint

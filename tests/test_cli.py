@@ -470,7 +470,7 @@ def test_json_certificate_is_the_text_one_with_the_prime_that_proved_it():
 
 def test_a_proof_failed_at_both_primes_prints_a_null_affine_proof(monkeypatch):
     # a common factor of R and R' reported at every prime
-    monkeypatch.setattr(curves_mod, "_gcd_degree_mod", lambda p, q, m: 1)
+    monkeypatch.setattr(curves_mod, "_resultant_mod", lambda a, b, m: 0)
     argv = ["curve", "--a", "2", "--b", "3", "--certify", "--format"]
     code, out, err = run_cli([*argv, "json"])
     payload = json.loads(out)

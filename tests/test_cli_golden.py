@@ -4,7 +4,7 @@ Each row is an invocation, its exit status and the sha256 of its stdout,
 recorded from an earlier implementation: the rows up to the empty plot
 range before the subcommand handlers were rebound, the next four before
 the real-root layer moved from Fraction to integer arithmetic, and the
-fine zeta and plot rows before bisect_root took its Newton cell. The
+fine zeta and plot rows before the bisection took its Newton cell. The
 certificates in JSON, of (2,2), (3,3) and (4,5), and the last row, of
 (8,7), were recorded when the JSON form first printed the prime that
 proved the affine verdict in place of the exact eliminants. The two refusals after

@@ -7,7 +7,10 @@ included, and its interpolation at 0..n-1 must give back a polynomial
 from its values.
 
 affine_singular_check proves the affine verdict from one eliminant,
-R = Res_y(F,F_y): of degree d(d-1) and squarefree mod p. It returns the
+R = Res_y(F,F_y): of degree d(d-1) and squarefree mod p, which it tests
+as Res(R, R') != 0 mod p. That test must agree with the gcd degree mod p
+that it replaced, kept here as the oracle, for every R of degree below
+p with a leading coefficient prime to p. It returns the
 prime that proved it, and certify keeps that prime as affine_prime. The
 two-eliminant proof it replaced, a constant gcd of Res_y(F,F_x) and
 Res_y(F,F_y) mod p, is kept here as the oracle, and the two verdicts
@@ -21,7 +24,7 @@ is 1/p must not be proved at p either: there R mod p loses its degree,
 and only the degree test refuses it.
 
 A modular proof that fails at the first prime, by a degree drop or a
-nonconstant gcd mod p, must be proved again at the second, with the
+zero Res(R, R') mod p, must be proved again at the second, with the
 same verdicts and the second prime as affine_prime; one that fails at
 both must leave the affine verdict inconclusive and print a null
 affine proof. A prime that breaks the proof's preconditions proves
@@ -41,7 +44,7 @@ from __future__ import annotations
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pascalrepeats import curves, polynomials
@@ -49,12 +52,12 @@ from pascalrepeats.curves import _PRIMES, _affine_nonsingular_mod_p, affine_sing
 from pascalrepeats.polynomials import (
     BiPoly,
     UniPoly,
-    _gcd_degree_mod,
     _interpolate_mod,
     _inverses_mod,
     _rem_mod,
     _resultant_mod,
     _resultants_mod,
+    _trim,
     _values_mod,
     bipoly_resultant,
 )
@@ -157,15 +160,15 @@ def _drop_degree(real, failing, seen):
 
 
 def _common_factor(real, failing, seen):
-    def forced(p, q, m):
+    def forced(a, b, m):
         seen.append(m)
-        return 1 if m in failing else real(p, q, m)
+        return 0 if m in failing else real(a, b, m)
 
     return forced
 
 
 @pytest.mark.parametrize("failing", [(P1,), _PRIMES], ids=["p1", "both"])
-@pytest.mark.parametrize("name,forced", [("_interpolate_mod", _drop_degree), ("_gcd_degree_mod", _common_factor)])
+@pytest.mark.parametrize("name,forced", [("_interpolate_mod", _drop_degree), ("_resultant_mod", _common_factor)])
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (4, 1)])
 def test_failed_modular_proof_is_inconclusive(a, b, name, forced, failing, exact_eliminants, monkeypatch):
     """A failure at the first prime only is proved at the second; a failure at both is inconclusive."""
@@ -188,6 +191,33 @@ def test_failed_modular_proof_is_inconclusive(a, b, name, forced, failing, exact
         assert failed.to_json_dict()["affine_proof"] == {"eliminant": "Res_y(F,F_y)", "prime": P2}
     assert failed.infinity_nonsingular is proved.infinity_nonsingular is curves.Verdict.YES
     assert failed.finiteness is proved.finiteness
+
+
+def _gcd_degree_mod(p: UniPoly, q: UniPoly, m: int) -> int:
+    """Degree of gcd(p mod m, q mod m) over GF(m), m prime, by Euclid; -1 if both vanish."""
+    a = _trim([c % m for c in p.coeffs])
+    b = _trim([c % m for c in q.coeffs])
+    while b:
+        a, b = b, _rem_mod(a, b, m)
+    return len(a) - 1
+
+
+small_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("m", [*_PRIMES, 7], ids=["p1", "p2", "7"])
+@settings(max_examples=200, deadline=None)
+@given(small_polys, small_polys, st.booleans())
+@example([0, 1], [1, 1], True)  # x (x + 1)^2
+@example([7, 0, 1], [1], False)  # x^2 + 7: squarefree over Z, x^2 mod 7
+@example([3, 1], [1, 0, 1], True)  # (x + 3)(x^2 + 1)^2: a repeated factor with no root mod 7
+def test_the_resultant_mod_p_is_nonzero_exactly_when_the_gcd_is_constant(m, a, b, square):
+    """The squarefree test of the affine proof: with deg R < m and lc(R) prime to m, Res(R, R') != 0 mod m
+    exactly when gcd(R, R') mod m is constant."""
+    r = UniPoly(a) * UniPoly(b) * (UniPoly(b) if square else UniPoly([1]))
+    assume(1 <= r.degree < m and r.leading % m)
+    dr = r.derivative()
+    assert (_resultant_mod(r.coeffs, dr.coeffs, m) != 0) == (_gcd_degree_mod(r, dr, m) == 0)
 
 
 def two_eliminant_proof(f: BiPoly, p: int) -> bool:
@@ -315,7 +345,7 @@ def test_certify_forms_the_columns_of_f_and_f_y_once_for_both_primes_and_evaluat
 
     monkeypatch.setattr(curves, "_affine_nonsingular_mod_p", proof_spy)
     monkeypatch.setattr(curves, "_values_mod", values_spy)
-    monkeypatch.setattr(curves, "_gcd_degree_mod", _common_factor(curves._gcd_degree_mod, (P1,), []))
+    monkeypatch.setattr(curves, "_resultant_mod", _common_factor(curves._resultant_mod, (P1,), []))
     f = build_curve(ShiftPair(2, 3))
     assert certify(ShiftPair(2, 3)).affine_prime == P2
     assert [p for p, _ in handed] == [P1, P2]

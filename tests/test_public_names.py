@@ -1,7 +1,8 @@
 """Every public name of the package has a user outside the tests that pin it.
 
 So does every public method and property that a class in `__all__`
-defines itself.
+defines itself, and every public function and class that a package
+module defines at module level, whether `__all__` exports it or not.
 
 A name in `pascalrepeats.__all__` counts as used when a package module
 other than `__init__`, a demo, the acceptance suite or the benchmark's
@@ -16,6 +17,7 @@ definition or a word in a string.
 from __future__ import annotations
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -66,3 +68,20 @@ def test_every_public_method_of_a_public_class_is_used_outside_its_unit_tests():
     used = used_names()
     unused = [f"{owner}.{attr}" for owner, attr in members if attr not in used]
     assert not unused, f"public methods only tests use: {unused}"
+
+
+def test_every_public_module_level_function_and_class_is_used_outside_its_unit_tests():
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("pascalrepeats" if path.stem == "__init__" else f"pascalrepeats.{path.stem}")
+        defined += [
+            f"{path.stem}.{attr}"
+            for attr, value in vars(module).items()
+            if not attr.startswith("_")
+            and isinstance(value, (types.FunctionType, type))
+            and value.__module__ == module.__name__
+        ]
+    assert defined
+    used = used_names()
+    unused = [name for name in defined if name.split(".")[1] not in used]
+    assert not unused, f"module-level names only tests use: {unused}"

@@ -277,7 +277,7 @@ def _row_polynomial(y: int, shift: ShiftPair) -> UniPoly:
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (1, 4), (6, 6), (63, 3)])
 def test_hinted_crossing_points_equal_plain_halving_on_the_block_rows(a, b):
     # the three rows of every block from the production start to y = 2^20: there k <= 64 but in the
-    # last block, so without the midpoint hint bisect_root would only halve
+    # last block, so without the midpoint hint _bisect would only halve
     shift = ShiftPair(a, b)
     d = shift.degree
     y0 = size = max(search_mod._TUBE_START, search_mod._TUBE_ROWS_PER_DEGREE * d)
